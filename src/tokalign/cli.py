@@ -467,20 +467,43 @@ def _sweep_language(
     if config.include_baselines:
         grid.extend((kind, 0) for kind in BASELINE_KINDS)
 
+    # A merge kind trains once, at its largest missing size; the smaller
+    # sizes are cut from that model.  A size that fails to train (say,
+    # below the alphabet) fails alone, and the next size down retries.
+    missing: dict[TokenizerKind, set[int]] = {}
+    for kind, size in grid:
+        if not _model_path(out, spec.name, kind, size).exists():
+            missing.setdefault(kind, set()).add(size)
+    errors: dict[tuple[TokenizerKind, int], TokalignError] = {}
+    for kind, sizes in missing.items():
+        full: TokenizerModel | None = None
+        for size in sorted(sizes, reverse=True):
+            try:
+                if full is None:
+                    model = _train_model(kind, size, config.seed, spec.corpus, curated_path)
+                else:
+                    model = tokenizers.truncate_merges(
+                        full, TrainConfig(kind=kind, vocab_size=size, seed=config.seed)
+                    )
+            except TokalignError as exc:
+                errors[kind, size] = exc
+                continue
+            if full is None and kind in tokenizers.MERGE_KINDS:
+                full = model
+            _atomic_write(
+                _model_path(out, spec.name, kind, size), tokenizers.model_to_json(model)
+            )
+
     trained: list[tuple[TokenizerKind, int, Path]] = []
     for kind, size in grid:
-        path = _model_path(out, spec.name, kind, size)
-        if not path.exists():
-            try:
-                model = _train_model(kind, size, config.seed, spec.corpus, curated_path)
-            except TokalignError as exc:
-                failures.append(
-                    (f"{spec.name}/{kind.value}-{size}/train",
-                     f"{type(exc).__name__}: {exc}")
-                )
-                continue
-            _atomic_write(path, tokenizers.model_to_json(model))
-        trained.append((kind, size, path))
+        error = errors.get((kind, size))
+        if error is not None:
+            failures.append(
+                (f"{spec.name}/{kind.value}-{size}/train",
+                 f"{type(error).__name__}: {error}")
+            )
+            continue
+        trained.append((kind, size, _model_path(out, spec.name, kind, size)))
 
     pending: list[tuple] = []
     point_files: list[Path] = []
@@ -528,13 +551,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     buffer = io.StringIO()
     stats.write_report(report, buffer, seed=config.seed)
     _atomic_write(out / "correlations.csv", buffer.getvalue())
+    failures_path = out / "failures.csv"
     if failures:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["point", "error"])
         writer.writerows(failures)
-        _atomic_write(out / "failures.csv", buffer.getvalue())
-        print(f"{len(failures)} grid points failed; see {out / 'failures.csv'}")
+        _atomic_write(failures_path, buffer.getvalue())
+        print(f"{len(failures)} grid points failed; see {failures_path}")
+    else:
+        # A clean rerun must not leave an earlier run's failures behind.
+        failures_path.unlink(missing_ok=True)
     print(
         f"sweep complete: {len(all_rows)} score rows, "
         f"{len(report.cells)} report cells under {out}"

@@ -11,6 +11,15 @@ Five model kinds share a single serializable container:
 * ``character``: split into single characters.
 * ``gold``: look up the curated gold segmentation.
 
+BPE and WordPiece share one incremental merge loop, ``_train_merges``.
+It keeps pair counts, symbol counts, an index from each pair to the
+words holding it and a lazy heap of pair scores.  Each merge rewrites
+only the words that hold the merged pair and re-scores only the pairs
+it touched, instead of recounting the corpus.  The vocabulary budget
+decides only when the loop stops, so a smaller budget's merges are a
+prefix of a larger one's: ``truncate_merges`` cuts the smaller model
+from the larger, which lets a sweep train each merge kind once.
+
 All training is deterministic: corpora are handled in sorted order and
 score ties break lexicographically, so retraining on the same input
 yields byte-identical model files.
@@ -18,14 +27,14 @@ yields byte-identical model files.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .corpus import CuratedDataset, normalize
 from .errors import ConfigError, DataError, NumericalError, UncoverableWord
@@ -48,6 +57,7 @@ class TokenizerKind(Enum):
 
 
 TRAINED_KINDS = (TokenizerKind.BPE, TokenizerKind.WORDPIECE, TokenizerKind.UNIGRAM)
+MERGE_KINDS = (TokenizerKind.BPE, TokenizerKind.WORDPIECE)
 
 
 @dataclass
@@ -115,15 +125,6 @@ def _check_alphabet_budget(alphabet_size: int, vocab_size: int) -> None:
         )
 
 
-def _pair_counts(seqs: list[tuple[list[str], int]]) -> Counter:
-    # Overlapping occurrences all count: "aaa" contributes ("a","a") twice.
-    counts: Counter = Counter()
-    for symbols, freq in seqs:
-        for pair in zip(symbols, symbols[1:]):
-            counts[pair] += freq
-    return counts
-
-
 def _merge_sequence(
     symbols: list[str], pair: tuple[str, str], joined: str
 ) -> list[str]:
@@ -141,6 +142,140 @@ def _merge_sequence(
     return out
 
 
+class _Likelihood:
+    """Pair likelihood count(ab) / (count(a) * count(b)), best first.
+
+    Compared exactly by integer cross-multiplication, so the order is
+    platform independent and equal ratios tie.
+    """
+
+    __slots__ = ("count", "denominator")
+
+    def __init__(self, count: int, left_count: int, right_count: int) -> None:
+        self.count = count
+        self.denominator = left_count * right_count
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Likelihood):
+            return NotImplemented
+        return self.count * other.denominator == other.count * self.denominator
+
+    def __lt__(self, other: _Likelihood) -> bool:
+        return self.count * other.denominator > other.count * self.denominator
+
+
+def _frequency_key(count: int, left_count: int, right_count: int) -> int | None:
+    # Only pairs seen at least twice (by weighted count) may merge.
+    return -count if count >= 2 else None
+
+
+def _train_merges(
+    corpus: Mapping[str, int],
+    vocab_size: int,
+    score: Callable[[int, int, int], Any],
+) -> tuple[list[str], list[tuple[str, str]]]:
+    """Shared merge loop; returns the alphabet and the learned merges.
+
+    Each step merges the pair with the smallest ``(key, pair)``, where
+    ``score(pair count, left count, right count)`` gives the key, or
+    None for a pair that may not merge.  Counts are weighted by word
+    frequency, and overlapping occurrences all count: "aaa" holds
+    ("a","a") twice.  The loop stops when the vocabulary (alphabet plus
+    joined tokens) reaches vocab_size or no pair may merge.
+
+    The loop is incremental, after Sennrich et al. (2016): it keeps the
+    pair and symbol counts, an index from each pair to the words that
+    hold it and from each symbol to the pairs that hold it, and a lazy
+    heap of keys.  A merge of (a, b) rewrites only the words indexed
+    under (a, b).  It then re-scores the pairs whose count changed and
+    every pair that holds a, b or ab, whose symbol counts changed.  A
+    heap entry is stale once its pair's key has changed and is skipped
+    when popped.
+
+    Nothing here depends on vocab_size except when the loop stops, so
+    the merges for a smaller budget are a prefix of those for a larger
+    one (see truncate_merges).
+    """
+    items = _sorted_corpus(corpus)
+    words = [list(word) for word, _ in items]
+    freqs = [freq for _, freq in items]
+    alphabet = sorted({sym for symbols in words for sym in symbols})
+    _check_alphabet_budget(len(alphabet), vocab_size)
+    pair_counts: Counter = Counter()
+    symbol_counts: Counter = Counter()
+    words_with: dict[tuple[str, str], set[int]] = defaultdict(set)
+    pairs_with: dict[str, set[tuple[str, str]]] = defaultdict(set)
+    for index, (symbols, freq) in enumerate(zip(words, freqs)):
+        for sym in symbols:
+            symbol_counts[sym] += freq
+        for pair in zip(symbols, symbols[1:]):
+            pair_counts[pair] += freq
+            words_with[pair].add(index)
+    for pair in pair_counts:
+        pairs_with[pair[0]].add(pair)
+        pairs_with[pair[1]].add(pair)
+
+    keys: dict[tuple[str, str], Any] = {}
+    heap: list[tuple[Any, tuple[str, str]]] = []
+
+    def rescore(pair: tuple[str, str]) -> None:
+        count = pair_counts.get(pair, 0)
+        key = None
+        if count:
+            key = score(count, symbol_counts[pair[0]], symbol_counts[pair[1]])
+        if key is None:
+            keys.pop(pair, None)
+        elif keys.get(pair) != key:
+            keys[pair] = key
+            heapq.heappush(heap, (key, pair))
+
+    for pair in pair_counts:
+        rescore(pair)
+
+    vocab = set(alphabet)
+    merges: list[tuple[str, str]] = []
+    while len(vocab) < vocab_size:
+        while heap and keys.get(heap[0][1]) != heap[0][0]:
+            heapq.heappop(heap)
+        if not heap:
+            break
+        _, best = heapq.heappop(heap)
+        left, right = best
+        joined = left + right
+        merges.append(best)
+        vocab.add(joined)
+        changed: set[tuple[str, str]] = set()
+        for index in words_with.pop(best):
+            symbols = words[index]
+            merged = _merge_sequence(symbols, best, joined)
+            freq = freqs[index]
+            times = len(symbols) - len(merged)
+            symbol_counts[left] -= times * freq
+            symbol_counts[right] -= times * freq
+            symbol_counts[joined] += times * freq
+            for pair in zip(symbols, symbols[1:]):
+                pair_counts[pair] -= freq
+                changed.add(pair)
+            for pair in zip(merged, merged[1:]):
+                pair_counts[pair] += freq
+                changed.add(pair)
+                if joined in pair:
+                    words_with[pair].add(index)
+                    pairs_with[pair[0]].add(pair)
+                    pairs_with[pair[1]].add(pair)
+            words[index] = merged
+        for pair in changed:
+            if not pair_counts[pair]:
+                del pair_counts[pair]
+        for sym in (left, right, joined):
+            live = {pair for pair in pairs_with[sym] if pair in pair_counts}
+            pairs_with[sym] = live
+            changed |= live
+        for pair in changed:
+            rescore(pair)
+    return alphabet, merges
+
+
 def train_bpe(corpus: Mapping[str, int], config: TrainConfig) -> TokenizerModel:
     """Learn merges by joining the most frequent adjacent symbol pair.
 
@@ -148,29 +283,8 @@ def train_bpe(corpus: Mapping[str, int], config: TrainConfig) -> TokenizerModel:
     occurs at least twice (weighted by word frequency).  Count ties
     break on the lexicographically smallest (left, right) pair.
     """
-    seqs = [(list(word), freq) for word, freq in _sorted_corpus(corpus)]
-    alphabet = sorted({sym for symbols, _ in seqs for sym in symbols})
-    _check_alphabet_budget(len(alphabet), config.vocab_size)
-    vocab = set(alphabet)
-    merges: list[tuple[str, str]] = []
-    while len(vocab) < config.vocab_size:
-        counts = _pair_counts(seqs)
-        if not counts:
-            break
-        pair, count = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        if count < 2:
-            break
-        joined = pair[0] + pair[1]
-        merges.append(pair)
-        vocab.add(joined)
-        seqs = [(_merge_sequence(s, pair, joined), f) for s, f in seqs]
-    return TokenizerModel(
-        kind=TokenizerKind.BPE,
-        vocab=sorted(vocab),
-        vocab_size=config.vocab_size,
-        seed=config.seed,
-        merges=merges,
-    )
+    alphabet, merges = _train_merges(corpus, config.vocab_size, _frequency_key)
+    return _merge_model(TokenizerKind.BPE, alphabet, merges, config)
 
 
 def _strip_marker(token: str, marker: str) -> str:
@@ -183,46 +297,53 @@ def train_wordpiece(corpus: Mapping[str, int], config: TrainConfig) -> Tokenizer
     """Merge loop over raw symbols scored by pair likelihood.
 
     Pairs are ranked by count(pair) / (count(left) * count(right)),
-    compared as exact fractions so ties are platform independent and
-    break on the lexicographically smallest pair.  Any observed pair is
-    eligible, so even singleton pairs merge once frequent pairs are
-    exhausted.  The continuation marker decorates word-internal tokens
-    at segmentation time only; training symbols and the stored
-    vocabulary are marker-free.
+    compared exactly by integer cross-multiplication so ties are
+    platform independent and break on the lexicographically smallest
+    pair.  Any observed pair is eligible, so even singleton pairs merge
+    once frequent pairs are exhausted.  The continuation marker
+    decorates word-internal tokens at segmentation time only; training
+    symbols and the stored vocabulary are marker-free.
     """
-    seqs = [(list(word), freq) for word, freq in _sorted_corpus(corpus)]
-    alphabet = sorted({sym for symbols, _ in seqs for sym in symbols})
-    _check_alphabet_budget(len(alphabet), config.vocab_size)
-    vocab = set(alphabet)
-    merges: list[tuple[str, str]] = []
-    while len(vocab) < config.vocab_size:
-        pair_counts = _pair_counts(seqs)
-        if not pair_counts:
-            break
-        symbol_counts: Counter = Counter()
-        for symbols, freq in seqs:
-            for sym in symbols:
-                symbol_counts[sym] += freq
-        best_pair: tuple[str, str] | None = None
-        best_score: Fraction | None = None
-        for pair in sorted(pair_counts):
-            score = Fraction(
-                pair_counts[pair], symbol_counts[pair[0]] * symbol_counts[pair[1]]
-            )
-            if best_score is None or score > best_score:
-                best_pair, best_score = pair, score
-        joined = best_pair[0] + best_pair[1]
-        merges.append(best_pair)
-        vocab.add(joined)
-        seqs = [(_merge_sequence(s, best_pair, joined), f) for s, f in seqs]
+    alphabet, merges = _train_merges(corpus, config.vocab_size, _Likelihood)
+    return _merge_model(TokenizerKind.WORDPIECE, alphabet, merges, config)
+
+
+def _merge_model(
+    kind: TokenizerKind,
+    alphabet: Iterable[str],
+    merges: list[tuple[str, str]],
+    config: TrainConfig,
+) -> TokenizerModel:
     return TokenizerModel(
-        kind=TokenizerKind.WORDPIECE,
-        vocab=sorted(vocab),
+        kind=kind,
+        vocab=sorted(set(alphabet).union(left + right for left, right in merges)),
         vocab_size=config.vocab_size,
         seed=config.seed,
         merges=merges,
-        continuation_marker=WORDPIECE_MARKER,
+        continuation_marker=WORDPIECE_MARKER if kind is TokenizerKind.WORDPIECE else "",
     )
+
+
+def truncate_merges(model: TokenizerModel, config: TrainConfig) -> TokenizerModel:
+    """The model ``train(corpus, config)`` gives, cut from a larger budget's.
+
+    ``model`` must be a BPE or WordPiece model trained on the same
+    corpus at a budget of at least config.vocab_size.  The merge loop
+    depends on the budget only in when it stops, so the smaller
+    budget's merges are a prefix of the larger one's.  The prefix ends
+    where the trainer would have stopped: where the vocabulary
+    (alphabet plus joined tokens) first reaches config.vocab_size.  If
+    the larger model ran out of merges first, all of them are kept.
+    """
+    joins = [left + right for left, right in model.merges]
+    alphabet = set(model.vocab).difference(joins)
+    _check_alphabet_budget(len(alphabet), config.vocab_size)
+    vocab = set(alphabet)
+    cut = 0
+    while len(vocab) < config.vocab_size and cut < len(joins):
+        vocab.add(joins[cut])
+        cut += 1
+    return _merge_model(model.kind, alphabet, model.merges[:cut], config)
 
 
 def _viterbi(
@@ -557,7 +678,7 @@ def load_model(path: str | Path) -> TokenizerModel:
         raise DataError(f"model file {path} has an unrecognized schema")
     try:
         kind = TokenizerKind(doc["kind"])
-        return TokenizerModel(
+        model = TokenizerModel(
             kind=kind,
             vocab=list(doc["vocab"]),
             vocab_size=int(doc["vocab_size"]),
@@ -567,5 +688,13 @@ def load_model(path: str | Path) -> TokenizerModel:
             gold_map={form: list(segs) for form, segs in doc["gold_map"]},
             continuation_marker=str(doc["continuation_marker"]),
         )
+        if kind in MERGE_KINDS:
+            for left, right in model.merges:
+                if left + right not in model._vocab_set:
+                    raise DataError(
+                        f"model file {path} has merge ({left!r}, {right!r}) "
+                        "whose join is not in the vocabulary"
+                    )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"model file {path} is malformed: {exc}") from exc
+    return model

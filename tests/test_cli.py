@@ -2,18 +2,28 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+from conftest import random_corpus
 from tokalign import cli
 from tokalign.corpus import CuratedDataset, WordEntry, write_curated
 from tokalign.ibm1 import load_table
 from tokalign.metrics import read_score_rows, write_score_rows, ScoreRow
 from tokalign.stats import read_report
 from tokalign.synth import SynthConfig, build_language, write_language
-from tokalign.tokenizers import build_gold_lookup, load_model, save_model
+from tokalign.tokenizers import (
+    TokenizerKind,
+    TrainConfig,
+    build_gold_lookup,
+    load_model,
+    model_to_json,
+    save_model,
+    train,
+)
 
 FEATURES = """\
 lemma1\tkamit\tN;ACC
@@ -397,6 +407,62 @@ class TestSweep:
         # The two surviving trained points plus both baselines.
         assert len(rows) == 16
 
+    def test_clean_rerun_removes_stale_failures(self, tmp_path):
+        config_path = _sweep_setup(tmp_path, vocab_sizes=(2, 60))
+        assert cli.main(["sweep", "--config", str(config_path)]) == 0
+        assert (tmp_path / "out" / "failures.csv").exists()
+        config_path = _sweep_setup(tmp_path, vocab_sizes=(30, 60))
+        assert cli.main(["sweep", "--config", str(config_path)]) == 0
+        assert not (tmp_path / "out" / "failures.csv").exists()
+
+    @pytest.mark.parametrize("trial", range(3))
+    def test_models_cut_from_one_training_equal_direct_training(self, tmp_path, trial):
+        # The sweep trains each merge kind once, at its largest size, and
+        # cuts the smaller sizes from that model.
+        rng = random.Random(5000 + trial)
+        corpus = random_corpus(rng, max_types=40)
+        lines = [" ".join([word] * freq) for word, freq in sorted(corpus.items())]
+        _write(tmp_path / "corpus.txt", "\n".join(lines) + "\n")
+        dataset = CuratedDataset(
+            [WordEntry(word, (word,), ("X",)) for word in sorted(corpus)],
+            language="rnd",
+        )
+        with (tmp_path / "curated.tsv").open("w", encoding="utf-8") as handle:
+            write_curated(dataset, handle)
+        alphabet = len({ch for word in corpus for ch in word})
+        # Unsorted, with a size below the alphabet and one past the point
+        # where merges run out.
+        sizes = [alphabet + 6, alphabet - 1, 1000, alphabet, alphabet + 2]
+        doc = {
+            "seed": 3,
+            "epochs": 1,
+            "kinds": ["bpe", "wordpiece"],
+            "vocab_sizes": sizes,
+            "modes": ["split"],
+            "aggregations": ["mean"],
+            "thresholds": [0.01],
+            "include_baselines": False,
+            "output_dir": "out",
+            "languages": {"rnd": {"corpus": "corpus.txt", "curated": "curated.tsv"}},
+        }
+        config_path = _write(tmp_path / "sweep.json", json.dumps(doc))
+        assert cli.main(["sweep", "--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        failures = (out / "failures.csv").read_text(encoding="utf-8")
+        for kind in ("bpe", "wordpiece"):
+            config = TrainConfig(kind=TokenizerKind(kind), vocab_size=1000)
+            assert len(train(corpus, config).vocab) < 1000
+            for size in sizes:
+                path = out / "rnd" / "models" / f"{kind}-{size}.json"
+                if size < alphabet:
+                    assert f"rnd/{kind}-{size}/train" in failures
+                    assert not path.exists()
+                    continue
+                config = TrainConfig(kind=TokenizerKind(kind), vocab_size=size, seed=3)
+                direct = model_to_json(train(corpus, config))
+                assert path.read_text(encoding="utf-8") == direct
+        assert failures.count("/train") == 2
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         code = cli.main(["sweep", "--config", str(tmp_path / "nope.json")])
         assert code == 1
@@ -458,7 +524,8 @@ class TestUsage:
 
 
 class TestSubprocess:
-    def test_model_files_ignore_hash_randomization(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["bpe", "wordpiece", "unigram"])
+    def test_model_files_ignore_hash_randomization(self, tmp_path, kind):
         # Byte-identical models across interpreter runs with different
         # hash seeds prove no set-iteration order leaks into output.
         corpus = tmp_path / "corpus.txt"
@@ -475,7 +542,7 @@ class TestSubprocess:
                     sys.executable, "-m", "tokalign.cli",
                     "train-tokenizer",
                     "--corpus", str(corpus),
-                    "--kind", "unigram",
+                    "--kind", kind,
                     "--vocab-size", "40",
                     "--out", str(out),
                 ],

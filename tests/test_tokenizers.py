@@ -1,5 +1,6 @@
 """Tokenizer training, segmentation, and model file round trips."""
 
+import json
 import math
 import random
 
@@ -13,6 +14,7 @@ from oracles import (
 )
 from conftest import random_corpus
 from tokalign.errors import ConfigError, DataError, UncoverableWord
+from tokalign.synth import SynthConfig, build_language
 from tokalign.tokenizers import (
     OOV_CHAR_LOGPROB,
     PROB_FLOOR,
@@ -37,6 +39,30 @@ from tokalign.tokenizers import (
 
 def _config(kind, vocab_size):
     return TrainConfig(kind=kind, vocab_size=vocab_size)
+
+
+def _oracle_cases(first_seed):
+    """(corpus, budget) pairs that the merge-order oracles replay.
+
+    25 random small corpora, then inputs aimed at the incremental
+    bookkeeping: budgets that run out of merges, runs of one symbol
+    whose pair occurrences overlap, two routes to the join "abc"
+    (("ab","c") and ("a","bc")), and the seed-0 synthetic language.
+    """
+    cases = []
+    for trial in range(25):
+        rng = random.Random(first_seed + trial)
+        corpus = random_corpus(rng, max_types=50)
+        alphabet = sorted({ch for word in corpus for ch in word})
+        cases.append((corpus, len(alphabet) + rng.randint(0, 12)))
+    for trial in range(5):
+        cases.append((random_corpus(random.Random(4000 + trial), max_types=30), 1000))
+    cases.append(({"aaaa": 3, "aaaaaaa": 2, "aaab": 1, "baaaab": 2, "a": 4}, 100))
+    cases.append(({"abc": 4, "xab": 3, "bcy": 3}, 100))
+    cases.append(({"abc": 4, "xab": 2, "bcy": 3}, 100))
+    synth = word_frequencies(build_language(SynthConfig(seed=0)).sentences)
+    cases.append((dict(synth), 200))
+    return cases
 
 
 class TestWordFrequencies:
@@ -85,11 +111,8 @@ class TestBpe:
     def test_merge_sequence_matches_argmax_oracle(self):
         # Replays training with the independent best-pair oracle and
         # expects the identical merge list.
-        for trial in range(25):
-            rng = random.Random(1000 + trial)
-            corpus = random_corpus(rng, max_types=50)
+        for corpus, budget in _oracle_cases(1000):
             alphabet = sorted({ch for word in corpus for ch in word})
-            budget = len(alphabet) + rng.randint(0, 12)
             model = train_bpe(corpus, _config(TokenizerKind.BPE, budget))
 
             seqs = [(list(w), f) for w, f in sorted(corpus.items())]
@@ -163,11 +186,8 @@ class TestWordPiece:
         assert model.merges == [("a", "b"), ("c", "d")]
 
     def test_merge_sequence_matches_score_oracle(self):
-        for trial in range(25):
-            rng = random.Random(3000 + trial)
-            corpus = random_corpus(rng, max_types=50)
+        for corpus, budget in _oracle_cases(3000):
             alphabet = sorted({ch for word in corpus for ch in word})
-            budget = len(alphabet) + rng.randint(0, 12)
             model = train_wordpiece(
                 corpus, _config(TokenizerKind.WORDPIECE, budget)
             )
@@ -362,6 +382,17 @@ class TestModelFiles:
         path = tmp_path / "bad.json"
         path.write_text('{"schema": "something-else/9"}', encoding="utf-8")
         with pytest.raises(DataError):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", [TokenizerKind.BPE, TokenizerKind.WORDPIECE])
+    def test_load_rejects_merge_whose_join_is_not_in_vocab(self, tmp_path, kind):
+        model = train({"abab": 3, "ab": 2}, _config(kind, 4))
+        doc = json.loads(model_to_json(model))
+        left, right = doc["merges"][-1]
+        doc["vocab"].remove(left + right)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match="not in the vocabulary"):
             load_model(path)
 
     def test_load_rejects_invalid_json(self, tmp_path):
