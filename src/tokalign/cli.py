@@ -44,7 +44,7 @@ from . import corpus as corpus_mod
 from . import ibm1, metrics, stats, tokenizers
 from .corpus import CuratedDataset, FeatureMode
 from .errors import ConfigError, DataError, NumericalError, TokalignError
-from .metrics import Aggregation, DEFAULT_THRESHOLDS, ScoreConfig, ScoreRow
+from .metrics import Aggregation, DEFAULT_THRESHOLDS, ScoreRow
 from .tokenizers import TokenizerKind, TokenizerModel, TrainConfig
 
 DEFAULT_VOCAB_SIZES = (
@@ -104,6 +104,8 @@ def _parse_thresholds(text: str) -> list[float]:
         raise ConfigError(f"bad threshold list {text!r}") from exc
     if not values:
         raise ConfigError("threshold list is empty")
+    for value in values:
+        metrics.check_threshold(value)
     return values
 
 
@@ -119,36 +121,37 @@ def run_evaluation(
 ) -> tuple[list[ScoreRow], ibm1.TranslationTable]:
     """Train one translation table and score the aggregation grid.
 
-    The table depends only on (model, mode), so it is trained once and
-    shared by every aggregation and threshold combination.
+    The dataset is segmented once, for both the parallel corpus and the
+    boundary metrics.  The table depends only on (model, mode), so it is
+    trained once, and one pass over the pairs scores every aggregation
+    and threshold combination.
     """
-    pairs, excluded = ibm1.build_parallel_corpus(
-        dataset, model, mode, include_null=include_null
+    segments = ibm1.segment_entries(dataset, model)
+    pairs, excluded = ibm1.pairs_from_segments(
+        dataset, segments, mode, include_null=include_null
     )
     table = ibm1.train_ibm1(pairs, epochs=epochs)
-    precision, recall, f1, _counts = metrics.boundary_prf(dataset, model)
-    rows: list[ScoreRow] = []
-    for aggregation in aggregations:
-        for threshold in thresholds:
-            config = ScoreConfig(
-                aggregation=aggregation, threshold=threshold, mode=mode
-            )
-            score = metrics.alignment_score_from_pairs(table, pairs, config)
-            rows.append(
-                ScoreRow(
-                    language=language,
-                    kind=model.kind.value,
-                    vocab_size=model.vocab_size,
-                    mode=mode.value,
-                    aggregation=aggregation.value,
-                    threshold=threshold,
-                    alignment=score,
-                    precision=precision,
-                    recall=recall,
-                    f1=f1,
-                    excluded=excluded,
-                )
-            )
+    precision, recall, f1, _counts = metrics.boundary_prf_from_segments(
+        dataset, segments
+    )
+    scores = metrics.alignment_scores(table, pairs, aggregations, thresholds)
+    rows = [
+        ScoreRow(
+            language=language,
+            kind=model.kind.value,
+            vocab_size=model.vocab_size,
+            mode=mode.value,
+            aggregation=aggregation.value,
+            threshold=threshold,
+            alignment=scores[aggregation, threshold],
+            precision=precision,
+            recall=recall,
+            f1=f1,
+            excluded=excluded,
+        )
+        for aggregation in aggregations
+        for threshold in thresholds
+    ]
     return rows, table
 
 
@@ -314,12 +317,64 @@ class SweepConfig:
         if not self.languages:
             raise ConfigError("sweep config lists no languages")
         for field_name in ("kinds", "vocab_sizes", "modes", "aggregations", "thresholds"):
-            if not getattr(self, field_name):
+            values = getattr(self, field_name)
+            if not values:
                 raise ConfigError(f"sweep config field {field_name} is empty")
+            # A repeated value would give two grid points the same label.
+            if len(set(values)) != len(values):
+                raise ConfigError(
+                    f"sweep config field {field_name} repeats a value: {values}"
+                )
+        for size in self.vocab_sizes:
+            if size < 1:
+                raise ConfigError(f"vocab sizes must be positive, got {size}")
+        for threshold in self.thresholds:
+            metrics.check_threshold(threshold)
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
         if len(set(s.name for s in self.languages)) != len(self.languages):
             raise ConfigError("duplicate language names in sweep config")
+
+
+def _integer(value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def _number(value: object) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _boolean(value: object) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
+    return value
+
+
+def _text(value: object) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
+
+def _list_of(parse):
+    def parse_list(value: object) -> list:
+        if not isinstance(value, list):
+            raise ValueError(f"{value!r} is not a list")
+        return [parse(item) for item in value]
+
+    return parse_list
+
+
+def _config_value(doc: dict, name: str, default: object, parse) -> object:
+    """Parse one field of a sweep config; a missing field takes the default."""
+    try:
+        return parse(doc.get(name, default))
+    except ValueError as exc:
+        raise ConfigError(f"sweep config field {name}: {exc}") from exc
 
 
 def load_sweep_config(path: Path) -> SweepConfig:
@@ -337,15 +392,6 @@ def load_sweep_config(path: Path) -> SweepConfig:
         p = Path(raw)
         return p if p.is_absolute() else base / p
 
-    try:
-        kinds = [TokenizerKind(k) for k in doc.get("kinds", ["bpe", "wordpiece", "unigram"])]
-        modes = [FeatureMode(m) for m in doc.get("modes", ["joint", "split"])]
-        aggregations = [
-            Aggregation(a)
-            for a in doc.get("aggregations", [a.value for a in Aggregation])
-        ]
-    except ValueError as exc:
-        raise ConfigError(f"config {path}: {exc}") from exc
     languages = []
     lang_doc = doc.get("languages")
     if not isinstance(lang_doc, dict) or not lang_doc:
@@ -362,6 +408,9 @@ def load_sweep_config(path: Path) -> SweepConfig:
                 f"language {name!r} needs either a curated path or both "
                 "feature and segmentation lexicons"
             )
+        for raw in (spec["corpus"], curated, features, segmentations):
+            if raw is not None and not isinstance(raw, str):
+                raise ConfigError(f"language {name!r}: path {raw!r} is not a string")
         languages.append(
             LanguageSpec(
                 name=name,
@@ -375,20 +424,27 @@ def load_sweep_config(path: Path) -> SweepConfig:
         for p in (spec.corpus, spec.curated, spec.features, spec.segmentations):
             if p is not None and not p.exists():
                 raise ConfigError(f"input path does not exist: {p}")
-    config = SweepConfig(
+    return SweepConfig(
         languages=languages,
-        kinds=kinds,
-        vocab_sizes=[int(v) for v in doc.get("vocab_sizes", DEFAULT_VOCAB_SIZES)],
-        modes=modes,
-        aggregations=aggregations,
-        thresholds=[float(t) for t in doc.get("thresholds", DEFAULT_THRESHOLDS)],
-        epochs=int(doc.get("epochs", DEFAULT_EPOCHS)),
-        seed=int(doc.get("seed", 0)),
-        include_baselines=bool(doc.get("include_baselines", True)),
-        include_null=bool(doc.get("include_null", False)),
-        output_dir=_resolve(doc["output_dir"]) if "output_dir" in doc else base / "out",
+        kinds=_config_value(
+            doc, "kinds", ["bpe", "wordpiece", "unigram"], _list_of(TokenizerKind)
+        ),
+        vocab_sizes=_config_value(
+            doc, "vocab_sizes", list(DEFAULT_VOCAB_SIZES), _list_of(_integer)
+        ),
+        modes=_config_value(doc, "modes", ["joint", "split"], _list_of(FeatureMode)),
+        aggregations=_config_value(
+            doc, "aggregations", [a.value for a in Aggregation], _list_of(Aggregation)
+        ),
+        thresholds=_config_value(
+            doc, "thresholds", list(DEFAULT_THRESHOLDS), _list_of(_number)
+        ),
+        epochs=_config_value(doc, "epochs", DEFAULT_EPOCHS, _integer),
+        seed=_config_value(doc, "seed", 0, _integer),
+        include_baselines=_config_value(doc, "include_baselines", True, _boolean),
+        include_null=_config_value(doc, "include_null", False, _boolean),
+        output_dir=_resolve(_config_value(doc, "output_dir", "out", _text)),
     )
-    return config
 
 
 def _model_path(out: Path, lang: str, kind: TokenizerKind, size: int) -> Path:

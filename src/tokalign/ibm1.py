@@ -22,6 +22,9 @@ from .tokenizers import TokenizerModel, canonical_subwords, segment
 
 NULL_TOKEN = "<null>"
 PROB_FLOOR = 1e-12
+# Rows lose at most the sub-floor entries maximization drops, far below
+# this, so a larger gap means the file was not written by training.
+ROW_SUM_TOLERANCE = 1e-6
 DEFAULT_EPOCHS = 10
 TABLE_SCHEMA = "translation-table/1"
 
@@ -64,13 +67,43 @@ class TranslationTable:
         return row.get(target, 0.0)
 
 
+Segments = list[list[str] | None]
+
+
+def segment_entries(dataset: CuratedDataset, model: TokenizerModel) -> Segments:
+    """Canonical subwords per entry, None where the model cannot cover it.
+
+    One segmentation serves both the parallel corpus and the boundary
+    metrics of a grid point.
+    """
+    segments: Segments = []
+    for entry in dataset.entries:
+        try:
+            segments.append(canonical_subwords(model, segment(model, entry.form)))
+        except UncoverableWord:
+            segments.append(None)
+    return segments
+
+
 def build_parallel_corpus(
     dataset: CuratedDataset,
     model: TokenizerModel,
     mode: FeatureMode,
     include_null: bool = False,
 ) -> tuple[list[ParallelPair], int]:
-    """Segment every entry and pair subwords with feature tokens.
+    """Segment every entry and pair subwords with feature tokens."""
+    return pairs_from_segments(
+        dataset, segment_entries(dataset, model), mode, include_null
+    )
+
+
+def pairs_from_segments(
+    dataset: CuratedDataset,
+    segments: Segments,
+    mode: FeatureMode,
+    include_null: bool = False,
+) -> tuple[list[ParallelPair], int]:
+    """Pair each entry's subwords with its feature tokens.
 
     Entries whose segmentation contains the unknown-token placeholder
     are excluded and counted, so scoring and boundary metrics can apply
@@ -79,10 +112,8 @@ def build_parallel_corpus(
     """
     pairs: list[ParallelPair] = []
     excluded = 0
-    for entry in dataset.entries:
-        try:
-            subwords = canonical_subwords(model, segment(model, entry.form))
-        except UncoverableWord:
+    for entry, subwords in zip(dataset.entries, segments):
+        if subwords is None:
             excluded += 1
             continue
         source = tuple(subwords)
@@ -115,33 +146,46 @@ def uniform_init(pairs: Sequence[ParallelPair]) -> Probs:
     return probs
 
 
-def em_epoch(
-    pairs: Sequence[ParallelPair], probs: Probs
-) -> tuple[Probs, float]:
-    """One expectation-maximization step.
+def _expectation(
+    pairs: Sequence[ParallelPair], probs: Probs, with_loglik: bool
+) -> tuple[dict[str, dict[str, float]], float]:
+    """Expected counts, plus the corpus log likelihood under ``probs``.
 
-    Expectation distributes each target token's count over the source
-    tokens of its pair in proportion to the current probabilities.
-    Maximization renormalizes the counts per source token, dropping
-    entries below the probability floor.  The returned log likelihood
-    is computed under the updated table.
+    Each target token's count is distributed over the source tokens of
+    its pair in proportion to the current probabilities.  The
+    normalizing denominators are exactly the masses :func:`corpus_loglik`
+    sums, in the same order, so with ``with_loglik`` the log likelihood
+    of the incoming table comes out of the same pass, bit for bit.
     """
     counts: dict[str, dict[str, float]] = {}
+    loglik = 0.0
+    empty: dict[str, float] = {}
     for pair in pairs:
+        rows = [(s, probs.get(s, empty)) for s in pair.source]
+        inv_len = 1.0 / len(rows)
         for t in pair.target:
             denom = 0.0
-            for s in pair.source:
-                denom += probs.get(s, {}).get(t, 0.0)
+            for _, row in rows:
+                denom += row.get(t, 0.0)
             if denom <= 0.0:
                 raise NumericalError(
                     f"no source token explains target {t!r}; "
                     "the table has degenerated"
                 )
-            for s in pair.source:
-                p = probs.get(s, {}).get(t, 0.0)
+            if with_loglik:
+                loglik += math.log(inv_len * denom)
+            for s, row in rows:
+                p = row.get(t, 0.0)
                 if p > 0.0:
-                    row = counts.setdefault(s, {})
-                    row[t] = row.get(t, 0.0) + p / denom
+                    count_row = counts.get(s)
+                    if count_row is None:
+                        count_row = counts[s] = {}
+                    count_row[t] = count_row.get(t, 0.0) + p / denom
+    return counts, loglik
+
+
+def _maximization(counts: dict[str, dict[str, float]]) -> Probs:
+    """Renormalize counts per source token, dropping sub-floor entries."""
     new_probs: Probs = {}
     for s, row in counts.items():
         total = sum(row.values())
@@ -155,6 +199,22 @@ def em_epoch(
         if not new_row:
             raise NumericalError(f"source token {s!r} lost all probability mass")
         new_probs[s] = new_row
+    return new_probs
+
+
+def em_epoch(
+    pairs: Sequence[ParallelPair], probs: Probs
+) -> tuple[Probs, float]:
+    """One expectation-maximization step.
+
+    Expectation distributes each target token's count over the source
+    tokens of its pair in proportion to the current probabilities.
+    Maximization renormalizes the counts per source token, dropping
+    entries below the probability floor.  The returned log likelihood
+    is computed under the updated table.
+    """
+    counts, _ = _expectation(pairs, probs, with_loglik=False)
+    new_probs = _maximization(counts)
     return new_probs, corpus_loglik(pairs, new_probs)
 
 
@@ -178,16 +238,25 @@ def corpus_loglik(pairs: Sequence[ParallelPair], probs: Probs) -> float:
 def train_ibm1(
     pairs: Sequence[ParallelPair], epochs: int = DEFAULT_EPOCHS
 ) -> TranslationTable:
-    """Run uniform initialization followed by ``epochs`` EM steps."""
+    """Run uniform initialization followed by ``epochs`` EM steps.
+
+    The result equals a chain of :func:`em_epoch` calls, but each
+    epoch's log likelihood is folded into the next epoch's expectation
+    pass, and only the last one takes a pass of its own: ``epochs + 1``
+    passes over the pairs instead of ``2 * epochs``.
+    """
     if epochs < 1:
         raise ConfigError(f"epochs must be at least 1, got {epochs}")
     if not pairs:
         raise DataError("cannot train on an empty parallel corpus")
     probs = uniform_init(pairs)
     trajectory: list[float] = []
-    for _ in range(epochs):
-        probs, loglik = em_epoch(pairs, probs)
-        trajectory.append(loglik)
+    for epoch in range(epochs):
+        counts, loglik = _expectation(pairs, probs, with_loglik=epoch > 0)
+        if epoch > 0:
+            trajectory.append(loglik)
+        probs = _maximization(counts)
+    trajectory.append(corpus_loglik(pairs, probs))
     source_vocab = sorted({s for pair in pairs for s in pair.source})
     target_vocab = sorted({t for pair in pairs for t in pair.target})
     return TranslationTable(
@@ -232,7 +301,7 @@ def load_table(path: str | Path) -> TranslationTable:
         probs: Probs = {}
         for s, t, p in doc["entries"]:
             probs.setdefault(s, {})[t] = float(p)
-        return TranslationTable(
+        table = TranslationTable(
             probs=probs,
             source_vocab=list(doc["source_vocab"]),
             target_vocab=list(doc["target_vocab"]),
@@ -241,6 +310,19 @@ def load_table(path: str | Path) -> TranslationTable:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"table file {path} is malformed: {exc}") from exc
+    for s, row in probs.items():
+        for t, p in row.items():
+            # Written this way round, the comparison also rejects NaN.
+            if not 0.0 <= p <= 1.0:
+                raise DataError(
+                    f"table file {path}: P({t!r} | {s!r}) = {p!r} is not a probability"
+                )
+    for s, total in row_sums(table).items():
+        if abs(total - 1.0) > ROW_SUM_TOLERANCE:
+            raise DataError(
+                f"table file {path}: row {s!r} sums to {total!r}, not 1"
+            )
+    return table
 
 
 def row_sums(table: TranslationTable) -> dict[str, float]:

@@ -17,14 +17,16 @@ from enum import Enum
 from typing import Iterable, Sequence, TextIO
 
 from .corpus import CuratedDataset, FeatureMode
-from .errors import ConfigError, DataError, UncoverableWord
+from .errors import ConfigError, DataError
 from .ibm1 import (
     NULL_TOKEN,
     ParallelPair,
+    Segments,
     TranslationTable,
     build_parallel_corpus,
+    segment_entries,
 )
-from .tokenizers import TokenizerModel, canonical_subwords, segment
+from .tokenizers import TokenizerModel
 
 
 class Aggregation(Enum):
@@ -35,6 +37,12 @@ class Aggregation(Enum):
     MAX = "max"
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise ConfigError unless the threshold lies in [0, 1)."""
+    if not 0.0 <= threshold < 1.0:
+        raise ConfigError(f"threshold must be in [0, 1), got {threshold}")
+
+
 @dataclass(frozen=True)
 class ScoreConfig:
     aggregation: Aggregation
@@ -42,10 +50,7 @@ class ScoreConfig:
     mode: FeatureMode = FeatureMode.SPLIT
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.threshold < 1.0:
-            raise ConfigError(
-                f"threshold must be in [0, 1), got {self.threshold}"
-            )
+        check_threshold(self.threshold)
 
 
 DEFAULT_THRESHOLDS = tuple(round(0.01 + i * 0.049, 3) for i in range(11))
@@ -59,6 +64,117 @@ class BoundaryCounts:
     excluded: int = 0
 
 
+def _log_sum(surviving: list[float]) -> float:
+    return sum(math.log(p) for p in surviving)
+
+
+def _mean(surviving: list[float]) -> float:
+    return sum(surviving) / len(surviving)
+
+
+# Each aggregation of a non-empty survivor list.
+_AGGREGATE = {
+    Aggregation.SUM: sum,
+    Aggregation.LOG: _log_sum,
+    Aggregation.MEAN: _mean,
+    Aggregation.MIN: min,
+    Aggregation.MAX: max,
+}
+
+
+def _add_subword_scores(
+    sums: list[float],
+    row: dict[str, float],
+    features: Sequence[str],
+    levels: Sequence[float],
+    aggregates: Sequence,
+) -> None:
+    """Add one subword's score under every (level, aggregation) to sums.
+
+    ``levels`` are distinct thresholds in ascending order; ``sums`` is
+    laid out level-major, one slot per aggregate.  The probabilities are
+    looked up once.  Each level's survivors are filtered from the
+    previous level's, which keeps them in feature order, and they are
+    aggregated again only when a level drops one of them.  An empty
+    survivor list scores 0.0 under every aggregation, and no sum here is
+    ever -0.0, so adding that 0.0 is skipped without changing a bit.
+    """
+    level = levels[0]
+    surviving = []
+    for feature in features:
+        p = row.get(feature, 0.0)
+        if p > level:
+            surviving.append(p)
+    slot = 0
+    k = 1
+    while surviving:
+        values = [aggregate(surviving) for aggregate in aggregates]
+        lowest = min(surviving)
+        # Levels below the lowest survivor keep the same survivors.
+        while True:
+            for value in values:
+                sums[slot] += value
+                slot += 1
+            if k == len(levels):
+                return
+            level = levels[k]
+            k += 1
+            if level >= lowest:
+                break
+        surviving = [p for p in surviving if p > level]
+
+
+def alignment_scores(
+    table: TranslationTable,
+    pairs: Sequence[ParallelPair],
+    aggregations: Sequence[Aggregation],
+    thresholds: Sequence[float],
+) -> dict[tuple[Aggregation, float], float]:
+    """Mean word score over prepared pairs for every aggregation × threshold.
+
+    The score of a word is the mean of its subword scores.  One pass
+    over the pairs scores the whole grid; each value equals
+    :func:`alignment_score_from_pairs` under that configuration, bit for
+    bit.  Thresholds may repeat or come in any order.  The null token
+    never enters scoring; it exists only to absorb probability mass
+    during training.
+    """
+    if not pairs:
+        raise DataError("no scorable entries")
+    for threshold in thresholds:
+        check_threshold(threshold)
+    levels = sorted(set(thresholds))
+    kinds = list(dict.fromkeys(aggregations))
+    aggregates = [_AGGREGATE[kind] for kind in kinds]
+    size = len(levels) * len(kinds)
+    if not size:
+        return {}
+    totals = [0.0] * size
+    probs = table.probs
+    for pair in pairs:
+        subwords = [s for s in pair.source if s != NULL_TOKEN]
+        if not subwords:
+            raise DataError("word with no subwords")
+        word = [0.0] * size
+        for subword in subwords:
+            row = probs.get(subword)
+            if row is not None:
+                _add_subword_scores(word, row, pair.target, levels, aggregates)
+        n = len(subwords)
+        for i in range(size):
+            totals[i] += word[i] / n
+    slot = {
+        (kind, level): i * len(kinds) + j
+        for i, level in enumerate(levels)
+        for j, kind in enumerate(kinds)
+    }
+    return {
+        (kind, threshold): totals[slot[kind, threshold]] / len(pairs)
+        for kind in aggregations
+        for threshold in thresholds
+    }
+
+
 def subword_score(
     table: TranslationTable,
     subword: str,
@@ -67,29 +183,19 @@ def subword_score(
 ) -> float:
     """Aggregate the surviving probabilities for one subword.
 
-    The surviving values keep multiplicity: a feature token listed twice
-    contributes twice.  An empty surviving set scores 0.0 under every
-    aggregation, including the log aggregation.
+    The surviving values are the subword's probabilities for the
+    features that exceed the threshold.  They keep multiplicity: a
+    feature token listed twice contributes twice.  An empty surviving
+    set scores 0.0 under every aggregation, including the log
+    aggregation.
     """
+    sums = [0.0]
     row = table.probs.get(subword)
-    surviving: list[float] = []
     if row is not None:
-        for feature in features:
-            p = row.get(feature, 0.0)
-            if p > config.threshold:
-                surviving.append(p)
-    if not surviving:
-        return 0.0
-    agg = config.aggregation
-    if agg is Aggregation.SUM:
-        return sum(surviving)
-    if agg is Aggregation.LOG:
-        return sum(math.log(p) for p in surviving)
-    if agg is Aggregation.MEAN:
-        return sum(surviving) / len(surviving)
-    if agg is Aggregation.MIN:
-        return min(surviving)
-    return max(surviving)
+        _add_subword_scores(
+            sums, row, features, [config.threshold], [_AGGREGATE[config.aggregation]]
+        )
+    return sums[0]
 
 
 def word_score(
@@ -112,18 +218,9 @@ def alignment_score_from_pairs(
     pairs: Sequence[ParallelPair],
     config: ScoreConfig,
 ) -> float:
-    """Mean word score over prepared parallel pairs.
-
-    The null token never enters scoring; it exists only to absorb
-    probability mass during training.
-    """
-    if not pairs:
-        raise DataError("no scorable entries")
-    total = 0.0
-    for pair in pairs:
-        subwords = [s for s in pair.source if s != NULL_TOKEN]
-        total += word_score(table, subwords, pair.target, config)
-    return total / len(pairs)
+    """Mean word score over prepared parallel pairs, for one configuration."""
+    key = (config.aggregation, config.threshold)
+    return alignment_scores(table, pairs, [key[0]], [key[1]])[key]
 
 
 def alignment_score(
@@ -162,8 +259,16 @@ def _ratio(numerator: int, denominator: int) -> float:
 def boundary_prf(
     dataset: CuratedDataset, model: TokenizerModel
 ) -> tuple[float, float, float, BoundaryCounts]:
-    """Micro-averaged boundary precision, recall, and F1.
+    """Micro-averaged boundary precision, recall, and F1."""
+    return boundary_prf_from_segments(dataset, segment_entries(dataset, model))
 
+
+def boundary_prf_from_segments(
+    dataset: CuratedDataset, segments: Segments
+) -> tuple[float, float, float, BoundaryCounts]:
+    """Boundary precision, recall, and F1 of a segmented dataset.
+
+    ``segments`` come from :func:`tokalign.ibm1.segment_entries`.
     Entries whose segmentation contains the unknown-token placeholder
     are excluded from all counts, mirroring the alignment-score
     exclusion, and reported in the returned counts.
@@ -172,10 +277,8 @@ def boundary_prf(
         raise DataError("cannot score an empty dataset")
     counts = BoundaryCounts()
     scored = 0
-    for entry in dataset.entries:
-        try:
-            predicted = canonical_subwords(model, segment(model, entry.form))
-        except UncoverableWord:
+    for entry, predicted in zip(dataset.entries, segments):
+        if predicted is None:
             counts.excluded += 1
             continue
         gold = boundary_positions(entry.gold_segments)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,6 +57,28 @@ VERB_SUFFIXES: list[tuple[str, tuple[str, str]]] = [
     ("jqh", ("IMP", "PL")),
 ]
 
+# Stem lengths drawn per stem; stems alternate consonants and vowels,
+# starting with a consonant.
+STEM_LENGTHS = (4, 5, 6)
+
+
+def stem_capacity(classes: tuple[tuple[str, str, str], ...]) -> int:
+    """Most distinct stems :func:`build_language` can draw for a part of speech.
+
+    Stem ``i`` goes to class ``i % k`` of the ``k`` classes, so a class
+    ``j`` holding ``c`` distinct stems is first asked for one too many
+    at index ``c * k + j``; the earliest such index is the capacity.
+    """
+    k = len(classes)
+    return min(
+        k * sum(
+            len(consonants) ** ((n + 1) // 2) * len(vowels) ** (n // 2)
+            for n in STEM_LENGTHS
+        ) + j
+        for j, (_atom, consonants, vowels) in enumerate(classes)
+    )
+
+
 @dataclass
 class SynthConfig:
     noun_stems: int = 48
@@ -70,6 +93,16 @@ class SynthConfig:
             raise ConfigError("stem counts must be positive")
         if self.noun_stems + self.verb_stems < 40:
             raise ConfigError("need at least 40 stems in total")
+        # Past capacity the stem sampler would never finish.
+        for label, count, classes in (
+            ("noun", self.noun_stems, NOUN_CLASSES),
+            ("verb", self.verb_stems, VERB_CLASSES),
+        ):
+            capacity = stem_capacity(classes)
+            if count > capacity:
+                raise ConfigError(
+                    f"{count} {label} stems exceed the generator's capacity of {capacity}"
+                )
         if self.sentences < 1 or self.words_per_sentence < 1:
             raise ConfigError("corpus dimensions must be positive")
 
@@ -101,7 +134,7 @@ def _make_stems(
     stems: list[tuple[str, str]] = []
     while len(stems) < count:
         atom, consonants, vowels = classes[len(stems) % len(classes)]
-        stem = _make_stem(rng, consonants, vowels, rng.choice((4, 5, 6)))
+        stem = _make_stem(rng, consonants, vowels, rng.choice(STEM_LENGTHS))
         if stem in used:
             continue
         used.add(stem)
@@ -180,14 +213,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--zipf-exponent", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    config = SynthConfig(
-        noun_stems=args.noun_stems,
-        verb_stems=args.verb_stems,
-        sentences=args.sentences,
-        words_per_sentence=args.words_per_sentence,
-        zipf_exponent=args.zipf_exponent,
-        seed=args.seed,
-    )
+    try:
+        config = SynthConfig(
+            noun_stems=args.noun_stems,
+            verb_stems=args.verb_stems,
+            sentences=args.sentences,
+            words_per_sentence=args.words_per_sentence,
+            zipf_exponent=args.zipf_exponent,
+            seed=args.seed,
+        )
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     language = build_language(config)
     paths = write_language(language, args.out)
     print(

@@ -463,6 +463,38 @@ class TestSweep:
                 assert path.read_text(encoding="utf-8") == direct
         assert failures.count("/train") == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("thresholds", [0.01, 0.3, 0.01]),
+            ("aggregations", ["mean", "max", "mean"]),
+            ("vocab_sizes", [60, 80, 60]),
+            ("thresholds", [0.01, 1.5]),
+            ("thresholds", [-0.1, 0.3]),
+            ("epochs", "x"),
+            ("thresholds", 0.3),
+        ],
+        ids=[
+            "duplicate-threshold",
+            "duplicate-aggregation",
+            "duplicate-vocab-size",
+            "threshold-above-range",
+            "threshold-below-range",
+            "epochs-not-integer",
+            "thresholds-not-list",
+        ],
+    )
+    def test_invalid_config_exits_1_before_training(
+        self, tmp_path, capsys, field, value
+    ):
+        config_path = _sweep_setup(tmp_path)
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
+        doc[field] = value
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["sweep", "--config", str(config_path)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         code = cli.main(["sweep", "--config", str(tmp_path / "nope.json")])
         assert code == 1

@@ -1,5 +1,6 @@
 """EM training of the subword-to-feature translation table."""
 
+import json
 import math
 import random
 
@@ -228,4 +229,20 @@ class TestTableFiles:
         path = tmp_path / "broken.json"
         path.write_text("[", encoding="utf-8")
         with pytest.raises(DataError):
+            load_table(path)
+
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), -0.25, 1.5, 0.5],
+        ids=["nan", "negative", "above-one", "row-off-one"],
+    )
+    def test_load_rejects_invalid_probabilities(self, tmp_path, em_pairs, value):
+        path = tmp_path / "table.json"
+        save_table(train_ibm1(em_pairs, epochs=2), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        # P(X | a) is 24/29 here; 0.5 leaves the row "a" summing to 0.67.
+        assert doc["entries"][0][:2] == ["a", "X"]
+        doc["entries"][0][2] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match="not a probability|sums to"):
             load_table(path)
