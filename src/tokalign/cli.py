@@ -35,10 +35,17 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import traceback
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import corpus as corpus_mod
 from . import ibm1, metrics, stats, tokenizers
@@ -90,11 +97,19 @@ def _parse_modes(text: str) -> list[FeatureMode]:
         raise ConfigError(f"unknown feature mode in {text!r}") from exc
 
 
+def _reject_repeats(label: str, values: Sequence) -> None:
+    # A repeated value would give two grid points or score rows one label.
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{label} repeats a value: {values}")
+
+
 def _parse_aggregations(text: str) -> list[Aggregation]:
     try:
-        return [Aggregation(part) for part in text.split(",") if part]
+        values = [Aggregation(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise ConfigError(f"unknown aggregation in {text!r}") from exc
+    _reject_repeats("--aggregations", values)
+    return values
 
 
 def _parse_thresholds(text: str) -> list[float]:
@@ -106,6 +121,7 @@ def _parse_thresholds(text: str) -> list[float]:
         raise ConfigError("threshold list is empty")
     for value in values:
         metrics.check_threshold(value)
+    _reject_repeats("--thresholds", values)
     return values
 
 
@@ -320,11 +336,7 @@ class SweepConfig:
             values = getattr(self, field_name)
             if not values:
                 raise ConfigError(f"sweep config field {field_name} is empty")
-            # A repeated value would give two grid points the same label.
-            if len(set(values)) != len(values):
-                raise ConfigError(
-                    f"sweep config field {field_name} repeats a value: {values}"
-                )
+            _reject_repeats(f"sweep config field {field_name}", values)
         for size in self.vocab_sizes:
             if size < 1:
                 raise ConfigError(f"vocab sizes must be positive, got {size}")
@@ -461,6 +473,47 @@ def _point_paths(
     )
 
 
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+class _TrainJob(NamedTuple):
+    """One kind to train for one language, at each (size, model path)."""
+
+    language: str
+    kind: TokenizerKind
+    targets: tuple[tuple[int, Path], ...]
+    corpus: Path
+    curated: Path
+
+
+def _train_job(job: _TrainJob, seed: int) -> dict[int, str]:
+    """Train every target of `job`, largest size first; returns errors by size.
+
+    A merge kind trains once, at its largest size, and the smaller sizes
+    are cut from that model.  A size that fails to train (say, below the
+    alphabet) fails alone, and the next size down trains directly.  Runs
+    in a worker process, so every model goes to disk.
+    """
+    errors: dict[int, str] = {}
+    full: TokenizerModel | None = None
+    for size, model_path in sorted(job.targets, reverse=True):
+        try:
+            if full is None:
+                model = _train_model(job.kind, size, seed, job.corpus, job.curated)
+            else:
+                model = tokenizers.truncate_merges(
+                    full, TrainConfig(kind=job.kind, vocab_size=size, seed=seed)
+                )
+        except TokalignError as exc:
+            errors[size] = _describe(exc)
+            continue
+        if full is None and job.kind in tokenizers.MERGE_KINDS:
+            full = model
+        _atomic_write(model_path, tokenizers.model_to_json(model))
+    return errors
+
+
 def _eval_point_job(payload: tuple) -> str | None:
     """Evaluate one (model, mode) grid point; returns an error or None.
 
@@ -494,99 +547,188 @@ def _eval_point_job(payload: tuple) -> str | None:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _sweep_language(
-    config: SweepConfig, spec: LanguageSpec, jobs: int, failures: list[tuple[str, str]]
-) -> list[Path]:
-    """Train models and evaluate grid points for one language.
+# Training jobs reach the executor longest first, so that the shorter
+# jobs and the evaluations fill the workers around them.
+_TRAIN_ORDER = (TokenizerKind.UNIGRAM, *tokenizers.MERGE_KINDS, *BASELINE_KINDS)
 
-    Returns the point CSV paths that exist after this run, in grid
+
+class _Inline:
+    """Executor that runs each job in this process as it is submitted."""
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # recorded by the scheduler, as from a pool
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, cancel_futures: bool = False) -> None:
+        pass
+
+
+def _submit(executor: ProcessPoolExecutor | _Inline, fn, *args) -> Future:
+    """Submit one job; in a pool broken by a dead worker, the job fails."""
+    try:
+        return executor.submit(fn, *args)
+    except BrokenExecutor as exc:
+        future: Future = Future()
+        future.set_exception(exc)
+        return future
+
+
+def _crash(exc: BaseException) -> str:
+    """Report a job that raised on stderr; returns its failure text."""
+    traceback.print_exception(exc, file=sys.stderr)
+    return _describe(exc)
+
+
+def _run_jobs(
+    train_jobs: list[_TrainJob],
+    ready: list[tuple],
+    waiting: dict[tuple[str, TokenizerKind, int], list[tuple]],
+    jobs: int,
+    seed: int,
+) -> tuple[dict[tuple[str, TokenizerKind, int], str], dict[str, str]]:
+    """Run the training jobs and the point evaluations on one executor.
+
+    `ready` holds the payloads of points whose model is on disk;
+    `waiting` holds the others by (language, kind, size), and they are
+    submitted as soon as that model lands.  The executor is a pool of
+    `jobs` workers, capped at the number of jobs; when that is one or
+    none, `_Inline` runs the jobs and no worker starts.  A job that
+    raises fails every grid point it owned.  Returns the training errors
+    by (language, kind, size) and the evaluation errors by point path.
+    """
+    work = len(train_jobs) + len(ready) + sum(map(len, waiting.values()))
+    workers = min(jobs, work)
+    executor = ProcessPoolExecutor(workers) if workers > 1 else _Inline()
+    running: dict[Future, _TrainJob | str] = {}
+    train_errors: dict[tuple[str, TokenizerKind, int], str] = {}
+    eval_errors: dict[str, str] = {}
+
+    def submit_points(payloads: list[tuple]) -> None:
+        for payload in payloads:
+            running[_submit(executor, _eval_point_job, payload)] = payload[2]
+
+    try:
+        for job in train_jobs:
+            running[_submit(executor, _train_job, job, seed)] = job
+        submit_points(ready)
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            # Handled in submission order, so the inline run keeps one order.
+            for future in [f for f in running if f in done]:
+                job = running.pop(future)
+                exc = future.exception()
+                crash = None if exc is None else _crash(exc)
+                if not isinstance(job, _TrainJob):
+                    error = crash or future.result()
+                    if error is not None:
+                        eval_errors[job] = error
+                    continue
+                errors = (
+                    future.result() if crash is None
+                    else {size: crash for size, _ in job.targets}
+                )
+                for size, _ in job.targets:
+                    if size in errors:
+                        train_errors[job.language, job.kind, size] = errors[size]
+                    else:
+                        submit_points(waiting[job.language, job.kind, size])
+    finally:
+        executor.shutdown(cancel_futures=True)
+    return train_errors, eval_errors
+
+
+def _curated_path(out: Path, spec: LanguageSpec) -> Path:
+    """The language's curated dataset, curated from its lexicons if missing."""
+    if spec.curated is not None:
+        return spec.curated
+    curated_path = out / spec.name / "curated.tsv"
+    if not curated_path.exists():
+        features, _ = corpus_mod.parse_feature_lexicon(_read_lines(spec.features))
+        segmentations, _ = corpus_mod.parse_segmentation_lexicon(
+            _read_lines(spec.segmentations)
+        )
+        dataset, _ = corpus_mod.curate(segmentations, features, language=spec.name)
+        buffer = io.StringIO()
+        corpus_mod.write_curated(dataset, buffer)
+        _atomic_write(curated_path, buffer.getvalue())
+    return curated_path
+
+
+def _sweep(config: SweepConfig, jobs: int, failures: list[tuple[str, str]]) -> list[Path]:
+    """Train the missing models and evaluate the missing grid points.
+
+    Every language's jobs share one executor (see `_run_jobs`).  Nothing
+    written depends on which job finishes first: failures are appended
+    per language, training before evaluation, each in grid order, and
+    the point CSV paths that exist after this run come back in grid
     order, so the caller can assemble the combined score file.
     """
     out = config.output_dir
-    if spec.curated is not None:
-        curated_path = spec.curated
-    else:
-        curated_path = out / spec.name / "curated.tsv"
-        if not curated_path.exists():
-            features, _ = corpus_mod.parse_feature_lexicon(_read_lines(spec.features))
-            segmentations, _ = corpus_mod.parse_segmentation_lexicon(
-                _read_lines(spec.segmentations)
-            )
-            dataset, _ = corpus_mod.curate(segmentations, features, language=spec.name)
-            buffer = io.StringIO()
-            corpus_mod.write_curated(dataset, buffer)
-            _atomic_write(curated_path, buffer.getvalue())
-
     grid: list[tuple[TokenizerKind, int]] = [
         (kind, size) for kind in config.kinds for size in config.vocab_sizes
     ]
     if config.include_baselines:
         grid.extend((kind, 0) for kind in BASELINE_KINDS)
-
-    # A merge kind trains once, at its largest missing size; the smaller
-    # sizes are cut from that model.  A size that fails to train (say,
-    # below the alphabet) fails alone, and the next size down retries.
-    missing: dict[TokenizerKind, set[int]] = {}
-    for kind, size in grid:
-        if not _model_path(out, spec.name, kind, size).exists():
-            missing.setdefault(kind, set()).add(size)
-    errors: dict[tuple[TokenizerKind, int], TokalignError] = {}
-    for kind, sizes in missing.items():
-        full: TokenizerModel | None = None
-        for size in sorted(sizes, reverse=True):
-            try:
-                if full is None:
-                    model = _train_model(kind, size, config.seed, spec.corpus, curated_path)
-                else:
-                    model = tokenizers.truncate_merges(
-                        full, TrainConfig(kind=kind, vocab_size=size, seed=config.seed)
-                    )
-            except TokalignError as exc:
-                errors[kind, size] = exc
-                continue
-            if full is None and kind in tokenizers.MERGE_KINDS:
-                full = model
-            _atomic_write(
-                _model_path(out, spec.name, kind, size), tokenizers.model_to_json(model)
-            )
-
-    trained: list[tuple[TokenizerKind, int, Path]] = []
-    for kind, size in grid:
-        error = errors.get((kind, size))
-        if error is not None:
-            failures.append(
-                (f"{spec.name}/{kind.value}-{size}/train",
-                 f"{type(error).__name__}: {error}")
-            )
-            continue
-        trained.append((kind, size, _model_path(out, spec.name, kind, size)))
-
-    pending: list[tuple] = []
-    point_files: list[Path] = []
     agg_values = [a.value for a in config.aggregations]
-    for kind, size, model_path in trained:
-        for mode in config.modes:
-            point_path, table_path = _point_paths(out, spec.name, kind, size, mode)
-            point_files.append(point_path)
-            if point_path.exists():
-                continue
-            pending.append(
-                (
-                    str(curated_path), str(model_path),
-                    str(point_path), str(table_path),
-                    mode.value, agg_values, list(config.thresholds),
-                    config.epochs, config.include_null, spec.name, config.seed,
-                )
+
+    train_jobs: list[_TrainJob] = []
+    ready: list[tuple] = []
+    waiting: dict[tuple[str, TokenizerKind, int], list[tuple]] = {}
+    for spec in config.languages:
+        curated_path = _curated_path(out, spec)
+        missing: dict[TokenizerKind, list[tuple[int, Path]]] = {}
+        for kind, size in grid:
+            model_path = _model_path(out, spec.name, kind, size)
+            payloads = []
+            for mode in config.modes:
+                point_path, table_path = _point_paths(out, spec.name, kind, size, mode)
+                if not point_path.exists():
+                    payloads.append(
+                        (
+                            str(curated_path), str(model_path),
+                            str(point_path), str(table_path),
+                            mode.value, agg_values, list(config.thresholds),
+                            config.epochs, config.include_null, spec.name, config.seed,
+                        )
+                    )
+            if model_path.exists():
+                ready.extend(payloads)
+            else:
+                waiting[spec.name, kind, size] = payloads
+                missing.setdefault(kind, []).append((size, model_path))
+        for kind, targets in missing.items():
+            # A merge kind's sizes share one training; any other kind
+            # trains each size on its own.
+            groups = [targets] if kind in tokenizers.MERGE_KINDS else [[t] for t in targets]
+            train_jobs.extend(
+                _TrainJob(spec.name, kind, tuple(group), spec.corpus, curated_path)
+                for group in groups
             )
-    if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_eval_point_job, pending))
-    else:
-        results = [_eval_point_job(payload) for payload in pending]
-    for payload, error in zip(pending, results):
-        if error is not None:
-            failures.append((f"{Path(payload[2]).stem}", error))
-    return [p for p in point_files if p.exists()]
+    train_jobs.sort(key=lambda job: _TRAIN_ORDER.index(job.kind))
+    train_errors, eval_errors = _run_jobs(train_jobs, ready, waiting, jobs, config.seed)
+
+    point_files: list[Path] = []
+    for spec in config.languages:
+        trained = []
+        for kind, size in grid:
+            error = train_errors.get((spec.name, kind, size))
+            if error is None:
+                trained.append((kind, size))
+            else:
+                failures.append((f"{spec.name}/{kind.value}-{size}/train", error))
+        for kind, size in trained:
+            for mode in config.modes:
+                point_path, _ = _point_paths(out, spec.name, kind, size, mode)
+                error = eval_errors.get(str(point_path))
+                if error is not None:
+                    failures.append((point_path.stem, error))
+                if point_path.exists():
+                    point_files.append(point_path)
+    return point_files
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -597,16 +739,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = config.output_dir
     failures: list[tuple[str, str]] = []
     all_rows: list[ScoreRow] = []
-    for spec in config.languages:
-        for point_path in _sweep_language(config, spec, jobs, failures):
-            all_rows.extend(metrics.read_score_rows(_read_lines(point_path)))
+    for point_path in _sweep(config, jobs, failures):
+        all_rows.extend(metrics.read_score_rows(_read_lines(point_path)))
     buffer = io.StringIO()
     metrics.write_score_rows(all_rows, buffer, seed=config.seed)
     _atomic_write(out / "scores.csv", buffer.getvalue())
-    report = stats.build_report(all_rows)
-    buffer = io.StringIO()
-    stats.write_report(report, buffer, seed=config.seed)
-    _atomic_write(out / "correlations.csv", buffer.getvalue())
+    # Failures go to disk before the report, which fails if no point is left.
     failures_path = out / "failures.csv"
     if failures:
         buffer = io.StringIO()
@@ -618,6 +756,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         # A clean rerun must not leave an earlier run's failures behind.
         failures_path.unlink(missing_ok=True)
+    report = stats.build_report(all_rows)
+    buffer = io.StringIO()
+    stats.write_report(report, buffer, seed=config.seed)
+    _atomic_write(out / "correlations.csv", buffer.getvalue())
     print(
         f"sweep complete: {len(all_rows)} score rows, "
         f"{len(report.cells)} report cells under {out}"
@@ -674,7 +816,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="run the full evaluation grid from a config")
     p.add_argument("--config", required=True, help="sweep config JSON")
     p.add_argument("--output-dir", default=None, help="override the config output_dir")
-    p.add_argument("--jobs", type=int, default=1, help="parallel grid-point workers")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes shared by training and evaluation "
+                        "(1 runs every job in this process)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="build a correlation report from score rows")

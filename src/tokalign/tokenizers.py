@@ -697,4 +697,11 @@ def load_model(path: str | Path) -> TokenizerModel:
                     )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"model file {path} is malformed: {exc}") from exc
+    for token, lp in model.token_logprob.items():
+        # Written this way round, the comparison also rejects NaN.
+        if not -math.inf < lp <= 0.0:
+            raise DataError(
+                f"model file {path}: log-probability {lp!r} of {token!r} "
+                "is not a finite value at most 0"
+            )
     return model

@@ -1,15 +1,18 @@
 """Command line wiring: exit codes, output files, and sweep behavior."""
 
 import json
+import multiprocessing
 import os
 import random
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from conftest import random_corpus
-from tokalign import cli
+from tokalign import cli, tokenizers
 from tokalign.corpus import CuratedDataset, WordEntry, write_curated
 from tokalign.ibm1 import load_table
 from tokalign.metrics import read_score_rows, write_score_rows, ScoreRow
@@ -284,6 +287,30 @@ class TestEvaluate:
         rows = read_score_rows(out.read_text(encoding="utf-8").splitlines(True))
         assert all(r.mode == "joint" for r in rows)
 
+    @pytest.mark.parametrize(
+        "aggregations, thresholds",
+        [("max,log,sum,log", "0.01"), ("mean", "0.3,0.01,0.30")],
+        ids=["aggregation", "threshold"],
+    )
+    def test_repeated_value_exits_1(self, tmp_path, capsys, aggregations, thresholds):
+        # A repeat would write duplicate rows, which `report` rejects.
+        curated, dataset = _curated_file(tmp_path)
+        model = self._gold_model(tmp_path, dataset)
+        out = tmp_path / "scores.csv"
+        code = cli.main(
+            [
+                "evaluate",
+                "--curated", str(curated),
+                "--model", str(model),
+                "--aggregations", aggregations,
+                "--thresholds", thresholds,
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "repeats a value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_aggregation_exits_1(self, tmp_path):
         curated, dataset = _curated_file(tmp_path)
         model = self._gold_model(tmp_path, dataset)
@@ -324,6 +351,27 @@ def _sweep_setup(tmp_path, vocab_sizes=(60, 80)):
         },
     }
     config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    return config_path
+
+
+def _tree(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def _kinds_sweep_setup(tmp_path):
+    """All three trained kinds, with one vocab size below the alphabet."""
+    config_path = _sweep_setup(tmp_path)
+    corpus = (tmp_path / "lang" / "corpus.txt").read_text(encoding="utf-8")
+    alphabet = len(set(corpus) - set(" \n"))
+    doc = json.loads(config_path.read_text(encoding="utf-8"))
+    doc["kinds"] = ["bpe", "wordpiece", "unigram"]
+    doc["vocab_sizes"] = [60, alphabet - 1, 80]
     config_path.write_text(json.dumps(doc), encoding="utf-8")
     return config_path
 
@@ -406,6 +454,121 @@ class TestSweep:
         )
         # The two surviving trained points plus both baselines.
         assert len(rows) == 16
+
+    def test_jobs_do_not_change_outputs(self, tmp_path):
+        config_path = _kinds_sweep_setup(tmp_path)
+        for jobs in ("1", "2"):
+            out = str(tmp_path / f"out{jobs}")
+            argv = ["sweep", "--config", str(config_path), "--output-dir", out]
+            assert cli.main(argv + ["--jobs", jobs]) == 0
+        serial = _tree(tmp_path / "out1")
+        assert "failures.csv" in serial
+        assert "toy/models/unigram-80.json" in serial
+        assert _tree(tmp_path / "out2") == serial
+
+    def test_resume_with_jobs_reproduces_outputs(self, tmp_path):
+        config_path = _kinds_sweep_setup(tmp_path)
+        argv = ["sweep", "--config", str(config_path), "--jobs", "2"]
+        assert cli.main(["sweep", "--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        serial = _tree(out)
+        (out / "toy" / "models" / "unigram-80.json").unlink()
+        (out / "toy" / "points" / "wordpiece-60-split.csv").unlink()
+        assert cli.main(argv) == 0
+        assert _tree(out) == serial
+
+    def test_finished_sweep_starts_no_pool(self, tmp_path, monkeypatch):
+        config_path = _sweep_setup(tmp_path)
+        argv = ["sweep", "--config", str(config_path), "--jobs", "2"]
+        assert cli.main(argv) == 0
+        finished = _tree(tmp_path / "out")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a sweep with nothing to do started a pool")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        assert cli.main(argv) == 0
+        assert _tree(tmp_path / "out") == finished
+
+    def test_crashed_training_job_is_recorded_not_fatal(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def crash(corpus, config):
+            raise RuntimeError(f"no {config.kind.value} today")
+
+        monkeypatch.setattr(tokenizers, "train", crash)
+        config_path = _sweep_setup(tmp_path)
+        assert cli.main(["sweep", "--config", str(config_path), "--jobs", "1"]) == 0
+        out = tmp_path / "out"
+        failures = (out / "failures.csv").read_text(encoding="utf-8")
+        # The crashed job owned every size of its kind.
+        assert failures == (
+            "point,error\n"
+            "toy/bpe-60/train,RuntimeError: no bpe today\n"
+            "toy/bpe-80/train,RuntimeError: no bpe today\n"
+            "toy/wordpiece-60/train,RuntimeError: no wordpiece today\n"
+            "toy/wordpiece-80/train,RuntimeError: no wordpiece today\n"
+        )
+        assert "4 grid points failed" in capsys.readouterr().out
+        rows = read_score_rows(
+            (out / "scores.csv").read_text(encoding="utf-8").splitlines(True)
+        )
+        assert {r.kind for r in rows} == {"character", "gold"}
+
+    def test_crashed_evaluation_job_is_recorded_not_fatal(self, tmp_path, monkeypatch):
+        evaluate = cli.run_evaluation
+
+        def crash_on_bpe(dataset, model, *args):
+            if model.kind is TokenizerKind.BPE:
+                raise ZeroDivisionError("bad point")
+            return evaluate(dataset, model, *args)
+
+        monkeypatch.setattr(cli, "run_evaluation", crash_on_bpe)
+        config_path = _sweep_setup(tmp_path)
+        assert cli.main(["sweep", "--config", str(config_path)]) == 0
+        failures = (tmp_path / "out" / "failures.csv").read_text(encoding="utf-8")
+        assert failures == (
+            "point,error\n"
+            "bpe-60-split,ZeroDivisionError: bad point\n"
+            "bpe-80-split,ZeroDivisionError: bad point\n"
+        )
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the crashing trainer reaches workers only through fork",
+    )
+    def test_dead_worker_is_recorded_not_fatal(self, tmp_path, monkeypatch):
+        config_path = _sweep_setup(tmp_path)
+        assert cli.main(["sweep", "--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        # Two training jobs, so that they run in a pool; both kill their worker.
+        for kind in ("bpe", "wordpiece"):
+            (out / "toy" / "models" / f"{kind}-60.json").unlink()
+        monkeypatch.setattr(tokenizers, "train", lambda corpus, config: os._exit(1))
+        assert cli.main(["sweep", "--config", str(config_path), "--jobs", "2"]) == 0
+        failures = (out / "failures.csv").read_text(encoding="utf-8").splitlines()
+        broken = (
+            "BrokenProcessPool: A process in the process pool was terminated "
+            "abruptly while the future was running or pending."
+        )
+        assert failures[1:] == [f"toy/{kind}-60/train,{broken}" for kind in ("bpe", "wordpiece")]
+
+    def test_submit_to_a_broken_pool_fails_the_job(self):
+        with ProcessPoolExecutor(1) as pool:
+            assert isinstance(pool.submit(os._exit, 1).exception(), BrokenProcessPool)
+            future = cli._submit(pool, abs, -1)
+        assert isinstance(future.exception(), BrokenProcessPool)
+
+    def test_failures_are_written_when_no_point_is_left(self, tmp_path, capsys):
+        config_path = _sweep_setup(tmp_path, vocab_sizes=(2,))
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
+        doc["include_baselines"] = False
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["sweep", "--config", str(config_path)]) == 2
+        assert "zero score rows" in capsys.readouterr().err
+        failures = (tmp_path / "out" / "failures.csv").read_text(encoding="utf-8")
+        assert "toy/bpe-2/train,ConfigError" in failures
+        assert "toy/wordpiece-2/train,ConfigError" in failures
 
     def test_clean_rerun_removes_stale_failures(self, tmp_path):
         config_path = _sweep_setup(tmp_path, vocab_sizes=(2, 60))

@@ -2,7 +2,9 @@
 
 The grid scorer must give every (aggregation, threshold) value bit for
 bit what scoring that configuration alone gives, and folded EM training
-must give bit for bit what a chain of single epochs gives.
+must give bit for bit what a chain of single epochs gives.  Every
+tokenizer kind must segment a training word into subwords that
+concatenate back to the word.
 """
 
 import pytest
@@ -10,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import alignment_reference, em_reference
+from tokalign.corpus import CuratedDataset, WordEntry
+from tokalign.errors import UncoverableWord
 from tokalign.ibm1 import (
     NULL_TOKEN,
     ParallelPair,
@@ -24,6 +28,15 @@ from tokalign.metrics import (
     ScoreConfig,
     alignment_score_from_pairs,
     alignment_scores,
+)
+from tokalign.tokenizers import (
+    TokenizerKind,
+    TrainConfig,
+    build_gold_lookup,
+    canonical_subwords,
+    segment,
+    train,
+    train_character,
 )
 
 SUBWORDS = ("a", "b", "c", "d", "e")
@@ -123,3 +136,50 @@ def test_folded_training_equals_an_epoch_chain(pairs, epochs):
     for s, row in want_probs.items():
         for t, p in row.items():
             assert table.lookup(s, t) == pytest.approx(p, abs=1e-10)
+
+
+@st.composite
+def training_cases(draw):
+    words = draw(
+        st.dictionaries(
+            st.text(alphabet="abcde", min_size=1, max_size=8),
+            st.integers(min_value=1, max_value=9),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    # Gold segments: each word cut at a drawn set of inner positions.
+    gold = {}
+    for word in words:
+        inner = st.integers(min_value=1, max_value=max(1, len(word) - 1))
+        cuts = sorted(draw(st.sets(inner))) if len(word) > 1 else []
+        bounds = [0, *cuts, len(word)]
+        gold[word] = tuple(word[i:j] for i, j in zip(bounds, bounds[1:]))
+    extra = draw(st.integers(min_value=0, max_value=20))
+    return words, gold, extra
+
+
+@settings(max_examples=60, deadline=None)
+@given(training_cases())
+def test_canonical_subwords_concatenate_to_the_word(case):
+    words, gold, extra = case
+    alphabet = len({ch for word in words for ch in word})
+    models = [
+        train(words, TrainConfig(kind=kind, vocab_size=alphabet + extra))
+        for kind in (TokenizerKind.BPE, TokenizerKind.WORDPIECE, TokenizerKind.UNIGRAM)
+    ]
+    models.append(train_character(words))
+    models.append(
+        build_gold_lookup(
+            CuratedDataset([WordEntry(w, segs, ("X",)) for w, segs in gold.items()])
+        )
+    )
+    assert {m.kind for m in models} == set(TokenizerKind)
+    for model in models:
+        for word in words:
+            try:
+                subwords = canonical_subwords(model, segment(model, word))
+            except UncoverableWord:
+                # A WordPiece [UNK] stands for the word, not its spelling.
+                continue
+            assert "".join(subwords) == word, (model.kind, word, subwords)

@@ -400,3 +400,15 @@ class TestModelFiles:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(DataError):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("-inf"), 5.0], ids=["nan", "infinite", "positive"]
+    )
+    def test_load_rejects_invalid_unigram_logprob(self, tmp_path, value):
+        model = train({"abab": 3, "ab": 2, "ba": 1}, _config(TokenizerKind.UNIGRAM, 3))
+        doc = json.loads(model_to_json(model))
+        doc["token_logprob"][0][1] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match="log-probability"):
+            load_model(path)
