@@ -36,13 +36,7 @@ import json
 import os
 import sys
 import traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -108,6 +102,8 @@ def _parse_aggregations(text: str) -> list[Aggregation]:
         values = [Aggregation(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise ConfigError(f"unknown aggregation in {text!r}") from exc
+    if not values:
+        raise ConfigError("aggregation list is empty")
     _reject_repeats("--aggregations", values)
     return values
 
@@ -366,9 +362,10 @@ def _boolean(value: object) -> bool:
     return value
 
 
-def _text(value: object) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{value!r} is not a string")
+def _path_text(value: object) -> str:
+    # An empty path would resolve to the config's own directory.
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{value!r} is not a non-empty path string")
     return value
 
 
@@ -421,8 +418,8 @@ def load_sweep_config(path: Path) -> SweepConfig:
                 "feature and segmentation lexicons"
             )
         for raw in (spec["corpus"], curated, features, segmentations):
-            if raw is not None and not isinstance(raw, str):
-                raise ConfigError(f"language {name!r}: path {raw!r} is not a string")
+            if raw is not None and not (isinstance(raw, str) and raw):
+                raise ConfigError(f"language {name!r}: {raw!r} is not a non-empty path")
         languages.append(
             LanguageSpec(
                 name=name,
@@ -455,7 +452,7 @@ def load_sweep_config(path: Path) -> SweepConfig:
         seed=_config_value(doc, "seed", 0, _integer),
         include_baselines=_config_value(doc, "include_baselines", True, _boolean),
         include_null=_config_value(doc, "include_null", False, _boolean),
-        output_dir=_resolve(_config_value(doc, "output_dir", "out", _text)),
+        output_dir=_resolve(_config_value(doc, "output_dir", "out", _path_text)),
     )
 
 
@@ -473,101 +470,127 @@ def _point_paths(
     )
 
 
-def _describe(exc: BaseException) -> str:
+def _failure(exc: BaseException) -> str:
+    """A sweep step's failure text; an unexpected error also prints its traceback."""
+    if not isinstance(exc, TokalignError):
+        traceback.print_exception(exc, file=sys.stderr)
     return f"{type(exc).__name__}: {exc}"
 
 
-class _TrainJob(NamedTuple):
-    """One kind to train for one language, at each (size, model path)."""
+class _ModelJob(NamedTuple):
+    """One language's missing work for one kind at the given sizes.
+
+    A merge kind's missing models share one training: one job that only
+    builds them.  Every other job is one size, which it builds or loads
+    and then evaluates.
+    """
 
     language: str
     kind: TokenizerKind
-    targets: tuple[tuple[int, Path], ...]
+    sizes: tuple[int, ...]
     corpus: Path
     curated: Path
+    evaluate: bool = True
 
 
-def _train_job(job: _TrainJob, seed: int) -> dict[int, str]:
-    """Train every target of `job`, largest size first; returns errors by size.
+def _train_label(language: str, kind: TokenizerKind, size: int) -> str:
+    return f"{language}/{kind.value}-{size}/train"
 
-    A merge kind trains once, at its largest size, and the smaller sizes
-    are cut from that model.  A size that fails to train (say, below the
-    alphabet) fails alone, and the next size down trains directly.  Runs
-    in a worker process, so every model goes to disk.
+
+def _point_label(language: str, point_path: Path) -> str:
+    return f"{language}/{point_path.stem}"
+
+
+def _evaluate_point(
+    dataset: CuratedDataset,
+    model: TokenizerModel,
+    mode: FeatureMode,
+    config: SweepConfig,
+    language: str,
+    point_path: Path,
+    table_path: Path,
+) -> None:
+    """Evaluate one grid point and write its table and score rows.
+
+    Returning frees the table before the next point's EM starts.
     """
-    errors: dict[int, str] = {}
+    rows, table = run_evaluation(
+        dataset,
+        model,
+        mode,
+        config.aggregations,
+        config.thresholds,
+        config.epochs,
+        config.include_null,
+        language,
+    )
+    buffer = io.StringIO()
+    metrics.write_score_rows(rows, buffer, seed=config.seed)
+    _atomic_write(table_path, ibm1.table_to_json(table))
+    _atomic_write(point_path, buffer.getvalue())
+
+
+def _model_job(job: _ModelJob, config: SweepConfig) -> dict[str, str]:
+    """Build or load each size's model and, if asked, evaluate its missing points.
+
+    Sizes run largest first.  A merge kind trains once, at its largest
+    size, and the smaller sizes are cut from that model.  A size that
+    fails to train (say, below the alphabet) fails alone, and the next
+    size down trains directly.  Everything goes to disk, so the job can
+    run in a worker process.  Returns the failure text of each model or
+    point it could not write, by label.
+    """
+    out = config.output_dir
+    errors: dict[str, str] = {}
     full: TokenizerModel | None = None
-    for size, model_path in sorted(job.targets, reverse=True):
-        try:
-            if full is None:
-                model = _train_model(job.kind, size, seed, job.corpus, job.curated)
-            else:
-                model = tokenizers.truncate_merges(
-                    full, TrainConfig(kind=job.kind, vocab_size=size, seed=seed)
-                )
-        except TokalignError as exc:
-            errors[size] = _describe(exc)
+    dataset: list[CuratedDataset] = []
+
+    def curated() -> CuratedDataset:
+        # Read on first use, so that a bad file fails only what needs it.
+        if not dataset:
+            dataset.append(_load_curated(job.curated))
+        return dataset[0]
+
+    for size in sorted(job.sizes, reverse=True):
+        model_path = _model_path(out, job.language, job.kind, size)
+        model: TokenizerModel | None = None
+        if not model_path.exists():
+            try:
+                if full is not None:
+                    train_config = TrainConfig(job.kind, size, seed=config.seed)
+                    model = tokenizers.truncate_merges(full, train_config)
+                elif job.kind is TokenizerKind.GOLD:
+                    model = tokenizers.build_gold_lookup(curated())
+                else:
+                    model = _train_model(
+                        job.kind, size, config.seed, job.corpus, job.curated
+                    )
+                _atomic_write(model_path, tokenizers.model_to_json(model))
+            except Exception as exc:
+                errors[_train_label(job.language, job.kind, size)] = _failure(exc)
+                continue
+            if full is None and job.kind in tokenizers.MERGE_KINDS:
+                full = model
+        if not job.evaluate:
             continue
-        if full is None and job.kind in tokenizers.MERGE_KINDS:
-            full = model
-        _atomic_write(model_path, tokenizers.model_to_json(model))
+        for mode in config.modes:
+            point_path, table_path = _point_paths(
+                out, job.language, job.kind, size, mode
+            )
+            if point_path.exists():
+                continue
+            try:
+                if model is None:
+                    model = tokenizers.load_model(model_path)
+                _evaluate_point(
+                    curated(), model, mode, config, job.language, point_path, table_path
+                )
+            except Exception as exc:
+                errors[_point_label(job.language, point_path)] = _failure(exc)
     return errors
 
 
-def _eval_point_job(payload: tuple) -> str | None:
-    """Evaluate one (model, mode) grid point; returns an error or None.
-
-    Runs in a worker process, so everything arrives as paths and
-    primitive values and all results go to disk.
-    """
-    (
-        curated_path, model_path, point_path, table_path,
-        mode_value, agg_values, thresholds, epochs, include_null,
-        language, seed,
-    ) = payload
-    try:
-        dataset = _load_curated(Path(curated_path))
-        model = tokenizers.load_model(Path(model_path))
-        rows, table = run_evaluation(
-            dataset,
-            model,
-            FeatureMode(mode_value),
-            [Aggregation(a) for a in agg_values],
-            [float(t) for t in thresholds],
-            epochs,
-            include_null,
-            language,
-        )
-        buffer = io.StringIO()
-        metrics.write_score_rows(rows, buffer, seed=seed)
-        _atomic_write(Path(table_path), ibm1.table_to_json(table))
-        _atomic_write(Path(point_path), buffer.getvalue())
-        return None
-    except TokalignError as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-# Training jobs reach the executor longest first, so that the shorter
-# jobs and the evaluations fill the workers around them.
-_TRAIN_ORDER = (TokenizerKind.UNIGRAM, *tokenizers.MERGE_KINDS, *BASELINE_KINDS)
-
-
-class _Inline:
-    """Executor that runs each job in this process as it is submitted."""
-
-    def submit(self, fn, *args) -> Future:
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:  # recorded by the scheduler, as from a pool
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, cancel_futures: bool = False) -> None:
-        pass
-
-
-def _submit(executor: ProcessPoolExecutor | _Inline, fn, *args) -> Future:
+def _submit(executor: ProcessPoolExecutor, fn, *args) -> Future:
     """Submit one job; in a pool broken by a dead worker, the job fails."""
     try:
         return executor.submit(fn, *args)
@@ -577,68 +600,43 @@ def _submit(executor: ProcessPoolExecutor | _Inline, fn, *args) -> Future:
         return future
 
 
-def _crash(exc: BaseException) -> str:
-    """Report a job that raised on stderr; returns its failure text."""
-    traceback.print_exception(exc, file=sys.stderr)
-    return _describe(exc)
-
-
 def _run_jobs(
-    train_jobs: list[_TrainJob],
-    ready: list[tuple],
-    waiting: dict[tuple[str, TokenizerKind, int], list[tuple]],
-    jobs: int,
-    seed: int,
-) -> tuple[dict[tuple[str, TokenizerKind, int], str], dict[str, str]]:
-    """Run the training jobs and the point evaluations on one executor.
+    model_jobs: list[_ModelJob], config: SweepConfig, jobs: int
+) -> list[tuple[_ModelJob, dict[str, str] | BaseException]]:
+    """Run every job; returns each job run with its errors by label, or what it raised.
 
-    `ready` holds the payloads of points whose model is on disk;
-    `waiting` holds the others by (language, kind, size), and they are
-    submitted as soon as that model lands.  The executor is a pool of
-    `jobs` workers, capped at the number of jobs; when that is one or
-    none, `_Inline` runs the jobs and no worker starts.  A job that
-    raises fails every grid point it owned.  Returns the training errors
-    by (language, kind, size) and the evaluation errors by point path.
+    When a build-only job ends, each size whose model it left on disk
+    becomes a job that evaluates.  The jobs share a pool of `jobs` worker
+    processes, capped at the most that can run at once; at a cap of one
+    they run in this process and no worker starts.  A worker that dies
+    fails its job, and those the broken pool still held, with
+    `BrokenProcessPool`.
     """
-    work = len(train_jobs) + len(ready) + sum(map(len, waiting.values()))
-    workers = min(jobs, work)
-    executor = ProcessPoolExecutor(workers) if workers > 1 else _Inline()
-    running: dict[Future, _TrainJob | str] = {}
-    train_errors: dict[tuple[str, TokenizerKind, int], str] = {}
-    eval_errors: dict[str, str] = {}
 
-    def submit_points(payloads: list[tuple]) -> None:
-        for payload in payloads:
-            running[_submit(executor, _eval_point_job, payload)] = payload[2]
+    def evaluations(job: _ModelJob) -> list[_ModelJob]:
+        return [
+            job._replace(sizes=(size,), evaluate=True)
+            for size in ([] if job.evaluate else job.sizes)
+            if _model_path(config.output_dir, job.language, job.kind, size).exists()
+        ]
 
+    workers = min(jobs, sum(1 if job.evaluate else len(job.sizes) for job in model_jobs))
+    done: list[tuple[_ModelJob, dict[str, str] | BaseException]] = []
+    if workers <= 1:
+        for job in model_jobs:
+            done.append((job, _model_job(job, config)))
+            done.extend((then, _model_job(then, config)) for then in evaluations(job))
+        return done
+    pool = ProcessPoolExecutor(workers)
     try:
-        for job in train_jobs:
-            running[_submit(executor, _train_job, job, seed)] = job
-        submit_points(ready)
-        while running:
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            # Handled in submission order, so the inline run keeps one order.
-            for future in [f for f in running if f in done]:
-                job = running.pop(future)
-                exc = future.exception()
-                crash = None if exc is None else _crash(exc)
-                if not isinstance(job, _TrainJob):
-                    error = crash or future.result()
-                    if error is not None:
-                        eval_errors[job] = error
-                    continue
-                errors = (
-                    future.result() if crash is None
-                    else {size: crash for size, _ in job.targets}
-                )
-                for size, _ in job.targets:
-                    if size in errors:
-                        train_errors[job.language, job.kind, size] = errors[size]
-                    else:
-                        submit_points(waiting[job.language, job.kind, size])
+        futures = {_submit(pool, _model_job, job, config): job for job in model_jobs}
+        builds = [future for future, job in futures.items() if not job.evaluate]
+        for future in as_completed(builds):
+            for job in evaluations(futures[future]):
+                futures[_submit(pool, _model_job, job, config)] = job
+        return [(job, f.exception() or f.result()) for f, job in futures.items()]
     finally:
-        executor.shutdown(cancel_futures=True)
-    return train_errors, eval_errors
+        pool.shutdown(cancel_futures=True)
 
 
 def _curated_path(out: Path, spec: LanguageSpec) -> Path:
@@ -659,13 +657,15 @@ def _curated_path(out: Path, spec: LanguageSpec) -> Path:
 
 
 def _sweep(config: SweepConfig, jobs: int, failures: list[tuple[str, str]]) -> list[Path]:
-    """Train the missing models and evaluate the missing grid points.
+    """Build the missing models and evaluate the missing grid points.
 
-    Every language's jobs share one executor (see `_run_jobs`).  Nothing
-    written depends on which job finishes first: failures are appended
-    per language, training before evaluation, each in grid order, and
-    the point CSV paths that exist after this run come back in grid
-    order, so the caller can assemble the combined score file.
+    Every language's jobs run on one executor (see `_run_jobs`).  What
+    failed is read off the disk afterwards: a size without a model file
+    failed to train, and a missing point file failed to evaluate, whether
+    its job returned an error, raised or lost its worker.  Failures are
+    appended per language, training before evaluation, each in grid
+    order, and the point CSV paths that exist come back in grid order, so
+    the caller can assemble the combined score file.
     """
     out = config.output_dir
     grid: list[tuple[TokenizerKind, int]] = [
@@ -673,61 +673,57 @@ def _sweep(config: SweepConfig, jobs: int, failures: list[tuple[str, str]]) -> l
     ]
     if config.include_baselines:
         grid.extend((kind, 0) for kind in BASELINE_KINDS)
-    agg_values = [a.value for a in config.aggregations]
 
-    train_jobs: list[_TrainJob] = []
-    ready: list[tuple] = []
-    waiting: dict[tuple[str, TokenizerKind, int], list[tuple]] = {}
+    def points(lang: str, kind: TokenizerKind, size: int) -> list[Path]:
+        return [_point_paths(out, lang, kind, size, mode)[0] for mode in config.modes]
+
+    model_jobs: list[_ModelJob] = []
     for spec in config.languages:
         curated_path = _curated_path(out, spec)
-        missing: dict[TokenizerKind, list[tuple[int, Path]]] = {}
+        untrained: dict[TokenizerKind, list[int]] = {}
         for kind, size in grid:
             model_path = _model_path(out, spec.name, kind, size)
-            payloads = []
-            for mode in config.modes:
-                point_path, table_path = _point_paths(out, spec.name, kind, size, mode)
-                if not point_path.exists():
-                    payloads.append(
-                        (
-                            str(curated_path), str(model_path),
-                            str(point_path), str(table_path),
-                            mode.value, agg_values, list(config.thresholds),
-                            config.epochs, config.include_null, spec.name, config.seed,
-                        )
-                    )
-            if model_path.exists():
-                ready.extend(payloads)
-            else:
-                waiting[spec.name, kind, size] = payloads
-                missing.setdefault(kind, []).append((size, model_path))
-        for kind, targets in missing.items():
-            # A merge kind's sizes share one training; any other kind
-            # trains each size on its own.
-            groups = [targets] if kind in tokenizers.MERGE_KINDS else [[t] for t in targets]
-            train_jobs.extend(
-                _TrainJob(spec.name, kind, tuple(group), spec.corpus, curated_path)
-                for group in groups
-            )
-    train_jobs.sort(key=lambda job: _TRAIN_ORDER.index(job.kind))
-    train_errors, eval_errors = _run_jobs(train_jobs, ready, waiting, jobs, config.seed)
+            if kind in tokenizers.MERGE_KINDS and not model_path.exists():
+                # A merge kind's missing models share one training.
+                untrained.setdefault(kind, []).append(size)
+            elif not all(p.exists() for p in (model_path, *points(spec.name, kind, size))):
+                model_jobs.append(
+                    _ModelJob(spec.name, kind, (size,), spec.corpus, curated_path)
+                )
+        model_jobs.extend(
+            _ModelJob(spec.name, kind, tuple(sizes), spec.corpus, curated_path, False)
+            for kind, sizes in untrained.items()
+        )
+    # Merge builds reach the executor first, as their evaluations wait on them.
+    model_jobs.sort(key=lambda job: job.evaluate)
+
+    errors: dict[str, str] = {}
+    for job, outcome in _run_jobs(model_jobs, config, jobs):
+        if isinstance(outcome, BaseException):
+            # Blame all the job owned; the disk tells what it did write.
+            crash = _failure(outcome)
+            outcome = {}
+            for size in job.sizes:
+                outcome[_train_label(job.language, job.kind, size)] = crash
+                for point_path in points(job.language, job.kind, size):
+                    outcome[_point_label(job.language, point_path)] = crash
+        errors.update(outcome)
 
     point_files: list[Path] = []
     for spec in config.languages:
-        trained = []
+        eval_failures = []
         for kind, size in grid:
-            error = train_errors.get((spec.name, kind, size))
-            if error is None:
-                trained.append((kind, size))
-            else:
-                failures.append((f"{spec.name}/{kind.value}-{size}/train", error))
-        for kind, size in trained:
-            for mode in config.modes:
-                point_path, _ = _point_paths(out, spec.name, kind, size, mode)
-                error = eval_errors.get(str(point_path))
-                if error is not None:
-                    failures.append((point_path.stem, error))
+            if not _model_path(out, spec.name, kind, size).exists():
+                label = _train_label(spec.name, kind, size)
+                failures.append((label, errors[label]))
+                continue
+            for point_path in points(spec.name, kind, size):
                 if point_path.exists():
                     point_files.append(point_path)
+                else:
+                    label = _point_label(spec.name, point_path)
+                    eval_failures.append((label, errors[label]))
+        failures.extend(eval_failures)
     return point_files
 
 
@@ -756,7 +752,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         # A clean rerun must not leave an earlier run's failures behind.
         failures_path.unlink(missing_ok=True)
-    report = stats.build_report(all_rows)
+    try:
+        report = stats.build_report(all_rows)
+    except TokalignError:
+        # An earlier run's report must not stand beside these scores.
+        (out / "correlations.csv").unlink(missing_ok=True)
+        raise
     buffer = io.StringIO()
     stats.write_report(report, buffer, seed=config.seed)
     _atomic_write(out / "correlations.csv", buffer.getvalue())
@@ -817,7 +818,8 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="sweep config JSON")
     p.add_argument("--output-dir", default=None, help="override the config output_dir")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes shared by training and evaluation "
+                   help="worker processes; a job builds and evaluates one "
+                        "model, or trains every size of one merge kind "
                         "(1 runs every job in this process)")
     p.set_defaults(func=cmd_sweep)
 

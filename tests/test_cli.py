@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -311,6 +312,24 @@ class TestEvaluate:
         assert "repeats a value" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_aggregation_list_exits_1(self, tmp_path, capsys):
+        curated, dataset = _curated_file(tmp_path)
+        model = self._gold_model(tmp_path, dataset)
+        out = tmp_path / "scores.csv"
+        code = cli.main(
+            [
+                "evaluate",
+                "--curated", str(curated),
+                "--model", str(model),
+                "--aggregations", ",",
+                "--thresholds", "0.01",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "aggregation list is empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_aggregation_exits_1(self, tmp_path):
         curated, dataset = _curated_file(tmp_path)
         model = self._gold_model(tmp_path, dataset)
@@ -477,6 +496,29 @@ class TestSweep:
         assert cli.main(argv) == 0
         assert _tree(out) == serial
 
+    def test_merge_kind_points_are_jobs_of_their_own(self, tmp_path, monkeypatch):
+        config_path = _sweep_setup(tmp_path)
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
+        doc["kinds"] = ["bpe"]
+        doc["include_baselines"] = False
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        submitted = []
+        submit = cli._submit
+
+        def record(executor, fn, job, config):
+            submitted.append((job.kind.value, job.sizes, job.evaluate))
+            return submit(executor, fn, job, config)
+
+        monkeypatch.setattr(cli, "_submit", record)
+        assert cli.main(["sweep", "--config", str(config_path), "--jobs", "2"]) == 0
+        # One training for both sizes, then each size's points on any worker.
+        assert submitted == [
+            ("bpe", (60, 80), False),
+            ("bpe", (60,), True),
+            ("bpe", (80,), True),
+        ]
+        assert len(list((tmp_path / "out" / "toy" / "points").iterdir())) == 2
+
     def test_finished_sweep_starts_no_pool(self, tmp_path, monkeypatch):
         config_path = _sweep_setup(tmp_path)
         argv = ["sweep", "--config", str(config_path), "--jobs", "2"]
@@ -529,8 +571,8 @@ class TestSweep:
         failures = (tmp_path / "out" / "failures.csv").read_text(encoding="utf-8")
         assert failures == (
             "point,error\n"
-            "bpe-60-split,ZeroDivisionError: bad point\n"
-            "bpe-80-split,ZeroDivisionError: bad point\n"
+            "toy/bpe-60-split,ZeroDivisionError: bad point\n"
+            "toy/bpe-80-split,ZeroDivisionError: bad point\n"
         )
 
     @pytest.mark.skipif(
@@ -553,6 +595,59 @@ class TestSweep:
         )
         assert failures[1:] == [f"toy/{kind}-60/train,{broken}" for kind in ("bpe", "wordpiece")]
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the crashing evaluation reaches workers only through fork",
+    )
+    def test_worker_dying_in_evaluation_fails_its_point_and_keeps_its_model(
+        self, tmp_path, monkeypatch
+    ):
+        config_path = _sweep_setup(tmp_path)
+        assert cli.main(["sweep", "--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        models = out / "toy" / "models"
+        finished = _tree(out)
+        # Two trainings, so that they run in a pool: bpe-60 trains and its
+        # evaluation then kills its worker; wordpiece-80 only trains.
+        (models / "bpe-60.json").unlink()
+        (out / "toy" / "points" / "bpe-60-split.csv").unlink()
+        other = models / "wordpiece-80.json"
+        other.unlink()
+
+        def die(*args):
+            # Once the other job's model is on disk, so that the broken
+            # pool cuts nothing else short.
+            deadline = time.monotonic() + 60
+            while not other.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            os._exit(1)
+
+        monkeypatch.setattr(cli, "run_evaluation", die)
+        assert cli.main(["sweep", "--config", str(config_path), "--jobs", "2"]) == 0
+        failures = (out / "failures.csv").read_text(encoding="utf-8").splitlines()
+        broken = (
+            "BrokenProcessPool: A process in the process pool was terminated "
+            "abruptly while the future was running or pending."
+        )
+        assert failures[1:] == [f"toy/bpe-60-split,{broken}"]
+        for name in ("bpe-60.json", "wordpiece-80.json"):
+            assert (models / name).read_bytes() == finished[f"toy/models/{name}"]
+
+    def test_corrupt_model_on_resume_fails_its_points_not_training(self, tmp_path):
+        config_path = _sweep_setup(tmp_path)
+        assert cli.main(["sweep", "--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        model = out / "toy" / "models" / "bpe-60.json"
+        model.write_text("{", encoding="utf-8")
+        (out / "toy" / "points" / "bpe-60-split.csv").unlink()
+        assert cli.main(["sweep", "--config", str(config_path)]) == 0
+        failures = (out / "failures.csv").read_text(encoding="utf-8").splitlines()
+        assert len(failures) == 2
+        assert failures[1].startswith(
+            f"toy/bpe-60-split,DataError: model file {model} is not valid JSON"
+        )
+        assert model.read_text(encoding="utf-8") == "{"
+
     def test_submit_to_a_broken_pool_fails_the_job(self):
         with ProcessPoolExecutor(1) as pool:
             assert isinstance(pool.submit(os._exit, 1).exception(), BrokenProcessPool)
@@ -569,6 +664,19 @@ class TestSweep:
         failures = (tmp_path / "out" / "failures.csv").read_text(encoding="utf-8")
         assert "toy/bpe-2/train,ConfigError" in failures
         assert "toy/wordpiece-2/train,ConfigError" in failures
+
+    def test_failed_report_removes_stale_correlations(self, tmp_path, capsys):
+        config_path = _sweep_setup(tmp_path)
+        assert cli.main(["sweep", "--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        assert (out / "correlations.csv").exists()
+        config_path = _sweep_setup(tmp_path, vocab_sizes=(2,))
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
+        doc["include_baselines"] = False
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["sweep", "--config", str(config_path)]) == 2
+        assert "zero score rows" in capsys.readouterr().err
+        assert not (out / "correlations.csv").exists()
 
     def test_clean_rerun_removes_stale_failures(self, tmp_path):
         config_path = _sweep_setup(tmp_path, vocab_sizes=(2, 60))
@@ -657,6 +765,26 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(config_path)]) == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "field", ["corpus", "curated", "features", "segmentations", "output_dir"]
+    )
+    def test_empty_path_exits_1_before_any_output(self, tmp_path, capsys, field):
+        config_path = _sweep_setup(tmp_path)
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
+        spec = doc["languages"]["toy"]
+        if field == "output_dir":
+            doc["output_dir"] = ""
+        elif field == "curated":
+            # Without lexicons, the curated path is the only dataset source.
+            doc["languages"]["toy"] = {"corpus": spec["corpus"], "curated": ""}
+        else:
+            spec[field] = ""
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(["sweep", "--config", str(config_path)]) == 1
+        assert "non-empty path" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_missing_config_exits_1(self, tmp_path, capsys):
         code = cli.main(["sweep", "--config", str(tmp_path / "nope.json")])
