@@ -76,6 +76,14 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_curated(path: Path, dataset: CuratedDataset) -> None:
+    # Serialized in memory first, so a failure part way leaves any
+    # existing file whole instead of truncated.
+    buffer = io.StringIO()
+    corpus_mod.write_curated(dataset, buffer)
+    _atomic_write(path, buffer.getvalue())
+
+
 def _read_lines(path: Path) -> list[str]:
     try:
         with path.open("r", encoding="utf-8") as handle:
@@ -189,9 +197,7 @@ def cmd_curate(args: argparse.Namespace) -> int:
         segmentations, features, language=args.language
     )
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8") as handle:
-        corpus_mod.write_curated(dataset, handle)
+    _write_curated(out, dataset)
     print(f"curated {len(dataset)} entries to {out}")
     print(
         f"feature rows: {feat_stats.kept} kept, {feat_stats.skipped} skipped; "
@@ -650,9 +656,7 @@ def _curated_path(out: Path, spec: LanguageSpec) -> Path:
             _read_lines(spec.segmentations)
         )
         dataset, _ = corpus_mod.curate(segmentations, features, language=spec.name)
-        buffer = io.StringIO()
-        corpus_mod.write_curated(dataset, buffer)
-        _atomic_write(curated_path, buffer.getvalue())
+        _write_curated(curated_path, dataset)
     return curated_path
 
 

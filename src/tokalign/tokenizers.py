@@ -20,6 +20,17 @@ decides only when the loop stops, so a smaller budget's merges are a
 prefix of a larger one's: ``truncate_merges`` cuts the smaller model
 from the larger, which lets a sweep train each merge kind once.
 
+Each pruning round of the unigram trainer makes two hard EM passes over
+the corpus, then one Viterbi pass per word for each multi-character
+token on the word's best path.  Within a round a word's in-vocabulary
+substrings never change, so the trainer interns the
+vocabulary to ids and slices and looks up each word's substrings once,
+into a span lattice: one flat ``array('i')`` of ``(end, start, id)``
+triples in the order ``_viterbi`` visits them.  Every pass of the round
+walks that array with list-indexed log-probabilities, and pruning
+renumbers the ids in place and drops the pruned spans, so later rounds
+never slice again.  ``_viterbi`` itself only segments.
+
 All training is deterministic: corpora are handled in sorted order and
 score ties break lexicographically, so retraining on the same input
 yields byte-identical model files.
@@ -30,6 +41,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
@@ -350,7 +362,6 @@ def _viterbi(
     word: str,
     logprob: Mapping[str, float],
     max_token_len: int,
-    banned: str | None = None,
     oov_char_logprob: float | None = None,
 ) -> tuple[list[str], float] | None:
     """Best-scoring segmentation of ``word`` under a unigram model.
@@ -369,8 +380,6 @@ def _viterbi(
             if prev is None:
                 continue
             token = word[start:end]
-            if banned is not None and token == banned:
-                continue
             lp = logprob.get(token)
             if lp is None:
                 if oov_char_logprob is not None and end - start == 1:
@@ -430,48 +439,126 @@ def _unigram_seed(
     return chars, logprob
 
 
+def _span_lattices(words: list[tuple[str, int]], tokens: list[str]) -> list[array]:
+    """Each word's in-vocabulary spans as a flat ``(end, start, id)`` array.
+
+    ``id`` indexes ``tokens``.  Spans come in the order ``_viterbi``
+    visits them, end ascending and then start ascending, so a walk over
+    the array compares the same candidates in the same order.
+    """
+    ids = {token: i for i, token in enumerate(tokens)}
+    max_len = max(len(t) for t in tokens)
+    lattices = []
+    for word, _ in words:
+        spans = array("i")
+        for end in range(1, len(word) + 1):
+            for start in range(max(0, end - max_len), end):
+                token_id = ids.get(word[start:end])
+                if token_id is not None:
+                    spans.extend((end, start, token_id))
+        lattices.append(spans)
+    return lattices
+
+
+def _lattice_best(spans: array, n: int, logprob: list[float]) -> float:
+    """Viterbi score of a word of length n over its span lattice.
+
+    -inf marks an unreached position: -inf plus a finite log-probability
+    stays -inf and never wins the strict ``>``, so an unreached start or
+    a span whose log-probability is set to -inf is skipped exactly as
+    ``_viterbi`` skips it.  Returns -inf when no path covers the word.
+    """
+    best = [-math.inf] * (n + 1)
+    best[0] = 0.0
+    it = iter(spans)
+    for end, start, token_id in zip(it, it, it):
+        cand = best[start] + logprob[token_id]
+        if cand > best[end]:
+            best[end] = cand
+    return best[n]
+
+
+def _lattice_path(
+    spans: array, n: int, logprob: list[float]
+) -> tuple[list[int], float]:
+    """``_lattice_best`` that also returns the best path's token ids."""
+    best = [-math.inf] * (n + 1)
+    best[0] = 0.0
+    back_start = [0] * (n + 1)
+    back_id = [0] * (n + 1)
+    it = iter(spans)
+    for end, start, token_id in zip(it, it, it):
+        cand = best[start] + logprob[token_id]
+        if cand > best[end]:
+            best[end] = cand
+            back_start[end] = start
+            back_id[end] = token_id
+    path: list[int] = []
+    pos = n
+    if best[n] > -math.inf:
+        while pos > 0:
+            path.append(back_id[pos])
+            pos = back_start[pos]
+    return path, best[n]
+
+
 def _unigram_em_round(
     words: list[tuple[str, int]],
-    vocab: set[str],
-    logprob: dict[str, float],
+    lattices: list[array],
+    logprob: list[float],
     iterations: int = 2,
-) -> tuple[dict[str, float], dict[str, tuple[list[str], float]]]:
+) -> tuple[list[float], list[tuple[list[int], float]]]:
     """Hard EM: Viterbi-count tokens, renormalize, repeat.
 
-    Tokens with zero count keep a floor probability so every vocabulary
-    item stays usable by the segmenter.  The corpus negative log
-    likelihood must not increase between iterations at fixed vocabulary.
+    Works on token ids: ``logprob`` and the returned table are indexed
+    like the ids in ``lattices``.  Also returns each word's best path and
+    score from the last iteration, taken under the table that iteration
+    started from.  Tokens with zero count keep a floor probability so
+    every vocabulary item stays usable by the segmenter.  The corpus
+    negative log likelihood must not increase between iterations at
+    fixed vocabulary.
     """
-    max_len = max(len(t) for t in vocab)
-    seg_cache: dict[str, tuple[list[str], float]] = {}
+    floor = math.log(PROB_FLOOR)
+    paths: list[tuple[list[int], float]] = []
     prev_nll: float | None = None
     for _ in range(iterations):
-        counts: Counter = Counter()
+        counts = [0] * len(logprob)
         nll = 0.0
-        seg_cache = {}
-        for word, freq in words:
-            result = _viterbi(word, logprob, max_len)
-            if result is None:
+        paths = []
+        for (word, freq), spans in zip(words, lattices):
+            path, lp = _lattice_path(spans, len(word), logprob)
+            if lp == -math.inf:
                 raise NumericalError(f"vocabulary no longer covers {word!r}")
-            tokens, lp = result
-            seg_cache[word] = (tokens, lp)
+            paths.append((path, lp))
             nll -= freq * lp
-            for token in tokens:
-                counts[token] += freq
+            for token_id in path:
+                counts[token_id] += freq
         if prev_nll is not None and nll > prev_nll + 1e-9 * max(1.0, abs(prev_nll)):
             raise NumericalError(
                 f"unigram EM loss increased from {prev_nll} to {nll}"
             )
         prev_nll = nll
-        total = sum(counts.values())
+        total = sum(counts)
         if total <= 0:
             raise NumericalError("unigram EM produced an empty segmentation count")
-        logprob = {}
-        for token in sorted(vocab):
-            c = counts.get(token, 0)
-            p = c / total if c else PROB_FLOOR
-            logprob[token] = math.log(p)
-    return logprob, seg_cache
+        logprob = [math.log(c / total) if c else floor for c in counts]
+    return logprob, paths
+
+
+def _prune_lattices(lattices: list[array], new_ids: list[int]) -> None:
+    """Renumber every span's token in place; drop spans whose id maps to -1."""
+    for spans in lattices:
+        kept = 0
+        it = iter(spans)
+        # Writes trail reads, so no span is overwritten before it is read.
+        for end, start, token_id in zip(it, it, it):
+            new_id = new_ids[token_id]
+            if new_id >= 0:
+                spans[kept] = end
+                spans[kept + 1] = start
+                spans[kept + 2] = new_id
+                kept += 3
+        del spans[kept:]
 
 
 def train_unigram(corpus: Mapping[str, int], config: TrainConfig) -> TokenizerModel:
@@ -483,44 +570,62 @@ def train_unigram(corpus: Mapping[str, int], config: TrainConfig) -> TokenizerMo
     vocab_size and at most (1 - prune_fraction) of the current
     vocabulary.  Single characters are never pruned, so segmentation
     stays total over the training alphabet.
+
+    The vocabulary is interned once: token ids follow sorted token
+    order, and each word's in-vocabulary spans are sliced and looked up
+    once into a flat ``array('i')`` of ``(end, start, id)`` triples (see
+    ``_span_lattices``).  Both EM iterations and every removal re-run
+    walk those arrays with list-indexed log-probabilities; a removal
+    re-run sets the banned token's log-probability to -inf for the
+    walk.  Pruning renumbers the surviving ids in place and drops the
+    pruned spans, so no later round slices a word again.  The
+    candidates, their order and the strict ``>`` tie rule are those of
+    ``_viterbi``, so the models are the ones a per-call Viterbi gives.
     """
     words = _sorted_corpus(corpus)
-    chars, logprob = _unigram_seed(words, config)
-    vocab = set(logprob)
-    char_set = set(chars)
-    while len(vocab) > config.vocab_size:
-        logprob, segs = _unigram_em_round(words, vocab, logprob)
-        max_len = max(len(t) for t in vocab)
-        utility: dict[str, float] = {}
-        for token in vocab:
-            if token not in char_set:
-                utility[token] = 0.0
-        for word, freq in words:
-            tokens, lp = segs[word]
-            for token in set(tokens):
-                if token in char_set:
+    chars, seed_logprob = _unigram_seed(words, config)
+    tokens = sorted(seed_logprob)
+    logprob = [seed_logprob[t] for t in tokens]
+    lattices = _span_lattices(words, tokens)
+    while len(tokens) > config.vocab_size:
+        logprob, paths = _unigram_em_round(words, lattices, logprob)
+        # Only multi-character tokens compete; characters always stay.
+        utility = {i: 0.0 for i, token in enumerate(tokens) if len(token) > 1}
+        for (word, freq), spans, (path, lp) in zip(words, lattices, paths):
+            for token_id in set(path):
+                if token_id not in utility:
                     continue
-                alt = _viterbi(word, logprob, max_len, banned=token)
-                if alt is None:
+                saved = logprob[token_id]
+                logprob[token_id] = -math.inf
+                alt = _lattice_best(spans, len(word), logprob)
+                logprob[token_id] = saved
+                if alt == -math.inf:
                     # Only this token covers some stretch of the word.
-                    utility[token] = math.inf
+                    utility[token_id] = math.inf
                 else:
-                    utility[token] += freq * (lp - alt[1])
+                    utility[token_id] += freq * (lp - alt)
         target = max(
             config.vocab_size,
-            int(len(vocab) * (1.0 - config.unigram_prune_fraction)),
+            int(len(tokens) * (1.0 - config.unigram_prune_fraction)),
         )
-        keep = target - len(char_set)
-        survivors = sorted(utility, key=lambda t: (-utility[t], t))[: max(keep, 0)]
-        vocab = char_set | set(survivors)
-        logprob = {t: lp for t, lp in logprob.items() if t in vocab}
-    logprob, _ = _unigram_em_round(words, vocab, logprob)
+        keep = target - len(chars)
+        # Ids follow sorted token order, so they break ties like tokens.
+        ranked = sorted(utility, key=lambda i: (-utility[i], i))
+        pruned = set(ranked[max(keep, 0):])
+        kept_ids = [i for i in range(len(tokens)) if i not in pruned]
+        new_ids = [-1] * len(tokens)
+        for new_id, old_id in enumerate(kept_ids):
+            new_ids[old_id] = new_id
+        _prune_lattices(lattices, new_ids)
+        tokens = [tokens[i] for i in kept_ids]
+        logprob = [logprob[i] for i in kept_ids]
+    logprob, _ = _unigram_em_round(words, lattices, logprob)
     return TokenizerModel(
         kind=TokenizerKind.UNIGRAM,
-        vocab=sorted(vocab),
+        vocab=list(tokens),
         vocab_size=config.vocab_size,
         seed=config.seed,
-        token_logprob=logprob,
+        token_logprob=dict(zip(tokens, logprob)),
     )
 
 

@@ -10,7 +10,19 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
+from typing import Mapping
+
+from tokalign.errors import NumericalError
+from tokalign.tokenizers import (
+    PROB_FLOOR,
+    TokenizerKind,
+    TokenizerModel,
+    TrainConfig,
+    _sorted_corpus,
+    _unigram_seed,
+)
 
 
 def em_reference(
@@ -209,3 +221,151 @@ def ranks_reference(values: list[float]) -> list[float]:
     from scipy import stats as scipy_stats
 
     return [float(r) for r in scipy_stats.rankdata(values)]
+
+
+# Reference unigram trainer: one dictionary-driven Viterbi call per word
+# for each EM iteration and for each banned token, slicing and hashing
+# every substring each time.  tokenizers.train_unigram walks a per-round
+# span lattice instead and must give byte-identical models.  The seed
+# vocabulary comes from the package: both routes start from it.
+
+
+def _viterbi(
+    word: str,
+    logprob: Mapping[str, float],
+    max_token_len: int,
+    banned: str | None = None,
+    oov_char_logprob: float | None = None,
+) -> tuple[list[str], float] | None:
+    """Best-scoring segmentation of ``word`` under a unigram model.
+
+    Returns None when no segmentation covers the word.  With
+    ``oov_char_logprob`` set, single characters outside the vocabulary
+    are admitted at that penalty, which makes coverage total.
+    """
+    n = len(word)
+    best_score: list[float | None] = [None] * (n + 1)
+    back: list[tuple[int, str] | None] = [None] * (n + 1)
+    best_score[0] = 0.0
+    for end in range(1, n + 1):
+        for start in range(max(0, end - max_token_len), end):
+            prev = best_score[start]
+            if prev is None:
+                continue
+            token = word[start:end]
+            if banned is not None and token == banned:
+                continue
+            lp = logprob.get(token)
+            if lp is None:
+                if oov_char_logprob is not None and end - start == 1:
+                    lp = oov_char_logprob
+                else:
+                    continue
+            cand = prev + lp
+            if best_score[end] is None or cand > best_score[end]:
+                best_score[end] = cand
+                back[end] = (start, token)
+    if best_score[n] is None:
+        return None
+    tokens: list[str] = []
+    pos = n
+    while pos > 0:
+        start, token = back[pos]
+        tokens.append(token)
+        pos = start
+    tokens.reverse()
+    return tokens, best_score[n]
+
+
+def _unigram_em_round(
+    words: list[tuple[str, int]],
+    vocab: set[str],
+    logprob: dict[str, float],
+    iterations: int = 2,
+) -> tuple[dict[str, float], dict[str, tuple[list[str], float]]]:
+    """Hard EM: Viterbi-count tokens, renormalize, repeat.
+
+    Tokens with zero count keep a floor probability so every vocabulary
+    item stays usable by the segmenter.  The corpus negative log
+    likelihood must not increase between iterations at fixed vocabulary.
+    """
+    max_len = max(len(t) for t in vocab)
+    seg_cache: dict[str, tuple[list[str], float]] = {}
+    prev_nll: float | None = None
+    for _ in range(iterations):
+        counts: Counter = Counter()
+        nll = 0.0
+        seg_cache = {}
+        for word, freq in words:
+            result = _viterbi(word, logprob, max_len)
+            if result is None:
+                raise NumericalError(f"vocabulary no longer covers {word!r}")
+            tokens, lp = result
+            seg_cache[word] = (tokens, lp)
+            nll -= freq * lp
+            for token in tokens:
+                counts[token] += freq
+        if prev_nll is not None and nll > prev_nll + 1e-9 * max(1.0, abs(prev_nll)):
+            raise NumericalError(
+                f"unigram EM loss increased from {prev_nll} to {nll}"
+            )
+        prev_nll = nll
+        total = sum(counts.values())
+        if total <= 0:
+            raise NumericalError("unigram EM produced an empty segmentation count")
+        logprob = {}
+        for token in sorted(vocab):
+            c = counts.get(token, 0)
+            p = c / total if c else PROB_FLOOR
+            logprob[token] = math.log(p)
+    return logprob, seg_cache
+
+
+def unigram_reference(corpus: Mapping[str, int], config: TrainConfig) -> TokenizerModel:
+    """Fit a unigram language model and prune it to the budget.
+
+    Each round re-estimates probabilities with two hard EM iterations,
+    then removes the multi-character tokens whose removal would increase
+    the Viterbi corpus loss the least, keeping at least
+    vocab_size and at most (1 - prune_fraction) of the current
+    vocabulary.  Single characters are never pruned, so segmentation
+    stays total over the training alphabet.
+    """
+    words = _sorted_corpus(corpus)
+    chars, logprob = _unigram_seed(words, config)
+    vocab = set(logprob)
+    char_set = set(chars)
+    while len(vocab) > config.vocab_size:
+        logprob, segs = _unigram_em_round(words, vocab, logprob)
+        max_len = max(len(t) for t in vocab)
+        utility: dict[str, float] = {}
+        for token in vocab:
+            if token not in char_set:
+                utility[token] = 0.0
+        for word, freq in words:
+            tokens, lp = segs[word]
+            for token in set(tokens):
+                if token in char_set:
+                    continue
+                alt = _viterbi(word, logprob, max_len, banned=token)
+                if alt is None:
+                    # Only this token covers some stretch of the word.
+                    utility[token] = math.inf
+                else:
+                    utility[token] += freq * (lp - alt[1])
+        target = max(
+            config.vocab_size,
+            int(len(vocab) * (1.0 - config.unigram_prune_fraction)),
+        )
+        keep = target - len(char_set)
+        survivors = sorted(utility, key=lambda t: (-utility[t], t))[: max(keep, 0)]
+        vocab = char_set | set(survivors)
+        logprob = {t: lp for t, lp in logprob.items() if t in vocab}
+    logprob, _ = _unigram_em_round(words, vocab, logprob)
+    return TokenizerModel(
+        kind=TokenizerKind.UNIGRAM,
+        vocab=sorted(vocab),
+        vocab_size=config.vocab_size,
+        seed=config.seed,
+        token_logprob=logprob,
+    )

@@ -96,6 +96,34 @@ class TestCurate:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_failed_write_leaves_existing_file_whole(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        features = _write(tmp_path / "features.tsv", FEATURES)
+        segments = _write(tmp_path / "segments.tsv", SEGMENTS)
+        out, _ = _curated_file(tmp_path)
+        before = out.read_bytes()
+
+        def write_half(dataset, stream):
+            stream.write(f"# language: {dataset.language}\n")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli.corpus_mod, "write_curated", write_half)
+        code = cli.main(
+            [
+                "curate",
+                "--features", str(features),
+                "--segmentations", str(segments),
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "no space left" in capsys.readouterr().err
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "curated.tsv", "features.tsv", "segments.tsv"
+        ]
+
 
 class TestTrainAndSegment:
     def test_train_write_and_retrain_identically(self, tmp_path, capsys):

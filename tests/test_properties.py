@@ -2,20 +2,29 @@
 
 The grid scorer must give every (aggregation, threshold) value bit for
 bit what scoring that configuration alone gives, and folded EM training
-must give bit for bit what a chain of single epochs gives.  Every
-tokenizer kind must segment a training word into subwords that
-concatenate back to the word.
+must give bit for bit what a chain of single epochs gives.  The unigram
+trainer's span lattice must give byte for byte the model of one Viterbi
+call per word.  Every tokenizer kind must segment a training word into
+subwords that concatenate back to the word.  A chain of EM epochs keeps
+rows normalized and never loses likelihood, and rank correlation agrees
+with scipy on series with ties.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import alignment_reference, em_reference
+from oracles import (
+    alignment_reference,
+    em_reference,
+    spearman_reference,
+    unigram_reference,
+)
 from tokalign.corpus import CuratedDataset, WordEntry
-from tokalign.errors import UncoverableWord
+from tokalign.errors import DataError, TokalignError, UncoverableWord
 from tokalign.ibm1 import (
     NULL_TOKEN,
+    ROW_SUM_TOLERANCE,
     ParallelPair,
     TranslationTable,
     corpus_loglik,
@@ -29,14 +38,17 @@ from tokalign.metrics import (
     alignment_score_from_pairs,
     alignment_scores,
 )
+from tokalign.stats import MIN_POINTS, spearman
 from tokalign.tokenizers import (
     TokenizerKind,
     TrainConfig,
     build_gold_lookup,
     canonical_subwords,
+    model_to_json,
     segment,
     train,
     train_character,
+    train_unigram,
 )
 
 SUBWORDS = ("a", "b", "c", "d", "e")
@@ -136,6 +148,84 @@ def test_folded_training_equals_an_epoch_chain(pairs, epochs):
     for s, row in want_probs.items():
         for t, p in row.items():
             assert table.lookup(s, t) == pytest.approx(p, abs=1e-10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parallel_pairs, st.integers(min_value=1, max_value=8))
+def test_epoch_chain_keeps_rows_normalized_and_never_loses_likelihood(pairs, epochs):
+    probs = uniform_init(pairs)
+    previous = corpus_loglik(pairs, probs)
+    for _ in range(epochs):
+        probs, loglik = em_epoch(pairs, probs)
+        for row in probs.values():
+            assert abs(sum(row.values()) - 1.0) <= ROW_SUM_TOLERANCE
+        # EM cannot lower the likelihood; rounding and the probability
+        # floor may, by far less than this relative tolerance.
+        assert loglik >= previous - 1e-9 * max(1.0, abs(previous))
+        previous = loglik
+
+
+# Few distinct values, so most drawn series hold ties.
+rank_values = st.one_of(
+    st.sampled_from((0.0, 1.0, 2.0, 2.5, -3.0)),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=MIN_POINTS, max_value=15).flatmap(
+        lambda n: st.tuples(
+            st.lists(rank_values, min_size=n, max_size=n),
+            st.lists(rank_values, min_size=n, max_size=n),
+        )
+    )
+)
+def test_spearman_equals_scipy_on_series_with_ties(series):
+    xs, ys = series
+    if min(xs) == max(xs) or min(ys) == max(ys):
+        with pytest.raises(DataError):
+            spearman(xs, ys)
+        return
+    assert spearman(xs, ys) == pytest.approx(spearman_reference(xs, ys), abs=1e-12)
+
+
+def _unigram_outcome(trainer, corpus, config):
+    try:
+        return model_to_json(trainer(corpus, config))
+    except TokalignError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def unigram_cases(draw):
+    corpus = draw(
+        st.dictionaries(
+            st.text(alphabet="abcd", min_size=1, max_size=9),
+            st.integers(min_value=1, max_value=9),
+            max_size=20,
+        )
+    )
+    alphabet = len({ch for word in corpus for ch in word})
+    # From one below the alphabet, which both trainers reject.
+    budget = alphabet - 1 + draw(st.integers(min_value=0, max_value=30))
+    config = TrainConfig(
+        kind=TokenizerKind.UNIGRAM,
+        vocab_size=max(1, budget),
+        unigram_seed_vocab_factor=draw(st.integers(min_value=1, max_value=6)),
+        # Bounded away from 0: where 1 - fraction rounds to 1, a round
+        # removes no token and training never ends.
+        unigram_prune_fraction=draw(st.floats(min_value=0.01, max_value=0.99)),
+    )
+    return corpus, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(unigram_cases())
+def test_lattice_unigram_training_equals_per_call_viterbi(case):
+    corpus, config = case
+    got = _unigram_outcome(train_unigram, corpus, config)
+    assert got == _unigram_outcome(unigram_reference, corpus, config)
 
 
 @st.composite

@@ -10,6 +10,7 @@ from oracles import (
     best_segmentation_logprob,
     bpe_best_pair,
     replay_merge,
+    unigram_reference,
     wordpiece_best_pair,
 )
 from conftest import random_corpus
@@ -260,6 +261,13 @@ class TestUnigram:
                     word, model.token_logprob, oov_char_logprob=OOV_CHAR_LOGPROB
                 )
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_lattice_training_equals_per_call_viterbi_on_synth_language(self):
+        corpus = dict(word_frequencies(build_language(SynthConfig(seed=0)).sentences))
+        for budget in (200, 400, 800):
+            config = _config(TokenizerKind.UNIGRAM, budget)
+            got = model_to_json(train_unigram(corpus, config))
+            assert got == model_to_json(unigram_reference(corpus, config)), budget
 
     def test_unseen_character_is_emitted_at_penalty(self):
         model = train_unigram({"aa": 10}, _config(TokenizerKind.UNIGRAM, 3))
