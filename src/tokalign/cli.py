@@ -129,6 +129,18 @@ def _parse_thresholds(text: str) -> list[float]:
     return values
 
 
+Segmented = tuple[ibm1.Segments, tuple[float, float, float]]
+
+
+def segment_dataset(dataset: CuratedDataset, model: TokenizerModel) -> Segmented:
+    """Each entry's subwords, plus the boundary precision, recall and F1."""
+    segments = ibm1.segment_entries(dataset, model)
+    precision, recall, f1, _counts = metrics.boundary_prf_from_segments(
+        dataset, segments
+    )
+    return segments, (precision, recall, f1)
+
+
 def run_evaluation(
     dataset: CuratedDataset,
     model: TokenizerModel,
@@ -138,22 +150,22 @@ def run_evaluation(
     epochs: int,
     include_null: bool,
     language: str,
+    segmented: Segmented | None = None,
 ) -> tuple[list[ScoreRow], ibm1.TranslationTable]:
     """Train one translation table and score the aggregation grid.
 
-    The dataset is segmented once, for both the parallel corpus and the
-    boundary metrics.  The table depends only on (model, mode), so it is
-    trained once, and one pass over the pairs scores every aggregation
-    and threshold combination.
+    One segmentation serves both the parallel corpus and the boundary
+    metrics.  ``segmented`` is :func:`segment_dataset` of this dataset
+    and model, so that the modes of one model share one segmentation;
+    without it the dataset is segmented here.  The table depends only on
+    (model, mode), so it is trained once, and one pass over the pairs
+    scores every aggregation and threshold combination.
     """
-    segments = ibm1.segment_entries(dataset, model)
+    segments, (precision, recall, f1) = segmented or segment_dataset(dataset, model)
     pairs, excluded = ibm1.pairs_from_segments(
         dataset, segments, mode, include_null=include_null
     )
     table = ibm1.train_ibm1(pairs, epochs=epochs)
-    precision, recall, f1, _counts = metrics.boundary_prf_from_segments(
-        dataset, segments
-    )
     scores = metrics.alignment_scores(table, pairs, aggregations, thresholds)
     rows = [
         ScoreRow(
@@ -266,13 +278,15 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    dataset = _load_curated(Path(args.curated))
-    model = tokenizers.load_model(Path(args.model))
     modes = _parse_modes(args.mode)
     if len(modes) != 1:
         raise ConfigError("evaluate takes exactly one feature mode")
     aggregations = _parse_aggregations(args.aggregations)
     thresholds = _parse_thresholds(args.thresholds)
+    if args.epochs < 1:
+        raise ConfigError(f"epochs must be at least 1, got {args.epochs}")
+    dataset = _load_curated(Path(args.curated))
+    model = tokenizers.load_model(Path(args.model))
     language = args.language or dataset.language
     rows, table = run_evaluation(
         dataset,
@@ -510,6 +524,7 @@ def _point_label(language: str, point_path: Path) -> str:
 def _evaluate_point(
     dataset: CuratedDataset,
     model: TokenizerModel,
+    segmented: Segmented,
     mode: FeatureMode,
     config: SweepConfig,
     language: str,
@@ -529,6 +544,7 @@ def _evaluate_point(
         config.epochs,
         config.include_null,
         language,
+        segmented,
     )
     buffer = io.StringIO()
     metrics.write_score_rows(rows, buffer, seed=config.seed)
@@ -539,7 +555,8 @@ def _evaluate_point(
 def _model_job(job: _ModelJob, config: SweepConfig) -> dict[str, str]:
     """Build or load each size's model and, if asked, evaluate its missing points.
 
-    Sizes run largest first.  A merge kind trains once, at its largest
+    A model is segmented once, for all of its missing points.  Sizes run
+    largest first.  A merge kind trains once, at its largest
     size, and the smaller sizes are cut from that model.  A size that
     fails to train (say, below the alphabet) fails alone, and the next
     size down trains directly.  Everything goes to disk, so the job can
@@ -579,6 +596,7 @@ def _model_job(job: _ModelJob, config: SweepConfig) -> dict[str, str]:
                 full = model
         if not job.evaluate:
             continue
+        segmented: Segmented | None = None
         for mode in config.modes:
             point_path, table_path = _point_paths(
                 out, job.language, job.kind, size, mode
@@ -588,8 +606,17 @@ def _model_job(job: _ModelJob, config: SweepConfig) -> dict[str, str]:
             try:
                 if model is None:
                     model = tokenizers.load_model(model_path)
+                if segmented is None:
+                    segmented = segment_dataset(curated(), model)
                 _evaluate_point(
-                    curated(), model, mode, config, job.language, point_path, table_path
+                    curated(),
+                    model,
+                    segmented,
+                    mode,
+                    config,
+                    job.language,
+                    point_path,
+                    table_path,
                 )
             except Exception as exc:
                 errors[_point_label(job.language, point_path)] = _failure(exc)

@@ -6,6 +6,13 @@ expectation-maximization loop then estimates P(feature | subword).  The
 table is sparse: only pairs that co-occur in some entry ever hold
 probability mass, and entries falling below a floor are dropped after
 each maximization step.
+
+Training interns the corpus once.  Each co-occurring (subword, feature)
+pair is a link, numbered in first-seen order; each pair of the corpus
+becomes one tuple of link ids per feature token, one id per subword
+position; and each subword keeps its link ids in first-seen order.  The
+probabilities and the expected counts are flat lists indexed by link
+id.  The tables that come back are dict rows, one per subword.
 """
 
 from __future__ import annotations
@@ -125,81 +132,170 @@ def pairs_from_segments(
     return pairs, excluded
 
 
+class _LinkCorpus:
+    """A parallel corpus interned into link ids.
+
+    A link is one co-occurring (source, target) token pair.  Links are
+    numbered in first-seen order: pair by pair, source position by
+    source position, target position by target position.  Tables over
+    the corpus are flat lists indexed by link id.
+    """
+
+    def __init__(self, pairs: Sequence[ParallelPair]) -> None:
+        # (source, target) tokens per link id.
+        self.links: list[tuple[str, str]] = []
+        ids: dict[str, dict[str, int]] = {}
+        # Per pair, 1 / source length and one tuple of link ids per
+        # target token, one id per source position.
+        self.pairs: list[tuple[float, list[tuple[int, ...]]]] = []
+        for pair in pairs:
+            by_source = []
+            for s in pair.source:
+                row = ids.get(s)
+                if row is None:
+                    row = ids[s] = {}
+                position = []
+                for t in pair.target:
+                    link = row.get(t)
+                    if link is None:
+                        link = row[t] = len(self.links)
+                        self.links.append((s, t))
+                    position.append(link)
+                by_source.append(position)
+            self.pairs.append((1.0 / len(pair.source), list(zip(*by_source))))
+        # Per source token, its link ids in first-seen order.
+        self.rows = {s: list(row.values()) for s, row in ids.items()}
+
+    def uniform(self) -> list[float]:
+        """Each source's probability spread evenly over its links."""
+        probs = [0.0] * len(self.links)
+        for row in self.rows.values():
+            p = 1.0 / len(row)
+            for i in row:
+                probs[i] = p
+        return probs
+
+    def live_rows(self, probs: list[float]) -> dict[str, list[int]]:
+        """Each source's links of positive probability; sources with none are left out."""
+        rows = {}
+        for s, row in self.rows.items():
+            live = [i for i in row if probs[i] > 0.0]
+            if live:
+                rows[s] = live
+        return rows
+
+    def flatten(self, probs: Probs) -> list[float]:
+        """The table's probability of every link, 0.0 where it has none."""
+        empty: dict[str, float] = {}
+        return [probs.get(s, empty).get(t, 0.0) for s, t in self.links]
+
+    def table(self, probs: list[float], rows: dict[str, list[int]]) -> Probs:
+        """Dict rows of the given links, in row order."""
+        links = self.links
+        return {s: {links[i][1]: probs[i] for i in row} for s, row in rows.items()}
+
+
 def uniform_init(pairs: Sequence[ParallelPair]) -> Probs:
     """Uniform rows over each source token's co-occurring target tokens."""
     if not pairs:
         raise DataError("cannot initialize from an empty parallel corpus")
-    cooc: dict[str, set[str]] = {}
-    order: dict[str, list[str]] = {}
-    for pair in pairs:
-        for s in pair.source:
-            seen = cooc.setdefault(s, set())
-            kept = order.setdefault(s, [])
-            for t in pair.target:
-                if t not in seen:
-                    seen.add(t)
-                    kept.append(t)
-    probs: Probs = {}
-    for s, targets in order.items():
-        p = 1.0 / len(targets)
-        probs[s] = {t: p for t in targets}
-    return probs
+    corpus = _LinkCorpus(pairs)
+    return corpus.table(corpus.uniform(), corpus.rows)
 
 
 def _expectation(
-    pairs: Sequence[ParallelPair], probs: Probs, with_loglik: bool
-) -> tuple[dict[str, dict[str, float]], float]:
-    """Expected counts, plus the corpus log likelihood under ``probs``.
+    corpus: _LinkCorpus, probs: list[float], with_loglik: bool
+) -> tuple[list[float], float]:
+    """Expected counts per link, plus the corpus log likelihood under ``probs``.
 
     Each target token's count is distributed over the source tokens of
     its pair in proportion to the current probabilities.  The
     normalizing denominators are exactly the masses :func:`corpus_loglik`
     sums, in the same order, so with ``with_loglik`` the log likelihood
-    of the incoming table comes out of the same pass, bit for bit.
+    of the incoming table comes out of the same pass, bit for bit.  Only
+    the counts of links with positive probability are meaningful; the
+    maximization step reads no other.
     """
-    counts: dict[str, dict[str, float]] = {}
+    counts = [0.0] * len(probs)
     loglik = 0.0
-    empty: dict[str, float] = {}
-    for pair in pairs:
-        rows = [(s, probs.get(s, empty)) for s in pair.source]
-        inv_len = 1.0 / len(rows)
-        for t in pair.target:
+    for inv_len, columns in corpus.pairs:
+        for column in columns:
             denom = 0.0
-            for _, row in rows:
-                denom += row.get(t, 0.0)
+            for i in column:
+                denom += probs[i]
             if denom <= 0.0:
                 raise NumericalError(
-                    f"no source token explains target {t!r}; "
+                    f"no source token explains target {corpus.links[column[0]][1]!r}; "
                     "the table has degenerated"
                 )
             if with_loglik:
                 loglik += math.log(inv_len * denom)
-            for s, row in rows:
-                p = row.get(t, 0.0)
-                if p > 0.0:
-                    count_row = counts.get(s)
-                    if count_row is None:
-                        count_row = counts[s] = {}
-                    count_row[t] = count_row.get(t, 0.0) + p / denom
+            for i in column:
+                counts[i] += probs[i] / denom
     return counts, loglik
 
 
-def _maximization(counts: dict[str, dict[str, float]]) -> Probs:
-    """Renormalize counts per source token, dropping sub-floor entries."""
-    new_probs: Probs = {}
-    for s, row in counts.items():
-        total = sum(row.values())
+def _maximization(
+    corpus: _LinkCorpus,
+    probs: list[float],
+    rows: dict[str, list[int]],
+    counts: list[float],
+) -> tuple[list[float], dict[str, list[int]]]:
+    """Renormalize counts per source token, dropping sub-floor entries.
+
+    ``rows`` are the live rows of ``probs`` (see ``_LinkCorpus.live_rows``), and
+    the live rows of the new table come back with it.  A row sums its
+    counts in first-seen order, which is the order the E-step first
+    adds to them.  Dropped links keep probability 0.0.
+    """
+    new_probs = [0.0] * len(probs)
+    new_rows: dict[str, list[int]] = {}
+    failures: dict[str, str] = {}
+    for s, row in rows.items():
+        total = sum([counts[i] for i in row])
         if total <= 0.0:
-            raise NumericalError(f"source token {s!r} collected no counts")
-        new_row = {}
-        for t, c in row.items():
-            p = c / total
+            failures[s] = f"source token {s!r} collected no counts"
+            continue
+        kept = []
+        for i in row:
+            p = counts[i] / total
             if p >= PROB_FLOOR:
-                new_row[t] = p
-        if not new_row:
-            raise NumericalError(f"source token {s!r} lost all probability mass")
-        new_probs[s] = new_row
-    return new_probs
+                new_probs[i] = p
+                kept.append(i)
+        if kept:
+            new_rows[s] = kept
+        else:
+            failures[s] = f"source token {s!r} lost all probability mass"
+    if failures:
+        # Name the row the E-step counted for first.  It visits pair by
+        # pair, then target by target, which is not first-seen order.
+        links = corpus.links
+        first = next(
+            links[i][0]
+            for _, columns in corpus.pairs
+            for column in columns
+            for i in column
+            if links[i][0] in failures and probs[i] > 0.0
+        )
+        raise NumericalError(failures[first])
+    return new_probs, new_rows
+
+
+def _loglik(corpus: _LinkCorpus, probs: list[float]) -> float:
+    """:func:`corpus_loglik` over a link corpus."""
+    total = 0.0
+    for inv_len, columns in corpus.pairs:
+        for column in columns:
+            mass = 0.0
+            for i in column:
+                mass += probs[i]
+            if mass <= 0.0:
+                raise NumericalError(
+                    f"target {corpus.links[column[0]][1]!r} has zero probability "
+                    "under the table"
+                )
+            total += math.log(inv_len * mass)
+    return total
 
 
 def em_epoch(
@@ -213,26 +309,17 @@ def em_epoch(
     entries below the probability floor.  The returned log likelihood
     is computed under the updated table.
     """
-    counts, _ = _expectation(pairs, probs, with_loglik=False)
-    new_probs = _maximization(counts)
-    return new_probs, corpus_loglik(pairs, new_probs)
+    corpus = _LinkCorpus(pairs)
+    flat = corpus.flatten(probs)
+    counts, _ = _expectation(corpus, flat, with_loglik=False)
+    new_probs, rows = _maximization(corpus, flat, corpus.live_rows(flat), counts)
+    return corpus.table(new_probs, rows), _loglik(corpus, new_probs)
 
 
 def corpus_loglik(pairs: Sequence[ParallelPair], probs: Probs) -> float:
     """Sum over target tokens of log of their mean source probability."""
-    total = 0.0
-    for pair in pairs:
-        inv_len = 1.0 / len(pair.source)
-        for t in pair.target:
-            mass = 0.0
-            for s in pair.source:
-                mass += probs.get(s, {}).get(t, 0.0)
-            if mass <= 0.0:
-                raise NumericalError(
-                    f"target {t!r} has zero probability under the table"
-                )
-            total += math.log(inv_len * mass)
-    return total
+    corpus = _LinkCorpus(pairs)
+    return _loglik(corpus, corpus.flatten(probs))
 
 
 def train_ibm1(
@@ -240,29 +327,33 @@ def train_ibm1(
 ) -> TranslationTable:
     """Run uniform initialization followed by ``epochs`` EM steps.
 
-    The result equals a chain of :func:`em_epoch` calls, but each
-    epoch's log likelihood is folded into the next epoch's expectation
-    pass, and only the last one takes a pass of its own: ``epochs + 1``
-    passes over the pairs instead of ``2 * epochs``.
+    The pairs are interned into link ids once (see ``_LinkCorpus``): each
+    pair becomes one tuple of link ids per target token, one id per
+    source position.  The probabilities and the expected counts are flat
+    lists indexed by link id, and the table comes back as dict rows.  The
+    result equals a chain of :func:`em_epoch` calls, but each epoch's log
+    likelihood is folded into the next epoch's expectation pass, and only
+    the last one takes a pass of its own: ``epochs + 1`` passes over the
+    pairs instead of ``2 * epochs``.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be at least 1, got {epochs}")
     if not pairs:
         raise DataError("cannot train on an empty parallel corpus")
-    probs = uniform_init(pairs)
+    corpus = _LinkCorpus(pairs)
+    probs = corpus.uniform()
+    rows = corpus.rows
     trajectory: list[float] = []
     for epoch in range(epochs):
-        counts, loglik = _expectation(pairs, probs, with_loglik=epoch > 0)
+        counts, loglik = _expectation(corpus, probs, with_loglik=epoch > 0)
         if epoch > 0:
             trajectory.append(loglik)
-        probs = _maximization(counts)
-    trajectory.append(corpus_loglik(pairs, probs))
-    source_vocab = sorted({s for pair in pairs for s in pair.source})
-    target_vocab = sorted({t for pair in pairs for t in pair.target})
+        probs, rows = _maximization(corpus, probs, rows, counts)
+    trajectory.append(_loglik(corpus, probs))
     return TranslationTable(
-        probs=probs,
-        source_vocab=source_vocab,
-        target_vocab=target_vocab,
+        probs=corpus.table(probs, rows),
+        source_vocab=sorted(corpus.rows),
+        target_vocab=sorted({t for _, t in corpus.links}),
         epochs_trained=epochs,
         loglik_trajectory=trajectory,
     )

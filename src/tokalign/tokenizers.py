@@ -87,6 +87,12 @@ class TrainConfig:
             raise ConfigError("unigram_seed_vocab_factor must be at least 1")
         if not 0.0 < self.unigram_prune_fraction < 1.0:
             raise ConfigError("unigram_prune_fraction must be in (0, 1)")
+        if 1.0 - self.unigram_prune_fraction == 1.0:
+            # A pruning round would keep every token, and training never ends.
+            raise ConfigError(
+                f"unigram_prune_fraction {self.unigram_prune_fraction!r} is too "
+                "small: 1 - fraction rounds to 1"
+            )
 
 
 @dataclass

@@ -12,9 +12,11 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from tokalign.errors import NumericalError
+from tokalign.errors import DataError, NumericalError
+from tokalign.ibm1 import PROB_FLOOR as IBM1_PROB_FLOOR
+from tokalign.ibm1 import ParallelPair
 from tokalign.tokenizers import (
     PROB_FLOOR,
     TokenizerKind,
@@ -369,3 +371,125 @@ def unigram_reference(corpus: Mapping[str, int], config: TrainConfig) -> Tokeniz
         seed=config.seed,
         token_logprob=logprob,
     )
+
+
+# Reference IBM-1 EM over dict-of-dict tables.  ibm1 trains over interned
+# link ids and flat lists instead and must give the same floats, bit for
+# bit, and the same errors.  The bodies below are the package's dict code
+# as it stood before the link layout replaced it.
+
+Probs = dict[str, dict[str, float]]
+
+
+def uniform_init_reference(pairs: Sequence[ParallelPair]) -> Probs:
+    """Uniform rows over each source token's co-occurring target tokens."""
+    if not pairs:
+        raise DataError("cannot initialize from an empty parallel corpus")
+    cooc: dict[str, set[str]] = {}
+    order: dict[str, list[str]] = {}
+    for pair in pairs:
+        for s in pair.source:
+            seen = cooc.setdefault(s, set())
+            kept = order.setdefault(s, [])
+            for t in pair.target:
+                if t not in seen:
+                    seen.add(t)
+                    kept.append(t)
+    probs: Probs = {}
+    for s, targets in order.items():
+        p = 1.0 / len(targets)
+        probs[s] = {t: p for t in targets}
+    return probs
+
+
+def _expectation(
+    pairs: Sequence[ParallelPair], probs: Probs, with_loglik: bool
+) -> tuple[dict[str, dict[str, float]], float]:
+    """Expected counts, plus the corpus log likelihood under ``probs``."""
+    counts: dict[str, dict[str, float]] = {}
+    loglik = 0.0
+    empty: dict[str, float] = {}
+    for pair in pairs:
+        rows = [(s, probs.get(s, empty)) for s in pair.source]
+        inv_len = 1.0 / len(rows)
+        for t in pair.target:
+            denom = 0.0
+            for _, row in rows:
+                denom += row.get(t, 0.0)
+            if denom <= 0.0:
+                raise NumericalError(
+                    f"no source token explains target {t!r}; "
+                    "the table has degenerated"
+                )
+            if with_loglik:
+                loglik += math.log(inv_len * denom)
+            for s, row in rows:
+                p = row.get(t, 0.0)
+                if p > 0.0:
+                    count_row = counts.get(s)
+                    if count_row is None:
+                        count_row = counts[s] = {}
+                    count_row[t] = count_row.get(t, 0.0) + p / denom
+    return counts, loglik
+
+
+def _maximization(counts: dict[str, dict[str, float]]) -> Probs:
+    """Renormalize counts per source token, dropping sub-floor entries."""
+    new_probs: Probs = {}
+    for s, row in counts.items():
+        total = sum(row.values())
+        if total <= 0.0:
+            raise NumericalError(f"source token {s!r} collected no counts")
+        new_row = {}
+        for t, c in row.items():
+            p = c / total
+            if p >= IBM1_PROB_FLOOR:
+                new_row[t] = p
+        if not new_row:
+            raise NumericalError(f"source token {s!r} lost all probability mass")
+        new_probs[s] = new_row
+    return new_probs
+
+
+def em_epoch_reference(
+    pairs: Sequence[ParallelPair], probs: Probs
+) -> tuple[Probs, float]:
+    """One expectation-maximization step; the log likelihood is the new table's."""
+    counts, _ = _expectation(pairs, probs, with_loglik=False)
+    new_probs = _maximization(counts)
+    return new_probs, corpus_loglik_reference(pairs, new_probs)
+
+
+def corpus_loglik_reference(pairs: Sequence[ParallelPair], probs: Probs) -> float:
+    """Sum over target tokens of log of their mean source probability."""
+    total = 0.0
+    for pair in pairs:
+        inv_len = 1.0 / len(pair.source)
+        for t in pair.target:
+            mass = 0.0
+            for s in pair.source:
+                mass += probs.get(s, {}).get(t, 0.0)
+            if mass <= 0.0:
+                raise NumericalError(
+                    f"target {t!r} has zero probability under the table"
+                )
+            total += math.log(inv_len * mass)
+    return total
+
+
+def train_ibm1_reference(
+    pairs: Sequence[ParallelPair], epochs: int
+) -> tuple[Probs, list[float]]:
+    """Uniform initialization, then ``epochs`` folded EM steps.
+
+    Returns the table's probabilities and its log likelihood trajectory.
+    """
+    probs = uniform_init_reference(pairs)
+    trajectory: list[float] = []
+    for epoch in range(epochs):
+        counts, loglik = _expectation(pairs, probs, with_loglik=epoch > 0)
+        if epoch > 0:
+            trajectory.append(loglik)
+        probs = _maximization(counts)
+    trajectory.append(corpus_loglik_reference(pairs, probs))
+    return probs, trajectory

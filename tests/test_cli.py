@@ -373,6 +373,22 @@ class TestEvaluate:
         )
         assert code == 1
 
+    def test_epochs_below_one_exits_1_before_reading_inputs(self, tmp_path, capsys):
+        out = tmp_path / "scores.csv"
+        code = cli.main(
+            [
+                "evaluate",
+                # Neither input exists: the epochs check comes first.
+                "--curated", str(tmp_path / "missing.tsv"),
+                "--model", str(tmp_path / "missing.json"),
+                "--epochs", "0",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert "epochs must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _sweep_setup(tmp_path, vocab_sizes=(60, 80)):
     lang_dir = tmp_path / "lang"
@@ -523,6 +539,24 @@ class TestSweep:
         (out / "toy" / "points" / "wordpiece-60-split.csv").unlink()
         assert cli.main(argv) == 0
         assert _tree(out) == serial
+
+    def test_each_model_is_segmented_once_for_all_its_modes(self, tmp_path, monkeypatch):
+        config_path = _sweep_setup(tmp_path)
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
+        doc["modes"] = ["joint", "split"]
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        segment = cli.segment_dataset
+        segmented = []
+
+        def counting(dataset, model):
+            segmented.append((model.kind.value, model.vocab_size))
+            return segment(dataset, model)
+
+        monkeypatch.setattr(cli, "segment_dataset", counting)
+        assert cli.main(["sweep", "--config", str(config_path)]) == 0
+        # bpe and wordpiece at two sizes, plus the two baselines.
+        assert len(segmented) == len(set(segmented)) == 6
+        assert len(list((tmp_path / "out" / "toy" / "points").iterdir())) == 12
 
     def test_merge_kind_points_are_jobs_of_their_own(self, tmp_path, monkeypatch):
         config_path = _sweep_setup(tmp_path)

@@ -7,8 +7,13 @@ import random
 import pytest
 
 from conftest import random_parallel_pairs
-from oracles import em_reference
-from tokalign.corpus import FeatureMode
+from oracles import em_epoch_reference, em_reference, train_ibm1_reference
+from tokalign.corpus import (
+    FeatureMode,
+    curate,
+    parse_feature_lexicon,
+    parse_segmentation_lexicon,
+)
 from tokalign.errors import ConfigError, DataError, NumericalError
 from tokalign.ibm1 import (
     NULL_TOKEN,
@@ -24,7 +29,16 @@ from tokalign.ibm1 import (
     train_ibm1,
     uniform_init,
 )
-from tokalign.tokenizers import TokenizerKind, TokenizerModel, build_gold_lookup
+from tokalign.synth import SynthConfig, build_language
+from tokalign.tokenizers import (
+    TokenizerKind,
+    TokenizerModel,
+    TrainConfig,
+    build_gold_lookup,
+    train,
+    train_character,
+    word_frequencies,
+)
 
 
 class TestFixedPoints:
@@ -82,6 +96,56 @@ class TestOracleAgreement:
             rng = random.Random(8000 + trial)
             pairs = random_parallel_pairs(rng)
             self._assert_matches_reference(pairs, rng.choice((1, 3, 7)))
+
+
+class TestDictReference:
+    def test_every_kind_and_mode_trains_the_dict_reference_table(self):
+        # Real segmentations of every kind, against the dict-of-dict EM
+        # that the link layout replaced.  Folded training and an epoch
+        # chain both run the link code, so comparing them cannot catch a
+        # defect they share.
+        language = build_language(
+            SynthConfig(noun_stems=20, verb_stems=20, sentences=200, words_per_sentence=6)
+        )
+        features, _ = parse_feature_lexicon(
+            f"{stem}\t{form}\t{';'.join(bundle)}"
+            for form, stem, _suffix, bundle in language.lexicon
+        )
+        segmentations, _ = parse_segmentation_lexicon(
+            f"{form}\t{stem}|{suffix}" for form, stem, suffix, _bundle in language.lexicon
+        )
+        dataset, _ = curate(segmentations, features, language="syn")
+        freqs = dict(word_frequencies(language.sentences))
+        models = [
+            train(freqs, TrainConfig(kind=kind, vocab_size=60))
+            for kind in (TokenizerKind.BPE, TokenizerKind.WORDPIECE, TokenizerKind.UNIGRAM)
+        ]
+        models += [train_character(freqs), build_gold_lookup(dataset)]
+        assert {m.kind for m in models} == set(TokenizerKind)
+        for model in models:
+            for mode in FeatureMode:
+                pairs, _ = build_parallel_corpus(dataset, model, mode)
+                table = train_ibm1(pairs, epochs=10)
+                probs, trajectory = train_ibm1_reference(pairs, 10)
+                want = TranslationTable(
+                    probs=probs,
+                    source_vocab=sorted({s for p in pairs for s in p.source}),
+                    target_vocab=sorted({t for p in pairs for t in p.target}),
+                    epochs_trained=10,
+                    loglik_trajectory=trajectory,
+                )
+                assert table_to_json(table) == table_to_json(want), (model.kind, mode)
+
+    def test_of_several_failing_rows_the_first_counted_is_named(self):
+        # Each count of "a" and "b" underflows to zero.  The E-step counts
+        # "b" first, at target X, though "a" comes first in the pair.
+        pairs = [ParallelPair(("a", "b", "c", "c", "c", "c", "c"), ("X", "Y"))]
+        probs = {"a": {"Y": 5e-324}, "b": {"X": 5e-324}, "c": {"X": 0.5, "Y": 0.5}}
+        with pytest.raises(NumericalError) as want:
+            em_epoch_reference(pairs, probs)
+        with pytest.raises(NumericalError) as got:
+            em_epoch(pairs, probs)
+        assert str(got.value) == str(want.value) == "source token 'b' collected no counts"
 
 
 class TestInvariants:

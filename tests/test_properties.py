@@ -2,7 +2,10 @@
 
 The grid scorer must give every (aggregation, threshold) value bit for
 bit what scoring that configuration alone gives, and folded EM training
-must give bit for bit what a chain of single epochs gives.  The unigram
+must give bit for bit what a chain of single epochs gives.  EM over
+interned link ids must give bit for bit the floats and errors of the
+dict-of-dict EM it replaced, and a permutation of the pairs may change a
+trained table only by the rounding of reordered sums.  The unigram
 trainer's span lattice must give byte for byte the model of one Viterbi
 call per word.  Every tokenizer kind must segment a training word into
 subwords that concatenate back to the word.  A chain of EM epochs keeps
@@ -16,8 +19,11 @@ from hypothesis import strategies as st
 
 from oracles import (
     alignment_reference,
+    corpus_loglik_reference,
+    em_epoch_reference,
     em_reference,
     spearman_reference,
+    train_ibm1_reference,
     unigram_reference,
 )
 from tokalign.corpus import CuratedDataset, WordEntry
@@ -163,6 +169,96 @@ def test_epoch_chain_keeps_rows_normalized_and_never_loses_likelihood(pairs, epo
         # floor may, by far less than this relative tolerance.
         assert loglik >= previous - 1e-9 * max(1.0, abs(previous))
         previous = loglik
+
+
+def _bits(value):
+    """Floats as their repr, so that equal means equal to the bit."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(item) for item in value]
+    return value
+
+
+def _em_outcome(fn, *args):
+    try:
+        return _bits(fn(*args))
+    # A mass that underflows raises ValueError from math.log, on both routes.
+    except (TokalignError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def em_cases(draw):
+    # Three subwords and three features, so that pairs often repeat one;
+    # the null token joins some source sides or every one of them.
+    sources = st.sampled_from(SUBWORDS[:3] + (NULL_TOKEN,))
+    include_null = draw(st.booleans())
+    pairs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        source = tuple(draw(st.lists(sources, min_size=1, max_size=5)))
+        if include_null:
+            source += (NULL_TOKEN,)
+        target = tuple(draw(st.lists(st.sampled_from(FEATURES[:3]), min_size=1, max_size=4)))
+        pairs.append(ParallelPair(source, target))
+    # A table for one epoch or a log likelihood: rows and entries go
+    # missing, a row and an entry come from outside the pairs, and
+    # subnormal probabilities make expected counts underflow to zero.
+    present = st.sampled_from((True, True, True, False))
+    values = st.one_of(probabilities, st.sampled_from((5e-324, 2.5e-323)))
+    table = {}
+    for s in sorted({s for pair in pairs for s in pair.source}) + [SUBWORDS[3]]:
+        if draw(present):
+            table[s] = {t: draw(values) for t in FEATURES[:4] if draw(present)}
+    return pairs, table, draw(st.integers(min_value=1, max_value=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(em_cases())
+def test_link_em_equals_the_dict_reference_bit_for_bit(case):
+    pairs, table, epochs = case
+    trained = train_ibm1(pairs, epochs=epochs)
+    assert _bits((trained.probs, trained.loglik_trajectory)) == _em_outcome(
+        train_ibm1_reference, pairs, epochs
+    )
+    for probs in (table, trained.probs, uniform_init(pairs)):
+        assert _em_outcome(em_epoch, pairs, probs) == _em_outcome(
+            em_epoch_reference, pairs, probs
+        )
+        assert _em_outcome(corpus_loglik, pairs, probs) == _em_outcome(
+            corpus_loglik_reference, pairs, probs
+        )
+
+
+# Reordering the pairs reorders every sum of expected counts.  Over
+# 20,000 random corpora of this shape the largest change seen was 4.4e-16
+# in a probability and 8.3e-16, relative, in a log likelihood; 1e-12 on
+# both leaves that rounding three orders of magnitude and still fails a
+# real dependence on pair order.
+PERMUTATION_TOLERANCE = 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    parallel_pairs.flatmap(lambda pairs: st.tuples(st.just(pairs), st.permutations(pairs))),
+    st.integers(min_value=1, max_value=8),
+)
+def test_pair_order_changes_training_only_by_reassociation(case, epochs):
+    pairs, permuted = case
+    first = train_ibm1(pairs, epochs=epochs)
+    second = train_ibm1(permuted, epochs=epochs)
+    assert second.source_vocab == first.source_vocab
+    assert second.target_vocab == first.target_vocab
+    assert second.loglik_trajectory == pytest.approx(
+        first.loglik_trajectory, rel=PERMUTATION_TOLERANCE
+    )
+    for s in first.source_vocab:
+        for t in first.target_vocab:
+            assert second.lookup(s, t) == pytest.approx(
+                first.lookup(s, t), abs=PERMUTATION_TOLERANCE
+            )
 
 
 # Few distinct values, so most drawn series hold ties.

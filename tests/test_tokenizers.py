@@ -310,6 +310,19 @@ class TestValidation:
                 kind=TokenizerKind.UNIGRAM, vocab_size=5, unigram_prune_fraction=1.0
             )
 
+    def test_prune_fraction_that_would_prune_nothing_is_rejected(self):
+        # 1 - 1e-17 rounds to 1, so a round would keep every token.
+        with pytest.raises(ConfigError, match="rounds to 1"):
+            TrainConfig(
+                kind=TokenizerKind.UNIGRAM, vocab_size=5, unigram_prune_fraction=1e-17
+            )
+        # 1 - 1e-16 does not, and each round then prunes at least one token.
+        config = TrainConfig(
+            kind=TokenizerKind.UNIGRAM, vocab_size=5, unigram_prune_fraction=1e-16
+        )
+        model = train_unigram({"abcab": 3, "cabd": 2}, config)
+        assert len(model.vocab) == 5
+
     def test_empty_corpus_is_rejected(self):
         with pytest.raises(DataError):
             train_bpe({}, _config(TokenizerKind.BPE, 4))
