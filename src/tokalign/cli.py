@@ -759,14 +759,17 @@ def _sweep(config: SweepConfig, jobs: int, failures: list[tuple[str, str]]) -> l
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.output_dir == "":
+        raise ConfigError("--output-dir must be a non-empty path")
     config = load_sweep_config(Path(args.config))
-    if args.output_dir:
+    if args.output_dir is not None:
         config.output_dir = Path(args.output_dir)
-    jobs = max(1, args.jobs)
     out = config.output_dir
     failures: list[tuple[str, str]] = []
     all_rows: list[ScoreRow] = []
-    for point_path in _sweep(config, jobs, failures):
+    for point_path in _sweep(config, args.jobs, failures):
         all_rows.extend(metrics.read_score_rows(_read_lines(point_path)))
     buffer = io.StringIO()
     metrics.write_score_rows(all_rows, buffer, seed=config.seed)
@@ -849,9 +852,9 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="sweep config JSON")
     p.add_argument("--output-dir", default=None, help="override the config output_dir")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes; a job builds and evaluates one "
-                        "model, or trains every size of one merge kind "
-                        "(1 runs every job in this process)")
+                   help="worker processes, at least 1; a job builds and "
+                        "evaluates one model, or trains every size of one "
+                        "merge kind (1 runs every job in this process)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="build a correlation report from score rows")

@@ -294,7 +294,13 @@ def _loglik(corpus: _LinkCorpus, probs: list[float]) -> float:
                     f"target {corpus.links[column[0]][1]!r} has zero probability "
                     "under the table"
                 )
-            total += math.log(inv_len * mass)
+            mean = inv_len * mass
+            if mean == 0.0:
+                raise NumericalError(
+                    f"target {corpus.links[column[0]][1]!r} has a mean probability "
+                    "that underflows to zero"
+                )
+            total += math.log(mean)
     return total
 
 

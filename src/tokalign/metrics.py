@@ -6,6 +6,15 @@ to the surviving translation probabilities: for each subword, the
 probabilities of the word's feature tokens that exceed the threshold.
 Boundary precision and recall compare predicted and gold segmentation
 split points per word and are micro-averaged over the dataset.
+
+:func:`alignment_scores` scores every aggregation × threshold in one
+walk.  A subword's scores form a vector that depends only on the
+subword and the word's feature tuple, so each distinct such key is
+scored once per call, and the vectors of keys that occur more than once
+are kept for their later occurrences.  Words and totals add vectors with
+``map`` over ``operator.add`` instead of a Python loop per slot.  The
+floats are bit for bit those of adding each slot in turn, because no
+score or sum is ever -0.0 (see :func:`alignment_scores`).
 """
 
 from __future__ import annotations
@@ -14,6 +23,8 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from operator import add, truediv
 from typing import Iterable, Sequence, TextIO
 
 from .corpus import CuratedDataset, FeatureMode
@@ -82,46 +93,45 @@ _AGGREGATE = {
 }
 
 
-def _add_subword_scores(
-    sums: list[float],
+# A subword and the feature tokens of its word.
+_Key = tuple[str, tuple[str, ...]]
+
+
+def _score_vector(
     row: dict[str, float],
     features: Sequence[str],
     levels: Sequence[float],
     aggregates: Sequence,
-) -> None:
-    """Add one subword's score under every (level, aggregation) to sums.
+) -> tuple[float, ...]:
+    """One subword's score under every (level, aggregation).
 
-    ``levels`` are distinct thresholds in ascending order; ``sums`` is
-    laid out level-major, one slot per aggregate.  The probabilities are
-    looked up once.  Each level's survivors are filtered from the
+    ``levels`` are distinct thresholds in ascending order, and the vector
+    is laid out level-major, one slot per aggregate.  The probabilities
+    are looked up once.  Each level's survivors are filtered from the
     previous level's, which keeps them in feature order, and they are
-    aggregated again only when a level drops one of them.  An empty
-    survivor list scores 0.0 under every aggregation, and no sum here is
-    ever -0.0, so adding that 0.0 is skipped without changing a bit.
+    aggregated again only when a level drops one of them; the levels in
+    between reference the same float objects.  An empty survivor list
+    scores 0.0 under every aggregation, so the vector is cut after the
+    last level that has survivors and is empty when none has.
     """
     level = levels[0]
-    surviving = []
-    for feature in features:
-        p = row.get(feature, 0.0)
-        if p > level:
-            surviving.append(p)
-    slot = 0
+    surviving = [p for p in map(row.get, features, repeat(0.0)) if p > level]
+    vector: list[float] = []
     k = 1
     while surviving:
         values = [aggregate(surviving) for aggregate in aggregates]
         lowest = min(surviving)
         # Levels below the lowest survivor keep the same survivors.
         while True:
-            for value in values:
-                sums[slot] += value
-                slot += 1
+            vector += values
             if k == len(levels):
-                return
+                return tuple(vector)
             level = levels[k]
             k += 1
             if level >= lowest:
                 break
         surviving = [p for p in surviving if p > level]
+    return tuple(vector)
 
 
 def alignment_scores(
@@ -138,6 +148,16 @@ def alignment_scores(
     bit.  Thresholds may repeat or come in any order.  The null token
     never enters scoring; it exists only to absorb probability mass
     during training.
+
+    A subword's score vector depends only on its key, the subword and
+    the pair's feature tuple, so each distinct key is scored once per
+    call.  A first pass finds the keys that repeat, and only their
+    vectors are kept.  A word adds its vectors slot by slot with
+    ``map``, in subword order, and the totals add each word's slots
+    divided by its subword count.  The floats equal those of adding
+    every slot into a zeroed vector: a missing or cut slot would add
+    0.0, copying a vector equals adding it to 0.0, and ``x / 1 == x``.
+    Those identities hold because no score or sum here is ever -0.0.
     """
     if not pairs:
         raise DataError("no scorable entries")
@@ -149,20 +169,52 @@ def alignment_scores(
     size = len(levels) * len(kinds)
     if not size:
         return {}
+    # Every occurrence of a key shares the tuple of its first occurrence,
+    # so the word lists hold no tuple of their own.
+    words = []
+    first: dict[_Key, _Key] = {}
+    repeated = set()
+    for pair in pairs:
+        target = pair.target
+        keys = [(s, target) for s in pair.source if s != NULL_TOKEN]
+        if not keys:
+            raise DataError("word with no subwords")
+        for i, key in enumerate(keys):
+            known = first.setdefault(key, key)
+            if known is not key:
+                repeated.add(known)
+                keys[i] = known
+        words.append(keys)
     totals = [0.0] * size
     probs = table.probs
-    for pair in pairs:
-        subwords = [s for s in pair.source if s != NULL_TOKEN]
-        if not subwords:
-            raise DataError("word with no subwords")
-        word = [0.0] * size
-        for subword in subwords:
-            row = probs.get(subword)
-            if row is not None:
-                _add_subword_scores(word, row, pair.target, levels, aggregates)
-        n = len(subwords)
-        for i in range(size):
-            totals[i] += word[i] / n
+    vectors: dict[_Key, tuple[float, ...]] = {}
+    for keys in words:
+        word = None
+        for key in keys:
+            vector = vectors.get(key)
+            if vector is None:
+                row = probs.get(key[0])
+                if row is None:
+                    continue
+                vector = _score_vector(row, key[1], levels, aggregates)
+                if key in repeated:
+                    vectors[key] = vector
+            if not vector:
+                continue
+            if word is None:
+                word = list(vector)
+            else:
+                filled = len(word)
+                word[: len(vector)] = map(add, word, vector)
+                if len(vector) > filled:
+                    word += vector[filled:]
+        if word is None:
+            continue
+        n = len(keys)
+        if n == 1:
+            totals[: len(word)] = map(add, totals, word)
+        else:
+            totals[: len(word)] = map(add, totals, map(truediv, word, repeat(n)))
     slot = {
         (kind, level): i * len(kinds) + j
         for i, level in enumerate(levels)
@@ -189,13 +241,13 @@ def subword_score(
     set scores 0.0 under every aggregation, including the log
     aggregation.
     """
-    sums = [0.0]
     row = table.probs.get(subword)
-    if row is not None:
-        _add_subword_scores(
-            sums, row, features, [config.threshold], [_AGGREGATE[config.aggregation]]
-        )
-    return sums[0]
+    if row is None:
+        return 0.0
+    vector = _score_vector(
+        row, features, [config.threshold], [_AGGREGATE[config.aggregation]]
+    )
+    return vector[0] if vector else 0.0
 
 
 def word_score(

@@ -15,8 +15,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from tokalign.errors import DataError, NumericalError
+from tokalign.ibm1 import NULL_TOKEN, ParallelPair, TranslationTable
 from tokalign.ibm1 import PROB_FLOOR as IBM1_PROB_FLOOR
-from tokalign.ibm1 import ParallelPair
+from tokalign.metrics import _AGGREGATE, Aggregation, check_threshold
 from tokalign.tokenizers import (
     PROB_FLOOR,
     TokenizerKind,
@@ -105,6 +106,103 @@ def alignment_reference(
                 raise ValueError(aggregation)
         word_scores.append(sum(subword_values) / len(subword_values))
     return sum(word_scores) / len(word_scores)
+
+
+# The grid scorer before score vectors were memoized: one Python loop
+# per slot and per occurrence.  It pins the floats of the memoized
+# scorer bit for bit, since the one-configuration route runs the same
+# code as the grid and cannot catch a defect the two share.
+def _add_subword_scores(
+    sums: list[float],
+    row: dict[str, float],
+    features: Sequence[str],
+    levels: Sequence[float],
+    aggregates: Sequence,
+) -> None:
+    """Add one subword's score under every (level, aggregation) to sums.
+
+    ``levels`` are distinct thresholds in ascending order; ``sums`` is
+    laid out level-major, one slot per aggregate.  The probabilities are
+    looked up once.  Each level's survivors are filtered from the
+    previous level's, which keeps them in feature order, and they are
+    aggregated again only when a level drops one of them.  An empty
+    survivor list scores 0.0 under every aggregation, and no sum here is
+    ever -0.0, so adding that 0.0 is skipped without changing a bit.
+    """
+    level = levels[0]
+    surviving = []
+    for feature in features:
+        p = row.get(feature, 0.0)
+        if p > level:
+            surviving.append(p)
+    slot = 0
+    k = 1
+    while surviving:
+        values = [aggregate(surviving) for aggregate in aggregates]
+        lowest = min(surviving)
+        # Levels below the lowest survivor keep the same survivors.
+        while True:
+            for value in values:
+                sums[slot] += value
+                slot += 1
+            if k == len(levels):
+                return
+            level = levels[k]
+            k += 1
+            if level >= lowest:
+                break
+        surviving = [p for p in surviving if p > level]
+
+
+def alignment_scores_reference(
+    table: TranslationTable,
+    pairs: Sequence[ParallelPair],
+    aggregations: Sequence[Aggregation],
+    thresholds: Sequence[float],
+) -> dict[tuple[Aggregation, float], float]:
+    """Mean word score over prepared pairs for every aggregation × threshold.
+
+    The score of a word is the mean of its subword scores.  One pass
+    over the pairs scores the whole grid; each value equals
+    :func:`alignment_score_from_pairs` under that configuration, bit for
+    bit.  Thresholds may repeat or come in any order.  The null token
+    never enters scoring; it exists only to absorb probability mass
+    during training.
+    """
+    if not pairs:
+        raise DataError("no scorable entries")
+    for threshold in thresholds:
+        check_threshold(threshold)
+    levels = sorted(set(thresholds))
+    kinds = list(dict.fromkeys(aggregations))
+    aggregates = [_AGGREGATE[kind] for kind in kinds]
+    size = len(levels) * len(kinds)
+    if not size:
+        return {}
+    totals = [0.0] * size
+    probs = table.probs
+    for pair in pairs:
+        subwords = [s for s in pair.source if s != NULL_TOKEN]
+        if not subwords:
+            raise DataError("word with no subwords")
+        word = [0.0] * size
+        for subword in subwords:
+            row = probs.get(subword)
+            if row is not None:
+                _add_subword_scores(word, row, pair.target, levels, aggregates)
+        n = len(subwords)
+        for i in range(size):
+            totals[i] += word[i] / n
+    slot = {
+        (kind, level): i * len(kinds) + j
+        for i, level in enumerate(levels)
+        for j, kind in enumerate(kinds)
+    }
+    return {
+        (kind, threshold): totals[slot[kind, threshold]] / len(pairs)
+        for kind in aggregations
+        for threshold in thresholds
+    }
 
 
 def bpe_best_pair(

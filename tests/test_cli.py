@@ -848,6 +848,26 @@ class TestSweep:
         assert "non-empty path" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_1_before_reading_the_config(
+        self, tmp_path, capsys, jobs
+    ):
+        # The config does not exist: the flag check comes first.
+        code = cli.main(["sweep", "--config", str(tmp_path / "nope.json"), "--jobs", jobs])
+        assert code == 1
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_output_dir_flag_exits_1_before_reading_the_config(
+        self, tmp_path, capsys
+    ):
+        code = cli.main(
+            ["sweep", "--config", str(tmp_path / "nope.json"), "--output-dir", ""]
+        )
+        assert code == 1
+        assert "--output-dir must be a non-empty path" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_config_exits_1(self, tmp_path, capsys):
         code = cli.main(["sweep", "--config", str(tmp_path / "nope.json")])
         assert code == 1

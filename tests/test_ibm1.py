@@ -262,6 +262,12 @@ class TestValidation:
         with pytest.raises(NumericalError):
             corpus_loglik(pairs, {"s": {"u": 1.0}})
 
+    def test_underflowing_mean_probability_raises_numerical_error(self):
+        # 5e-324 / 2 rounds to 0.0, and log(0.0) is a domain error.
+        pairs = [ParallelPair(("a", "b"), ("X",))]
+        with pytest.raises(NumericalError, match="underflows"):
+            corpus_loglik(pairs, {"a": {"X": 5e-324}})
+
     def test_final_loglik_requires_a_trajectory(self):
         table = TranslationTable(
             probs={}, source_vocab=[], target_vocab=[], epochs_trained=0

@@ -5,8 +5,17 @@ import math
 
 import pytest
 
-from oracles import AGGREGATIONS, alignment_reference
-from tokalign.corpus import CuratedDataset, FeatureMode, WordEntry, feature_tokens
+from oracles import AGGREGATIONS, alignment_reference, alignment_scores_reference
+from tokalign import metrics
+from tokalign.corpus import (
+    CuratedDataset,
+    FeatureMode,
+    WordEntry,
+    curate,
+    feature_tokens,
+    parse_feature_lexicon,
+    parse_segmentation_lexicon,
+)
 from tokalign.errors import ConfigError, DataError
 from tokalign.metrics import (
     Aggregation,
@@ -16,6 +25,7 @@ from tokalign.metrics import (
     ScoreRow,
     alignment_score,
     alignment_score_from_pairs,
+    alignment_scores,
     boundary_positions,
     boundary_prf,
     read_score_rows,
@@ -23,12 +33,22 @@ from tokalign.metrics import (
     word_score,
     write_score_rows,
 )
-from tokalign.ibm1 import NULL_TOKEN, ParallelPair, TranslationTable, train_ibm1
+from tokalign.ibm1 import (
+    NULL_TOKEN,
+    ParallelPair,
+    TranslationTable,
+    build_parallel_corpus,
+    train_ibm1,
+)
+from tokalign.synth import SynthConfig, build_language, write_language
 from tokalign.tokenizers import (
     TokenizerKind,
     TokenizerModel,
+    TrainConfig,
     build_gold_lookup,
+    train,
     train_character,
+    word_frequencies,
 )
 
 
@@ -159,6 +179,72 @@ class TestAlignmentScore:
             alignment_score_from_pairs(
                 toy_table, [], _config(Aggregation.MEAN)
             )
+
+
+def _repr_grid(scores):
+    return {key: repr(value) for key, value in scores.items()}
+
+
+class TestScoreGrid:
+    def test_equals_the_per_slot_scorer_on_a_synthetic_language(self, tmp_path):
+        paths = write_language(
+            build_language(
+                SynthConfig(noun_stems=20, verb_stems=20, sentences=120, words_per_sentence=6)
+            ),
+            tmp_path,
+        )
+        corpus_lines, feature_lines, segment_lines = (
+            path.read_text(encoding="utf-8").splitlines(True) for path in paths
+        )
+        dataset, _ = curate(
+            parse_segmentation_lexicon(segment_lines)[0],
+            parse_feature_lexicon(feature_lines)[0],
+        )
+        freqs = word_frequencies(corpus_lines)
+        models = [
+            train(freqs, TrainConfig(kind=kind, vocab_size=60))
+            for kind in (TokenizerKind.BPE, TokenizerKind.WORDPIECE, TokenizerKind.UNIGRAM)
+        ] + [train_character(freqs), build_gold_lookup(dataset)]
+        aggregations = list(Aggregation)
+        for model in models:
+            for mode in FeatureMode:
+                pairs, _ = build_parallel_corpus(dataset, model, mode, include_null=True)
+                table = train_ibm1(pairs, epochs=3)
+                got = alignment_scores(table, pairs, aggregations, DEFAULT_THRESHOLDS)
+                want = alignment_scores_reference(
+                    table, pairs, aggregations, DEFAULT_THRESHOLDS
+                )
+                assert len(got) == 55
+                assert _repr_grid(got) == _repr_grid(want), (model.kind, mode)
+
+    def test_scores_each_distinct_key_with_a_row_once(self, monkeypatch):
+        built = []
+        score_vector = metrics._score_vector
+
+        def counting(row, features, levels, aggregates):
+            built.append((id(row), tuple(features)))
+            return score_vector(row, features, levels, aggregates)
+
+        monkeypatch.setattr(metrics, "_score_vector", counting)
+        # "b" has no survivor at any level, "x" has no row, and the
+        # null token is dropped.
+        table = _table({"a": {"A": 0.6, "B": 0.4}, "b": {"A": 0.001}, NULL_TOKEN: {"A": 1.0}})
+        pairs = [
+            ParallelPair(("a", "b", NULL_TOKEN), ("A", "B")),
+            ParallelPair(("a", "a", "x", NULL_TOKEN), ("A", "B")),
+            ParallelPair(("b", "a"), ("A",)),
+            ParallelPair(("a", "b", NULL_TOKEN), ("A", "B")),
+            ParallelPair(("x",), ("B",)),
+        ]
+        got = alignment_scores(table, pairs, list(Aggregation), DEFAULT_THRESHOLDS)
+        keys = {("a", ("A", "B")), ("b", ("A", "B")), ("a", ("A",)), ("b", ("A",))}
+        assert len(built) == len(keys)
+        assert len(set(built)) == len(keys)
+        monkeypatch.undo()
+        want = alignment_scores_reference(
+            table, pairs, list(Aggregation), DEFAULT_THRESHOLDS
+        )
+        assert _repr_grid(got) == _repr_grid(want)
 
 
 class TestBoundaries:
