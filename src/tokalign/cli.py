@@ -1,59 +1,33 @@
-"""Command line pipeline: curate, train, segment, evaluate, sweep, report.
+"""Command line entry point: parse the arguments and the sweep config, run, print.
 
-Every stage reads and writes plain files, so a sweep is resumable: grid
-points whose output files already exist are skipped, and the final
-score and correlation CSVs are rebuilt from the per-point files.  Exit
+Each subcommand checks its arguments, calls the stage routines of
+`tokalign.sweep` and prints what they did.  `tokalign.sweep` owns those
+routines, the sweep's jobs and process pool, and the layout of the
+output tree.  This module owns the arguments, the sweep config's JSON
+format (`load_sweep_config`; README.md has an example) and the exit
 codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numerical degeneracy.
-
-Example sweep configuration (JSON, paths relative to the config file):
-
-    {
-      "seed": 0,
-      "epochs": 10,
-      "kinds": ["bpe", "wordpiece", "unigram"],
-      "vocab_sizes": [200, 400, 800],
-      "modes": ["split"],
-      "aggregations": ["mean"],
-      "thresholds": [0.01],
-      "output_dir": "out",
-      "languages": {
-        "toy": {
-          "corpus": "toy/corpus.txt",
-          "features": "toy/features.tsv",
-          "segmentations": "toy/segmentations.tsv"
-        }
-      }
-    }
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
-import os
 import sys
-import traceback
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
 
 from . import corpus as corpus_mod
-from . import ibm1, metrics, stats, tokenizers
-from .corpus import CuratedDataset, FeatureMode
-from .errors import ConfigError, DataError, NumericalError, TokalignError
-from .metrics import Aggregation, DEFAULT_THRESHOLDS, ScoreRow
-from .tokenizers import TokenizerKind, TokenizerModel, TrainConfig
+from . import ibm1, metrics, sweep, tokenizers
+from .corpus import FeatureMode
+from .errors import ConfigError, DataError, NumericalError
+from .metrics import Aggregation, DEFAULT_THRESHOLDS
+from .sweep import LanguageSpec, SweepConfig
+from .tokenizers import BASELINE_KINDS, TokenizerKind
 
 DEFAULT_VOCAB_SIZES = (
     2000, 4000, 8000, 16000, 24000, 32000,
     40000, 48000, 56000, 64000, 72000, 80000,
 )
-DEFAULT_EPOCHS = 10
-BASELINE_KINDS = (TokenizerKind.CHARACTER, TokenizerKind.GOLD)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -69,147 +43,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _write_curated(path: Path, dataset: CuratedDataset) -> None:
-    # Serialized in memory first, so a failure part way leaves any
-    # existing file whole instead of truncated.
-    buffer = io.StringIO()
-    corpus_mod.write_curated(dataset, buffer)
-    _atomic_write(path, buffer.getvalue())
-
-
-def _read_lines(path: Path) -> list[str]:
+def _parse_list(text: str, parse, label: str) -> list:
+    """Parse a comma-separated flag value."""
     try:
-        with path.open("r", encoding="utf-8") as handle:
-            return handle.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-
-
-def _parse_modes(text: str) -> list[FeatureMode]:
-    try:
-        return [FeatureMode(part) for part in text.split(",") if part]
+        return [parse(part) for part in text.split(",") if part]
     except ValueError as exc:
-        raise ConfigError(f"unknown feature mode in {text!r}") from exc
-
-
-def _reject_repeats(label: str, values: Sequence) -> None:
-    # A repeated value would give two grid points or score rows one label.
-    if len(set(values)) != len(values):
-        raise ConfigError(f"{label} repeats a value: {values}")
-
-
-def _parse_aggregations(text: str) -> list[Aggregation]:
-    try:
-        values = [Aggregation(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise ConfigError(f"unknown aggregation in {text!r}") from exc
-    if not values:
-        raise ConfigError("aggregation list is empty")
-    _reject_repeats("--aggregations", values)
-    return values
-
-
-def _parse_thresholds(text: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise ConfigError(f"bad threshold list {text!r}") from exc
-    if not values:
-        raise ConfigError("threshold list is empty")
-    for value in values:
-        metrics.check_threshold(value)
-    _reject_repeats("--thresholds", values)
-    return values
-
-
-Segmented = tuple[ibm1.Segments, tuple[float, float, float]]
-
-
-def segment_dataset(dataset: CuratedDataset, model: TokenizerModel) -> Segmented:
-    """Each entry's subwords, plus the boundary precision, recall and F1."""
-    segments = ibm1.segment_entries(dataset, model)
-    precision, recall, f1, _counts = metrics.boundary_prf_from_segments(
-        dataset, segments
-    )
-    return segments, (precision, recall, f1)
-
-
-def run_evaluation(
-    dataset: CuratedDataset,
-    model: TokenizerModel,
-    mode: FeatureMode,
-    aggregations: Sequence[Aggregation],
-    thresholds: Sequence[float],
-    epochs: int,
-    include_null: bool,
-    language: str,
-    segmented: Segmented | None = None,
-) -> tuple[list[ScoreRow], ibm1.TranslationTable]:
-    """Train one translation table and score the aggregation grid.
-
-    One segmentation serves both the parallel corpus and the boundary
-    metrics.  ``segmented`` is :func:`segment_dataset` of this dataset
-    and model, so that the modes of one model share one segmentation;
-    without it the dataset is segmented here.  The table depends only on
-    (model, mode), so it is trained once, and one pass over the pairs
-    scores every aggregation and threshold combination.
-    """
-    segments, (precision, recall, f1) = segmented or segment_dataset(dataset, model)
-    pairs, excluded = ibm1.pairs_from_segments(
-        dataset, segments, mode, include_null=include_null
-    )
-    table = ibm1.train_ibm1(pairs, epochs=epochs)
-    scores = metrics.alignment_scores(table, pairs, aggregations, thresholds)
-    rows = [
-        ScoreRow(
-            language=language,
-            kind=model.kind.value,
-            vocab_size=model.vocab_size,
-            mode=mode.value,
-            aggregation=aggregation.value,
-            threshold=threshold,
-            alignment=scores[aggregation, threshold],
-            precision=precision,
-            recall=recall,
-            f1=f1,
-            excluded=excluded,
-        )
-        for aggregation in aggregations
-        for threshold in thresholds
-    ]
-    return rows, table
-
-
-def _load_curated(path: Path) -> CuratedDataset:
-    return corpus_mod.read_curated(_read_lines(path))
-
-
-def _load_corpus(path: Path) -> dict[str, int]:
-    freqs = tokenizers.word_frequencies(_read_lines(path))
-    if not freqs:
-        raise DataError(f"corpus {path} contains no words")
-    return dict(freqs)
+        raise ConfigError(f"bad {label} list {text!r}") from exc
 
 
 def cmd_curate(args: argparse.Namespace) -> int:
-    features, feat_stats = corpus_mod.parse_feature_lexicon(
-        _read_lines(Path(args.features))
-    )
-    segmentations, seg_stats = corpus_mod.parse_segmentation_lexicon(
-        _read_lines(Path(args.segmentations))
-    )
-    dataset, join_stats = corpus_mod.curate(
-        segmentations, features, language=args.language
-    )
     out = Path(args.out)
-    _write_curated(out, dataset)
+    dataset, feat_stats, seg_stats, join_stats = sweep.curate_files(
+        Path(args.features), Path(args.segmentations), args.language, out
+    )
     print(f"curated {len(dataset)} entries to {out}")
     print(
         f"feature rows: {feat_stats.kept} kept, {feat_stats.skipped} skipped; "
@@ -219,41 +65,18 @@ def cmd_curate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _train_model(
-    kind: TokenizerKind,
-    vocab_size: int,
-    seed: int,
-    corpus_path: Path | None,
-    curated_path: Path | None,
-) -> TokenizerModel:
-    if kind is TokenizerKind.GOLD:
-        if curated_path is None:
-            raise ConfigError("gold tokenizer needs a curated dataset (--curated)")
-        return tokenizers.build_gold_lookup(_load_curated(curated_path))
-    if corpus_path is None:
-        raise ConfigError(f"{kind.value} tokenizer needs a training corpus (--corpus)")
-    corpus = _load_corpus(corpus_path)
-    if kind is TokenizerKind.CHARACTER:
-        return tokenizers.train_character(corpus)
-    config = TrainConfig(kind=kind, vocab_size=vocab_size, seed=seed)
-    return tokenizers.train(corpus, config)
-
-
 def cmd_train_tokenizer(args: argparse.Namespace) -> int:
-    try:
-        kind = TokenizerKind(args.kind)
-    except ValueError as exc:
-        raise ConfigError(f"unknown tokenizer kind {args.kind!r}") from exc
+    kind = TokenizerKind(args.kind)  # argparse's choices admit only kinds
     if kind in tokenizers.TRAINED_KINDS and args.vocab_size is None:
         raise ConfigError(f"--vocab-size is required for kind {kind.value}")
-    model = _train_model(
+    model = sweep.build_model(
         kind,
         args.vocab_size or 0,
         args.seed,
         Path(args.corpus) if args.corpus else None,
-        Path(args.curated) if args.curated else None,
+        (lambda: sweep.load_curated(Path(args.curated))) if args.curated else None,
     )
-    _atomic_write(Path(args.out), tokenizers.model_to_json(model))
+    sweep.atomic_write(Path(args.out), tokenizers.model_to_json(model))
     print(f"trained {kind.value} model with {len(model.vocab)} tokens to {args.out}")
     return EXIT_OK
 
@@ -278,31 +101,31 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    modes = _parse_modes(args.mode)
+    modes = _parse_list(args.mode, FeatureMode, "feature mode")
     if len(modes) != 1:
         raise ConfigError("evaluate takes exactly one feature mode")
-    aggregations = _parse_aggregations(args.aggregations)
-    thresholds = _parse_thresholds(args.thresholds)
+    aggregations = _parse_list(args.aggregations, Aggregation, "aggregation")
+    sweep.check_values("aggregation list", aggregations)
+    thresholds = _parse_list(args.thresholds, float, "threshold")
+    sweep.check_values("threshold list", thresholds, metrics.check_threshold)
     if args.epochs < 1:
         raise ConfigError(f"epochs must be at least 1, got {args.epochs}")
-    dataset = _load_curated(Path(args.curated))
+    dataset = sweep.load_curated(Path(args.curated))
     model = tokenizers.load_model(Path(args.model))
-    language = args.language or dataset.language
-    rows, table = run_evaluation(
+    rows, table = sweep.evaluate_point(
+        Path(args.out),
+        Path(args.table_out) if args.table_out else None,
+        args.seed,
         dataset,
         model,
+        sweep.segment_dataset(dataset, model),
         modes[0],
         aggregations,
         thresholds,
         args.epochs,
         args.include_null,
-        language,
+        args.language or dataset.language,
     )
-    buffer = io.StringIO()
-    metrics.write_score_rows(rows, buffer, seed=args.seed)
-    _atomic_write(Path(args.out), buffer.getvalue())
-    if args.table_out:
-        _atomic_write(Path(args.table_out), ibm1.table_to_json(table))
     print(
         f"wrote {len(rows)} score rows to {args.out} "
         f"(excluded {rows[0].excluded} entries, final loglik "
@@ -312,56 +135,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    rows = metrics.read_score_rows(_read_lines(Path(args.scores)))
-    report = stats.build_report(rows)
-    buffer = io.StringIO()
-    stats.write_report(report, buffer, seed=args.seed)
-    _atomic_write(Path(args.out), buffer.getvalue())
+    rows = metrics.read_score_rows(sweep.read_lines(Path(args.scores)))
+    report = sweep.write_report(rows, Path(args.out), args.seed)
     ok = len(report.ok_cells())
     print(f"wrote {len(report.cells)} report cells ({ok} with defined rho) to {args.out}")
     return EXIT_OK
-
-
-@dataclass
-class LanguageSpec:
-    name: str
-    corpus: Path
-    curated: Path | None = None
-    features: Path | None = None
-    segmentations: Path | None = None
-
-
-@dataclass
-class SweepConfig:
-    languages: list[LanguageSpec]
-    kinds: list[TokenizerKind]
-    vocab_sizes: list[int]
-    modes: list[FeatureMode]
-    aggregations: list[Aggregation]
-    thresholds: list[float]
-    epochs: int
-    seed: int
-    include_baselines: bool
-    include_null: bool
-    output_dir: Path
-
-    def __post_init__(self) -> None:
-        if not self.languages:
-            raise ConfigError("sweep config lists no languages")
-        for field_name in ("kinds", "vocab_sizes", "modes", "aggregations", "thresholds"):
-            values = getattr(self, field_name)
-            if not values:
-                raise ConfigError(f"sweep config field {field_name} is empty")
-            _reject_repeats(f"sweep config field {field_name}", values)
-        for size in self.vocab_sizes:
-            if size < 1:
-                raise ConfigError(f"vocab sizes must be positive, got {size}")
-        for threshold in self.thresholds:
-            metrics.check_threshold(threshold)
-        if self.epochs < 1:
-            raise ConfigError("epochs must be at least 1")
-        if len(set(s.name for s in self.languages)) != len(self.languages):
-            raise ConfigError("duplicate language names in sweep config")
 
 
 def _integer(value: object) -> int:
@@ -387,6 +165,15 @@ def _path_text(value: object) -> str:
     if not isinstance(value, str) or not value:
         raise ValueError(f"{value!r} is not a non-empty path string")
     return value
+
+
+def _trained_kind(value: object) -> TokenizerKind:
+    kind = TokenizerKind(value)
+    # A baseline has no vocabulary size: listed here, it would run once
+    # per size under as many labels.
+    if kind in BASELINE_KINDS:
+        raise ValueError(f"{kind.value!r} is a baseline, which include_baselines adds")
+    return kind
 
 
 def _list_of(parse):
@@ -427,36 +214,31 @@ def load_sweep_config(path: Path) -> SweepConfig:
         raise ConfigError("config must map language names to their input paths")
     for name in sorted(lang_doc):
         spec = lang_doc[name]
-        if not isinstance(spec, dict) or "corpus" not in spec:
+        if not isinstance(spec, dict) or spec.get("corpus") is None:
             raise ConfigError(f"language {name!r} needs at least a corpus path")
-        curated = spec.get("curated")
-        features = spec.get("features")
-        segmentations = spec.get("segmentations")
-        if curated is None and (features is None or segmentations is None):
+        if spec.get("curated") is None and (
+            spec.get("features") is None or spec.get("segmentations") is None
+        ):
             raise ConfigError(
                 f"language {name!r} needs either a curated path or both "
                 "feature and segmentation lexicons"
             )
-        for raw in (spec["corpus"], curated, features, segmentations):
-            if raw is not None and not (isinstance(raw, str) and raw):
-                raise ConfigError(f"language {name!r}: {raw!r} is not a non-empty path")
-        languages.append(
-            LanguageSpec(
-                name=name,
-                corpus=_resolve(spec["corpus"]),
-                curated=_resolve(curated) if curated else None,
-                features=_resolve(features) if features else None,
-                segmentations=_resolve(segmentations) if segmentations else None,
-            )
-        )
-    for spec in languages:
-        for p in (spec.corpus, spec.curated, spec.features, spec.segmentations):
-            if p is not None and not p.exists():
+        try:
+            paths = {
+                key: _resolve(_path_text(spec[key]))
+                for key in ("corpus", "curated", "features", "segmentations")
+                if spec.get(key) is not None
+            }
+        except ValueError as exc:
+            raise ConfigError(f"language {name!r}: {exc}") from exc
+        for p in paths.values():
+            if not p.exists():
                 raise ConfigError(f"input path does not exist: {p}")
+        languages.append(LanguageSpec(name=name, **paths))
     return SweepConfig(
         languages=languages,
         kinds=_config_value(
-            doc, "kinds", ["bpe", "wordpiece", "unigram"], _list_of(TokenizerKind)
+            doc, "kinds", ["bpe", "wordpiece", "unigram"], _list_of(_trained_kind)
         ),
         vocab_sizes=_config_value(
             doc, "vocab_sizes", list(DEFAULT_VOCAB_SIZES), _list_of(_integer)
@@ -468,294 +250,12 @@ def load_sweep_config(path: Path) -> SweepConfig:
         thresholds=_config_value(
             doc, "thresholds", list(DEFAULT_THRESHOLDS), _list_of(_number)
         ),
-        epochs=_config_value(doc, "epochs", DEFAULT_EPOCHS, _integer),
+        epochs=_config_value(doc, "epochs", ibm1.DEFAULT_EPOCHS, _integer),
         seed=_config_value(doc, "seed", 0, _integer),
         include_baselines=_config_value(doc, "include_baselines", True, _boolean),
         include_null=_config_value(doc, "include_null", False, _boolean),
         output_dir=_resolve(_config_value(doc, "output_dir", "out", _path_text)),
     )
-
-
-def _model_path(out: Path, lang: str, kind: TokenizerKind, size: int) -> Path:
-    return out / lang / "models" / f"{kind.value}-{size}.json"
-
-
-def _point_paths(
-    out: Path, lang: str, kind: TokenizerKind, size: int, mode: FeatureMode
-) -> tuple[Path, Path]:
-    stem = f"{kind.value}-{size}-{mode.value}"
-    return (
-        out / lang / "points" / f"{stem}.csv",
-        out / lang / "tables" / f"{stem}.json",
-    )
-
-
-def _failure(exc: BaseException) -> str:
-    """A sweep step's failure text; an unexpected error also prints its traceback."""
-    if not isinstance(exc, TokalignError):
-        traceback.print_exception(exc, file=sys.stderr)
-    return f"{type(exc).__name__}: {exc}"
-
-
-class _ModelJob(NamedTuple):
-    """One language's missing work for one kind at the given sizes.
-
-    A merge kind's missing models share one training: one job that only
-    builds them.  Every other job is one size, which it builds or loads
-    and then evaluates.
-    """
-
-    language: str
-    kind: TokenizerKind
-    sizes: tuple[int, ...]
-    corpus: Path
-    curated: Path
-    evaluate: bool = True
-
-
-def _train_label(language: str, kind: TokenizerKind, size: int) -> str:
-    return f"{language}/{kind.value}-{size}/train"
-
-
-def _point_label(language: str, point_path: Path) -> str:
-    return f"{language}/{point_path.stem}"
-
-
-def _evaluate_point(
-    dataset: CuratedDataset,
-    model: TokenizerModel,
-    segmented: Segmented,
-    mode: FeatureMode,
-    config: SweepConfig,
-    language: str,
-    point_path: Path,
-    table_path: Path,
-) -> None:
-    """Evaluate one grid point and write its table and score rows.
-
-    Returning frees the table before the next point's EM starts.
-    """
-    rows, table = run_evaluation(
-        dataset,
-        model,
-        mode,
-        config.aggregations,
-        config.thresholds,
-        config.epochs,
-        config.include_null,
-        language,
-        segmented,
-    )
-    buffer = io.StringIO()
-    metrics.write_score_rows(rows, buffer, seed=config.seed)
-    _atomic_write(table_path, ibm1.table_to_json(table))
-    _atomic_write(point_path, buffer.getvalue())
-
-
-def _model_job(job: _ModelJob, config: SweepConfig) -> dict[str, str]:
-    """Build or load each size's model and, if asked, evaluate its missing points.
-
-    A model is segmented once, for all of its missing points.  Sizes run
-    largest first.  A merge kind trains once, at its largest
-    size, and the smaller sizes are cut from that model.  A size that
-    fails to train (say, below the alphabet) fails alone, and the next
-    size down trains directly.  Everything goes to disk, so the job can
-    run in a worker process.  Returns the failure text of each model or
-    point it could not write, by label.
-    """
-    out = config.output_dir
-    errors: dict[str, str] = {}
-    full: TokenizerModel | None = None
-    dataset: list[CuratedDataset] = []
-
-    def curated() -> CuratedDataset:
-        # Read on first use, so that a bad file fails only what needs it.
-        if not dataset:
-            dataset.append(_load_curated(job.curated))
-        return dataset[0]
-
-    for size in sorted(job.sizes, reverse=True):
-        model_path = _model_path(out, job.language, job.kind, size)
-        model: TokenizerModel | None = None
-        if not model_path.exists():
-            try:
-                if full is not None:
-                    train_config = TrainConfig(job.kind, size, seed=config.seed)
-                    model = tokenizers.truncate_merges(full, train_config)
-                elif job.kind is TokenizerKind.GOLD:
-                    model = tokenizers.build_gold_lookup(curated())
-                else:
-                    model = _train_model(
-                        job.kind, size, config.seed, job.corpus, job.curated
-                    )
-                _atomic_write(model_path, tokenizers.model_to_json(model))
-            except Exception as exc:
-                errors[_train_label(job.language, job.kind, size)] = _failure(exc)
-                continue
-            if full is None and job.kind in tokenizers.MERGE_KINDS:
-                full = model
-        if not job.evaluate:
-            continue
-        segmented: Segmented | None = None
-        for mode in config.modes:
-            point_path, table_path = _point_paths(
-                out, job.language, job.kind, size, mode
-            )
-            if point_path.exists():
-                continue
-            try:
-                if model is None:
-                    model = tokenizers.load_model(model_path)
-                if segmented is None:
-                    segmented = segment_dataset(curated(), model)
-                _evaluate_point(
-                    curated(),
-                    model,
-                    segmented,
-                    mode,
-                    config,
-                    job.language,
-                    point_path,
-                    table_path,
-                )
-            except Exception as exc:
-                errors[_point_label(job.language, point_path)] = _failure(exc)
-    return errors
-
-
-def _submit(executor: ProcessPoolExecutor, fn, *args) -> Future:
-    """Submit one job; in a pool broken by a dead worker, the job fails."""
-    try:
-        return executor.submit(fn, *args)
-    except BrokenExecutor as exc:
-        future: Future = Future()
-        future.set_exception(exc)
-        return future
-
-
-def _run_jobs(
-    model_jobs: list[_ModelJob], config: SweepConfig, jobs: int
-) -> list[tuple[_ModelJob, dict[str, str] | BaseException]]:
-    """Run every job; returns each job run with its errors by label, or what it raised.
-
-    When a build-only job ends, each size whose model it left on disk
-    becomes a job that evaluates.  The jobs share a pool of `jobs` worker
-    processes, capped at the most that can run at once; at a cap of one
-    they run in this process and no worker starts.  A worker that dies
-    fails its job, and those the broken pool still held, with
-    `BrokenProcessPool`.
-    """
-
-    def evaluations(job: _ModelJob) -> list[_ModelJob]:
-        return [
-            job._replace(sizes=(size,), evaluate=True)
-            for size in ([] if job.evaluate else job.sizes)
-            if _model_path(config.output_dir, job.language, job.kind, size).exists()
-        ]
-
-    workers = min(jobs, sum(1 if job.evaluate else len(job.sizes) for job in model_jobs))
-    done: list[tuple[_ModelJob, dict[str, str] | BaseException]] = []
-    if workers <= 1:
-        for job in model_jobs:
-            done.append((job, _model_job(job, config)))
-            done.extend((then, _model_job(then, config)) for then in evaluations(job))
-        return done
-    pool = ProcessPoolExecutor(workers)
-    try:
-        futures = {_submit(pool, _model_job, job, config): job for job in model_jobs}
-        builds = [future for future, job in futures.items() if not job.evaluate]
-        for future in as_completed(builds):
-            for job in evaluations(futures[future]):
-                futures[_submit(pool, _model_job, job, config)] = job
-        return [(job, f.exception() or f.result()) for f, job in futures.items()]
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _curated_path(out: Path, spec: LanguageSpec) -> Path:
-    """The language's curated dataset, curated from its lexicons if missing."""
-    if spec.curated is not None:
-        return spec.curated
-    curated_path = out / spec.name / "curated.tsv"
-    if not curated_path.exists():
-        features, _ = corpus_mod.parse_feature_lexicon(_read_lines(spec.features))
-        segmentations, _ = corpus_mod.parse_segmentation_lexicon(
-            _read_lines(spec.segmentations)
-        )
-        dataset, _ = corpus_mod.curate(segmentations, features, language=spec.name)
-        _write_curated(curated_path, dataset)
-    return curated_path
-
-
-def _sweep(config: SweepConfig, jobs: int, failures: list[tuple[str, str]]) -> list[Path]:
-    """Build the missing models and evaluate the missing grid points.
-
-    Every language's jobs run on one executor (see `_run_jobs`).  What
-    failed is read off the disk afterwards: a size without a model file
-    failed to train, and a missing point file failed to evaluate, whether
-    its job returned an error, raised or lost its worker.  Failures are
-    appended per language, training before evaluation, each in grid
-    order, and the point CSV paths that exist come back in grid order, so
-    the caller can assemble the combined score file.
-    """
-    out = config.output_dir
-    grid: list[tuple[TokenizerKind, int]] = [
-        (kind, size) for kind in config.kinds for size in config.vocab_sizes
-    ]
-    if config.include_baselines:
-        grid.extend((kind, 0) for kind in BASELINE_KINDS)
-
-    def points(lang: str, kind: TokenizerKind, size: int) -> list[Path]:
-        return [_point_paths(out, lang, kind, size, mode)[0] for mode in config.modes]
-
-    model_jobs: list[_ModelJob] = []
-    for spec in config.languages:
-        curated_path = _curated_path(out, spec)
-        untrained: dict[TokenizerKind, list[int]] = {}
-        for kind, size in grid:
-            model_path = _model_path(out, spec.name, kind, size)
-            if kind in tokenizers.MERGE_KINDS and not model_path.exists():
-                # A merge kind's missing models share one training.
-                untrained.setdefault(kind, []).append(size)
-            elif not all(p.exists() for p in (model_path, *points(spec.name, kind, size))):
-                model_jobs.append(
-                    _ModelJob(spec.name, kind, (size,), spec.corpus, curated_path)
-                )
-        model_jobs.extend(
-            _ModelJob(spec.name, kind, tuple(sizes), spec.corpus, curated_path, False)
-            for kind, sizes in untrained.items()
-        )
-    # Merge builds reach the executor first, as their evaluations wait on them.
-    model_jobs.sort(key=lambda job: job.evaluate)
-
-    errors: dict[str, str] = {}
-    for job, outcome in _run_jobs(model_jobs, config, jobs):
-        if isinstance(outcome, BaseException):
-            # Blame all the job owned; the disk tells what it did write.
-            crash = _failure(outcome)
-            outcome = {}
-            for size in job.sizes:
-                outcome[_train_label(job.language, job.kind, size)] = crash
-                for point_path in points(job.language, job.kind, size):
-                    outcome[_point_label(job.language, point_path)] = crash
-        errors.update(outcome)
-
-    point_files: list[Path] = []
-    for spec in config.languages:
-        eval_failures = []
-        for kind, size in grid:
-            if not _model_path(out, spec.name, kind, size).exists():
-                label = _train_label(spec.name, kind, size)
-                failures.append((label, errors[label]))
-                continue
-            for point_path in points(spec.name, kind, size):
-                if point_path.exists():
-                    point_files.append(point_path)
-                else:
-                    label = _point_label(spec.name, point_path)
-                    eval_failures.append((label, errors[label]))
-        failures.extend(eval_failures)
-    return point_files
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -766,38 +266,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = load_sweep_config(Path(args.config))
     if args.output_dir is not None:
         config.output_dir = Path(args.output_dir)
-    out = config.output_dir
-    failures: list[tuple[str, str]] = []
-    all_rows: list[ScoreRow] = []
-    for point_path in _sweep(config, args.jobs, failures):
-        all_rows.extend(metrics.read_score_rows(_read_lines(point_path)))
-    buffer = io.StringIO()
-    metrics.write_score_rows(all_rows, buffer, seed=config.seed)
-    _atomic_write(out / "scores.csv", buffer.getvalue())
-    # Failures go to disk before the report, which fails if no point is left.
-    failures_path = out / "failures.csv"
+    rows, failures, failures_path = sweep.run_sweep(config, args.jobs)
+    # Printed before the report, which fails if no point is left.
     if failures:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["point", "error"])
-        writer.writerows(failures)
-        _atomic_write(failures_path, buffer.getvalue())
         print(f"{len(failures)} grid points failed; see {failures_path}")
-    else:
-        # A clean rerun must not leave an earlier run's failures behind.
-        failures_path.unlink(missing_ok=True)
-    try:
-        report = stats.build_report(all_rows)
-    except TokalignError:
-        # An earlier run's report must not stand beside these scores.
-        (out / "correlations.csv").unlink(missing_ok=True)
-        raise
-    buffer = io.StringIO()
-    stats.write_report(report, buffer, seed=config.seed)
-    _atomic_write(out / "correlations.csv", buffer.getvalue())
+    report = sweep.report_sweep(config, rows)
     print(
-        f"sweep complete: {len(all_rows)} score rows, "
-        f"{len(report.cells)} report cells under {out}"
+        f"sweep complete: {len(rows)} score rows, "
+        f"{len(report.cells)} report cells under {config.output_dir}"
     )
     return EXIT_OK
 
@@ -839,7 +315,7 @@ def build_parser() -> _Parser:
                    default=",".join(a.value for a in Aggregation))
     p.add_argument("--thresholds",
                    default=",".join(str(t) for t in DEFAULT_THRESHOLDS))
-    p.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
+    p.add_argument("--epochs", type=int, default=ibm1.DEFAULT_EPOCHS)
     p.add_argument("--include-null", action="store_true",
                    help="add a shared null source token during alignment")
     p.add_argument("--language", default=None)
@@ -874,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:
@@ -883,9 +359,6 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

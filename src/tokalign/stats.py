@@ -78,20 +78,6 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     return _pearson(average_ranks(xs), average_ranks(ys))
 
 
-@dataclass
-class MetricSeries:
-    """Paired labels and values for one metric across tokenizers."""
-
-    labels: list[str]
-    values: list[float]
-
-    def __post_init__(self) -> None:
-        if len(self.labels) != len(self.values):
-            raise DataError("labels and values differ in length")
-        if len(set(self.labels)) != len(self.labels):
-            raise DataError("duplicate tokenizer labels in one series")
-
-
 @dataclass(frozen=True)
 class CorrelationCell:
     language: str

@@ -70,6 +70,7 @@ class TokenizerKind(Enum):
 
 TRAINED_KINDS = (TokenizerKind.BPE, TokenizerKind.WORDPIECE, TokenizerKind.UNIGRAM)
 MERGE_KINDS = (TokenizerKind.BPE, TokenizerKind.WORDPIECE)
+BASELINE_KINDS = (TokenizerKind.CHARACTER, TokenizerKind.GOLD)
 
 
 @dataclass

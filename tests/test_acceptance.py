@@ -24,7 +24,7 @@ from oracles import (
     replay_merge,
     spearman_reference,
 )
-from tokalign import cli
+from tokalign import cli, sweep
 from tokalign.corpus import CuratedDataset, FeatureMode, WordEntry, write_curated
 from tokalign.errors import DataError
 from tokalign.ibm1 import (
@@ -358,9 +358,11 @@ def test_criterion_8_degenerate_inputs_fail_loudly_or_count(
         assert code == 2
 
         # Constant series: the report carries a missing cell, not a zero.
-        rows, _ = cli.run_evaluation(
+        gold_toy = build_gold_lookup(toy_dataset)
+        rows, _ = sweep.run_evaluation(
             toy_dataset,
-            build_gold_lookup(toy_dataset),
+            gold_toy,
+            sweep.segment_dataset(toy_dataset, gold_toy),
             FeatureMode.SPLIT,
             [Aggregation.MEAN],
             [0.01],
@@ -399,7 +401,6 @@ def test_criterion_8_degenerate_inputs_fail_loudly_or_count(
 
         # Nothing in the hand-built table exceeds 0.99, so that
         # threshold zeroes the score under every aggregation.
-        gold_toy = build_gold_lookup(toy_dataset)
         for aggregation in Aggregation:
             config = ScoreConfig(aggregation=aggregation, threshold=0.99)
             assert alignment_score(toy_table, toy_dataset, gold_toy, config) == 0.0
@@ -416,9 +417,10 @@ def test_criterion_8_degenerate_inputs_fail_loudly_or_count(
             language="toy",
         )
         gold = build_gold_lookup(spread)
-        rows, _ = cli.run_evaluation(
+        rows, _ = sweep.run_evaluation(
             spread,
             gold,
+            sweep.segment_dataset(spread, gold),
             FeatureMode.SPLIT,
             list(Aggregation),
             [0.99],
@@ -445,9 +447,10 @@ def test_criterion_8_degenerate_inputs_fail_loudly_or_count(
         assert len(pairs) == 4
         _, _, _, counts = boundary_prf(toy_dataset, partial)
         assert counts.excluded == 1
-        rows, _ = cli.run_evaluation(
+        rows, _ = sweep.run_evaluation(
             toy_dataset,
             partial,
+            sweep.segment_dataset(toy_dataset, partial),
             FeatureMode.SPLIT,
             [Aggregation.MEAN],
             [0.01],

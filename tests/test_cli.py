@@ -13,7 +13,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from conftest import random_corpus
-from tokalign import cli, tokenizers
+from tokalign import cli, sweep, tokenizers
 from tokalign.corpus import CuratedDataset, WordEntry, write_curated
 from tokalign.ibm1 import load_table
 from tokalign.metrics import read_score_rows, write_score_rows, ScoreRow
@@ -545,14 +545,14 @@ class TestSweep:
         doc = json.loads(config_path.read_text(encoding="utf-8"))
         doc["modes"] = ["joint", "split"]
         config_path.write_text(json.dumps(doc), encoding="utf-8")
-        segment = cli.segment_dataset
+        segment = sweep.segment_dataset
         segmented = []
 
         def counting(dataset, model):
             segmented.append((model.kind.value, model.vocab_size))
             return segment(dataset, model)
 
-        monkeypatch.setattr(cli, "segment_dataset", counting)
+        monkeypatch.setattr(sweep, "segment_dataset", counting)
         assert cli.main(["sweep", "--config", str(config_path)]) == 0
         # bpe and wordpiece at two sizes, plus the two baselines.
         assert len(segmented) == len(set(segmented)) == 6
@@ -565,13 +565,13 @@ class TestSweep:
         doc["include_baselines"] = False
         config_path.write_text(json.dumps(doc), encoding="utf-8")
         submitted = []
-        submit = cli._submit
+        submit = sweep._submit
 
         def record(executor, fn, job, config):
             submitted.append((job.kind.value, job.sizes, job.evaluate))
             return submit(executor, fn, job, config)
 
-        monkeypatch.setattr(cli, "_submit", record)
+        monkeypatch.setattr(sweep, "_submit", record)
         assert cli.main(["sweep", "--config", str(config_path), "--jobs", "2"]) == 0
         # One training for both sizes, then each size's points on any worker.
         assert submitted == [
@@ -590,7 +590,7 @@ class TestSweep:
         def no_pool(*args, **kwargs):
             raise AssertionError("a sweep with nothing to do started a pool")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
         assert cli.main(argv) == 0
         assert _tree(tmp_path / "out") == finished
 
@@ -620,14 +620,14 @@ class TestSweep:
         assert {r.kind for r in rows} == {"character", "gold"}
 
     def test_crashed_evaluation_job_is_recorded_not_fatal(self, tmp_path, monkeypatch):
-        evaluate = cli.run_evaluation
+        evaluate = sweep.run_evaluation
 
         def crash_on_bpe(dataset, model, *args):
             if model.kind is TokenizerKind.BPE:
                 raise ZeroDivisionError("bad point")
             return evaluate(dataset, model, *args)
 
-        monkeypatch.setattr(cli, "run_evaluation", crash_on_bpe)
+        monkeypatch.setattr(sweep, "run_evaluation", crash_on_bpe)
         config_path = _sweep_setup(tmp_path)
         assert cli.main(["sweep", "--config", str(config_path)]) == 0
         failures = (tmp_path / "out" / "failures.csv").read_text(encoding="utf-8")
@@ -684,7 +684,7 @@ class TestSweep:
                 time.sleep(0.01)
             os._exit(1)
 
-        monkeypatch.setattr(cli, "run_evaluation", die)
+        monkeypatch.setattr(sweep, "run_evaluation", die)
         assert cli.main(["sweep", "--config", str(config_path), "--jobs", "2"]) == 0
         failures = (out / "failures.csv").read_text(encoding="utf-8").splitlines()
         broken = (
@@ -713,7 +713,7 @@ class TestSweep:
     def test_submit_to_a_broken_pool_fails_the_job(self):
         with ProcessPoolExecutor(1) as pool:
             assert isinstance(pool.submit(os._exit, 1).exception(), BrokenProcessPool)
-            future = cli._submit(pool, abs, -1)
+            future = sweep._submit(pool, abs, -1)
         assert isinstance(future.exception(), BrokenProcessPool)
 
     def test_failures_are_written_when_no_point_is_left(self, tmp_path, capsys):
@@ -806,6 +806,10 @@ class TestSweep:
             ("thresholds", [-0.1, 0.3]),
             ("epochs", "x"),
             ("thresholds", 0.3),
+            # A baseline in kinds would train once per size, under as
+            # many labels of one model.
+            ("kinds", ["character"]),
+            ("kinds", ["gold", "bpe"]),
         ],
         ids=[
             "duplicate-threshold",
@@ -815,6 +819,8 @@ class TestSweep:
             "threshold-below-range",
             "epochs-not-integer",
             "thresholds-not-list",
+            "baseline-kind",
+            "baseline-among-kinds",
         ],
     )
     def test_invalid_config_exits_1_before_training(
@@ -827,6 +833,19 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(config_path)]) == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../escape", "a/b"])
+    def test_language_name_not_one_path_component_exits_1(self, tmp_path, capsys, name):
+        # The name is a directory under output_dir; these would share the
+        # output root or write outside it.
+        config_path = _sweep_setup(tmp_path)
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
+        doc["languages"] = {name: doc["languages"]["toy"]}
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(["sweep", "--config", str(config_path)]) == 1
+        assert "not one plain path component" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize(
         "field", ["corpus", "curated", "features", "segmentations", "output_dir"]
@@ -903,6 +922,16 @@ class TestReportCommand:
         assert "report cells" in capsys.readouterr().out
         report = read_report(out.read_text(encoding="utf-8").splitlines(True))
         assert len(report.cells) == 6
+
+    def test_failed_report_removes_earlier_output(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        with scores.open("w", encoding="utf-8") as handle:
+            write_score_rows([], handle, seed=0)
+        out = _write(tmp_path / "r.csv", "an earlier report\n")
+        code = cli.main(["report", "--scores", str(scores), "--out", str(out)])
+        assert code == 2
+        assert "zero score rows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rejects_malformed_scores(self, tmp_path):
         scores = _write(tmp_path / "scores.csv", "not,a,header\n")

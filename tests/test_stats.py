@@ -16,7 +16,6 @@ from tokalign.stats import (
     STATUS_OK,
     STATUS_UNDERPOPULATED,
     CorrelationCell,
-    MetricSeries,
     average_ranks,
     build_report,
     read_report,
@@ -99,14 +98,6 @@ class TestSpearman:
             spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
         with pytest.raises(DataError):
             spearman([1.0, 2.0, 3.0], [4.0, 4.0, 4.0])
-
-    def test_metric_series_validation(self):
-        with pytest.raises(DataError):
-            MetricSeries(labels=["a", "b"], values=[1.0])
-        with pytest.raises(DataError):
-            MetricSeries(labels=["a", "a"], values=[1.0, 2.0])
-        series = MetricSeries(labels=["a", "b"], values=[1.0, 2.0])
-        assert series.labels == ["a", "b"]
 
 
 def _row(kind, vocab_size, alignment, precision, recall, f1, threshold=0.01):
