@@ -185,12 +185,27 @@ def _list_of(parse):
     return parse_list
 
 
-def _config_value(doc: dict, name: str, default: object, parse) -> object:
-    """Parse one field of a sweep config; a missing field takes the default."""
-    try:
-        return parse(doc.get(name, default))
-    except ValueError as exc:
-        raise ConfigError(f"sweep config field {name}: {exc}") from exc
+# Each sweep config field but "languages": its default and its parser.
+_CONFIG_FIELDS = {
+    "kinds": (["bpe", "wordpiece", "unigram"], _list_of(_trained_kind)),
+    "vocab_sizes": (list(DEFAULT_VOCAB_SIZES), _list_of(_integer)),
+    "modes": (["joint", "split"], _list_of(FeatureMode)),
+    "aggregations": ([a.value for a in Aggregation], _list_of(Aggregation)),
+    "thresholds": (list(DEFAULT_THRESHOLDS), _list_of(_number)),
+    "epochs": (ibm1.DEFAULT_EPOCHS, _integer),
+    "seed": (0, _integer),
+    "include_baselines": (True, _boolean),
+    "include_null": (False, _boolean),
+    "output_dir": ("out", _path_text),
+}
+_LANGUAGE_KEYS = ("corpus", "curated", "features", "segmentations")
+
+
+def _reject_unknown_keys(doc: dict, known, where: str) -> None:
+    # A misspelt key would otherwise leave its field at the default.
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys: {', '.join(map(repr, unknown))}")
 
 
 def load_sweep_config(path: Path) -> SweepConfig:
@@ -202,6 +217,7 @@ def load_sweep_config(path: Path) -> SweepConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")
+    _reject_unknown_keys(doc, ["languages", *_CONFIG_FIELDS], "sweep config")
     base = path.parent
 
     def _resolve(raw: str) -> Path:
@@ -216,6 +232,7 @@ def load_sweep_config(path: Path) -> SweepConfig:
         spec = lang_doc[name]
         if not isinstance(spec, dict) or spec.get("corpus") is None:
             raise ConfigError(f"language {name!r} needs at least a corpus path")
+        _reject_unknown_keys(spec, _LANGUAGE_KEYS, f"language {name!r}")
         if spec.get("curated") is None and (
             spec.get("features") is None or spec.get("segmentations") is None
         ):
@@ -226,7 +243,7 @@ def load_sweep_config(path: Path) -> SweepConfig:
         try:
             paths = {
                 key: _resolve(_path_text(spec[key]))
-                for key in ("corpus", "curated", "features", "segmentations")
+                for key in _LANGUAGE_KEYS
                 if spec.get(key) is not None
             }
         except ValueError as exc:
@@ -235,27 +252,14 @@ def load_sweep_config(path: Path) -> SweepConfig:
             if not p.exists():
                 raise ConfigError(f"input path does not exist: {p}")
         languages.append(LanguageSpec(name=name, **paths))
-    return SweepConfig(
-        languages=languages,
-        kinds=_config_value(
-            doc, "kinds", ["bpe", "wordpiece", "unigram"], _list_of(_trained_kind)
-        ),
-        vocab_sizes=_config_value(
-            doc, "vocab_sizes", list(DEFAULT_VOCAB_SIZES), _list_of(_integer)
-        ),
-        modes=_config_value(doc, "modes", ["joint", "split"], _list_of(FeatureMode)),
-        aggregations=_config_value(
-            doc, "aggregations", [a.value for a in Aggregation], _list_of(Aggregation)
-        ),
-        thresholds=_config_value(
-            doc, "thresholds", list(DEFAULT_THRESHOLDS), _list_of(_number)
-        ),
-        epochs=_config_value(doc, "epochs", ibm1.DEFAULT_EPOCHS, _integer),
-        seed=_config_value(doc, "seed", 0, _integer),
-        include_baselines=_config_value(doc, "include_baselines", True, _boolean),
-        include_null=_config_value(doc, "include_null", False, _boolean),
-        output_dir=_resolve(_config_value(doc, "output_dir", "out", _path_text)),
-    )
+    values = {}
+    for field_name, (default, parse) in _CONFIG_FIELDS.items():
+        try:
+            values[field_name] = parse(doc.get(field_name, default))
+        except ValueError as exc:
+            raise ConfigError(f"sweep config field {field_name}: {exc}") from exc
+    values["output_dir"] = _resolve(values["output_dir"])
+    return SweepConfig(languages=languages, **values)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

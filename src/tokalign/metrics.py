@@ -15,17 +15,20 @@ are kept for their later occurrences.  Words and totals add vectors with
 ``map`` over ``operator.add`` instead of a Python loop per slot.  The
 floats are bit for bit those of adding each slot in turn, because no
 score or sum is ever -0.0 (see :func:`alignment_scores`).
+
+:func:`write_csv` and :func:`read_csv` write and read every result CSV:
+score rows, the correlation report and a sweep's failures.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import repeat
 from operator import add, truediv
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO, get_type_hints
 
 from .corpus import CuratedDataset, FeatureMode
 from .errors import ConfigError, DataError
@@ -386,61 +389,66 @@ SCORE_COLUMNS = (
 )
 
 
+def write_csv(
+    columns: Sequence[str], rows: Iterable, stream: TextIO, seed: int | None = None
+) -> None:
+    """Write an optional ``# seed:`` line, the header, then the rows as CSV.
+
+    ``csv`` writes a float as its ``repr`` and ``None`` as an empty cell.
+    """
+    if seed is not None:
+        stream.write(f"# seed: {seed}\n")
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+
+
+def _finite(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"{cell!r} is not a finite number")
+    return value
+
+
+# Cell parsers by field type.  No writer writes a non-finite float.
+_PARSERS = {
+    str: str, int: int, float: _finite, float | None: lambda c: _finite(c) if c else None
+}
+
+
+def read_csv(
+    stream: Iterable[str], columns: Sequence[str], record: type, what: str
+) -> list:
+    """Parse a CSV written by :func:`write_csv` into one `record` dataclass per row.
+
+    Comment lines are skipped and each cell is parsed by its field's type.
+    Malformed input, a non-finite float included, raises DataError.
+    """
+    hints = get_type_hints(record)
+    parsers = [_PARSERS[hints[f.name]] for f in fields(record)]
+    reader = csv.reader(line for line in stream if not line.startswith("#"))
+    if tuple(next(reader, ())) != tuple(columns):
+        raise DataError(f"{what} header does not match the expected columns")
+    records = []
+    for cells in reader:
+        if not cells:
+            continue
+        if len(cells) != len(columns):
+            raise DataError(f"{what} row has {len(cells)} columns")
+        try:
+            records.append(record(*[parse(c) for parse, c in zip(parsers, cells)]))
+        except ValueError as exc:
+            raise DataError(f"{what} row is malformed: {exc}") from exc
+    return records
+
+
 def write_score_rows(
     rows: Iterable[ScoreRow], stream: TextIO, seed: int | None = None
 ) -> None:
     """Write rows as CSV with a comment header carrying the seed."""
-    if seed is not None:
-        stream.write(f"# seed: {seed}\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(SCORE_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                row.language,
-                row.kind,
-                row.vocab_size,
-                row.mode,
-                row.aggregation,
-                repr(row.threshold),
-                repr(row.alignment),
-                repr(row.precision),
-                repr(row.recall),
-                repr(row.f1),
-                row.excluded,
-            ]
-        )
+    write_csv(SCORE_COLUMNS, (vars(row).values() for row in rows), stream, seed)
 
 
 def read_score_rows(stream: Iterable[str]) -> list[ScoreRow]:
     """Parse a score CSV produced by :func:`write_score_rows`."""
-    rows: list[ScoreRow] = []
-    lines = [line for line in stream if not line.startswith("#")]
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None or tuple(header) != SCORE_COLUMNS:
-        raise DataError("score file header does not match the expected columns")
-    for cols in reader:
-        if not cols:
-            continue
-        if len(cols) != len(SCORE_COLUMNS):
-            raise DataError(f"score row has {len(cols)} columns")
-        try:
-            rows.append(
-                ScoreRow(
-                    language=cols[0],
-                    kind=cols[1],
-                    vocab_size=int(cols[2]),
-                    mode=cols[3],
-                    aggregation=cols[4],
-                    threshold=float(cols[5]),
-                    alignment=float(cols[6]),
-                    precision=float(cols[7]),
-                    recall=float(cols[8]),
-                    f1=float(cols[9]),
-                    excluded=int(cols[10]),
-                )
-            )
-        except ValueError as exc:
-            raise DataError(f"score row is malformed: {exc}") from exc
-    return rows
+    return read_csv(stream, SCORE_COLUMNS, ScoreRow, "score")

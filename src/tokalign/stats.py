@@ -7,13 +7,12 @@ and surface as missing report cells rather than zeros.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
 from .errors import DataError
-from .metrics import ScoreRow
+from .metrics import ScoreRow, read_csv, write_csv
 
 MIN_POINTS = 3
 TARGET_METRICS = ("precision", "recall", "f1")
@@ -209,52 +208,8 @@ def write_report(
     report: CorrelationReport, stream: TextIO, seed: int | None = None
 ) -> None:
     """Long-format CSV; missing correlations have an empty rho field."""
-    if seed is not None:
-        stream.write(f"# seed: {seed}\n")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for cell in report.cells:
-        writer.writerow(
-            [
-                cell.language,
-                cell.mode,
-                cell.aggregation,
-                repr(cell.threshold),
-                cell.target_metric,
-                cell.scope,
-                cell.n_points,
-                "" if cell.rho is None else repr(cell.rho),
-                cell.status,
-            ]
-        )
+    write_csv(REPORT_COLUMNS, (vars(c).values() for c in report.cells), stream, seed)
 
 
 def read_report(stream: Iterable[str]) -> CorrelationReport:
-    lines = [line for line in stream if not line.startswith("#")]
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None or tuple(header) != REPORT_COLUMNS:
-        raise DataError("report header does not match the expected columns")
-    report = CorrelationReport()
-    for cols in reader:
-        if not cols:
-            continue
-        if len(cols) != len(REPORT_COLUMNS):
-            raise DataError(f"report row has {len(cols)} columns")
-        try:
-            report.cells.append(
-                CorrelationCell(
-                    language=cols[0],
-                    mode=cols[1],
-                    aggregation=cols[2],
-                    threshold=float(cols[3]),
-                    target_metric=cols[4],
-                    scope=cols[5],
-                    n_points=int(cols[6]),
-                    rho=None if cols[7] == "" else float(cols[7]),
-                    status=cols[8],
-                )
-            )
-        except ValueError as exc:
-            raise DataError(f"report row is malformed: {exc}") from exc
-    return report
+    return CorrelationReport(read_csv(stream, REPORT_COLUMNS, CorrelationCell, "report"))

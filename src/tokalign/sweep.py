@@ -11,7 +11,6 @@ exist are skipped, and the combined CSVs are rebuilt from them.
 
 from __future__ import annotations
 
-import csv
 import io
 import os
 import sys
@@ -500,12 +499,6 @@ def _sweep(config: SweepConfig, jobs: int) -> tuple[list[ScoreRow], list[tuple[s
     return rows, failures
 
 
-def _write_failures(failures: list[tuple[str, str]], stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["point", "error"])
-    writer.writerows(failures)
-
-
 def run_sweep(
     config: SweepConfig, jobs: int
 ) -> tuple[list[ScoreRow], list[tuple[str, str]], Path]:
@@ -518,7 +511,7 @@ def run_sweep(
     write_rendered(out / "scores.csv", metrics.write_score_rows, rows, seed=config.seed)
     failures_path = out / "failures.csv"
     if failures:
-        write_rendered(failures_path, _write_failures, failures)
+        write_rendered(failures_path, metrics.write_csv, ("point", "error"), failures)
     else:
         failures_path.unlink(missing_ok=True)
     return rows, failures, failures_path

@@ -22,6 +22,7 @@ a given configuration always produces identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -79,6 +80,21 @@ def stem_capacity(classes: tuple[tuple[str, str, str], ...]) -> int:
     )
 
 
+def zipf_weights(stems: int, exponent: float) -> list[float]:
+    """Each stem's sampling weight, by frequency rank from 1 to `stems`.
+
+    Raises ConfigError unless the weights are positive with a finite total.
+    """
+    try:
+        weights = [1.0 / (rank + 1) ** exponent for rank in range(stems)]
+    except (OverflowError, ZeroDivisionError):
+        weights = [math.nan]
+    # A NaN weight makes the total NaN.
+    if not (min(weights) > 0.0 and sum(weights) < math.inf):
+        raise ConfigError(f"zipf exponent {exponent} gives unusable stem weights")
+    return weights
+
+
 @dataclass
 class SynthConfig:
     noun_stems: int = 48
@@ -105,6 +121,7 @@ class SynthConfig:
                 )
         if self.sentences < 1 or self.words_per_sentence < 1:
             raise ConfigError("corpus dimensions must be positive")
+        zipf_weights(self.noun_stems + self.verb_stems, self.zipf_exponent)
 
 
 @dataclass
@@ -168,7 +185,7 @@ def build_language(config: SynthConfig) -> SynthLanguage:
     for form, stem, _suffix, _bundle in lexicon:
         by_stem.setdefault(stem, []).append(form)
     stems = list(by_stem)
-    weights = [1.0 / (rank + 1) ** config.zipf_exponent for rank in range(len(stems))]
+    weights = zipf_weights(len(stems), config.zipf_exponent)
     sentences = []
     for _ in range(config.sentences):
         words = []

@@ -834,6 +834,23 @@ class TestSweep:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("where", ["top", "language"])
+    def test_unknown_key_exits_1_before_any_output(self, tmp_path, capsys, where):
+        config_path = _sweep_setup(tmp_path)
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
+        if where == "top":
+            # Ignored, it would leave vocab_sizes at the twelve defaults.
+            doc["vocab_size"] = [200]
+            key = "vocab_size"
+        else:
+            doc["languages"]["toy"]["curatd"] = "lang/curated.tsv"
+            key = "curatd"
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(["sweep", "--config", str(config_path)]) == 1
+        assert f"unknown keys: {key!r}" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("name", ["", ".", "..", "../escape", "a/b"])
     def test_language_name_not_one_path_component_exits_1(self, tmp_path, capsys, name):
         # The name is a directory under output_dir; these would share the
@@ -931,6 +948,23 @@ class TestReportCommand:
         code = cli.main(["report", "--scores", str(scores), "--out", str(out)])
         assert code == 2
         assert "zero score rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_rejects_a_non_finite_alignment_score(self, tmp_path, capsys, cell):
+        rows = [
+            ScoreRow("toy", "bpe", size, "split", "mean", 0.01, 0.1 * i, 0.9, 0.3, 0.5, 0)
+            for i, size in enumerate((200, 400, 800))
+        ]
+        scores = tmp_path / "scores.csv"
+        with scores.open("w", encoding="utf-8") as handle:
+            write_score_rows(rows, handle, seed=0)
+        text = scores.read_text(encoding="utf-8")
+        _write(scores, text.replace(",0.1,0.9,", f",{cell},0.9,"))
+        out = tmp_path / "r.csv"
+        code = cli.main(["report", "--scores", str(scores), "--out", str(out)])
+        assert code == 2
+        assert f"{cell!r} is not a finite number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rejects_malformed_scores(self, tmp_path):

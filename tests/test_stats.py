@@ -227,3 +227,12 @@ class TestReportFiles:
         write_report(report, buf)
         with pytest.raises(DataError):
             read_report(io.StringIO(buf.getvalue() + "toy,split\n"))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_reader_rejects_a_non_finite_rho(self, cell):
+        report = build_report(_grid_rows())
+        buf = io.StringIO()
+        write_report(report, buf)
+        line = f"toy,split,mean,0.01,f1,all,4,{cell},ok\n"
+        with pytest.raises(DataError, match="not a finite number"):
+            read_report(io.StringIO(buf.getvalue() + line))

@@ -34,3 +34,13 @@ def test_command_line_rejects_stem_counts_past_capacity(tmp_path, capsys):
     assert main(["--out", str(tmp_path / "syn"), "--verb-stems", "226"]) == 1
     assert "capacity of 225" in capsys.readouterr().err
     assert not (tmp_path / "syn").exists()
+
+
+@pytest.mark.parametrize("exponent", ["nan", "-inf", "inf", "2000", "-2000"])
+def test_exponent_without_usable_weights_exits_1(tmp_path, capsys, exponent):
+    with pytest.raises(ConfigError, match="unusable stem weights"):
+        SynthConfig(zipf_exponent=float(exponent))
+    # The "=" form, since argparse would take a bare "-inf" for an option.
+    assert main(["--out", str(tmp_path / "syn"), f"--zipf-exponent={exponent}"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "syn").exists()
