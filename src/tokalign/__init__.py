@@ -6,92 +6,78 @@ features through a lexical translation table, and aggregates the
 alignment probabilities into a per-tokenizer score.  Boundary precision
 and recall against the gold segmentation, plus rank correlation between
 the two metric families, close the loop.
+
+Importing the package loads none of its modules.  Each public name
+below, and each module that defines one, is imported on first access
+(PEP 562), so a process loads only the modules it uses.
 """
 
-from .corpus import (
-    CuratedDataset,
-    FeatureMode,
-    WordEntry,
-    curate,
-    feature_tokens,
-    parse_feature_lexicon,
-    parse_segmentation_lexicon,
-    read_curated,
-    write_curated,
-)
-from .errors import (
-    ConfigError,
-    DataError,
-    NumericalError,
-    TokalignError,
-    UncoverableWord,
-)
-from .ibm1 import (
-    ParallelPair,
-    TranslationTable,
-    build_parallel_corpus,
-    em_epoch,
-    train_ibm1,
-    uniform_init,
-)
-from .metrics import (
-    Aggregation,
-    ScoreConfig,
-    ScoreRow,
-    alignment_score,
-    boundary_prf,
-    subword_score,
-)
-from .stats import CorrelationReport, build_report, spearman
-from .tokenizers import (
-    TokenizerKind,
-    TokenizerModel,
-    TrainConfig,
-    canonical_subwords,
-    load_model,
-    save_model,
-    segment,
-    train,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Aggregation",
-    "ConfigError",
-    "CorrelationReport",
-    "CuratedDataset",
-    "DataError",
-    "FeatureMode",
-    "NumericalError",
-    "ParallelPair",
-    "ScoreConfig",
-    "ScoreRow",
-    "TokalignError",
-    "TokenizerKind",
-    "TokenizerModel",
-    "TrainConfig",
-    "TranslationTable",
-    "UncoverableWord",
-    "WordEntry",
-    "alignment_score",
-    "boundary_prf",
-    "build_parallel_corpus",
-    "build_report",
-    "canonical_subwords",
-    "curate",
-    "em_epoch",
-    "feature_tokens",
-    "load_model",
-    "parse_feature_lexicon",
-    "parse_segmentation_lexicon",
-    "read_curated",
-    "save_model",
-    "segment",
-    "spearman",
-    "subword_score",
-    "train",
-    "train_ibm1",
-    "uniform_init",
-    "write_curated",
-]
+# The public names, by the module that defines them.
+_EXPORTS = {
+    "choices": ("Aggregation", "TokenizerKind"),
+    "corpus": (
+        "CuratedDataset",
+        "FeatureMode",
+        "WordEntry",
+        "curate",
+        "feature_tokens",
+        "parse_feature_lexicon",
+        "parse_segmentation_lexicon",
+        "read_curated",
+        "write_curated",
+    ),
+    "errors": (
+        "ConfigError",
+        "DataError",
+        "NumericalError",
+        "TokalignError",
+        "UncoverableWord",
+    ),
+    "ibm1": (
+        "ParallelPair",
+        "TranslationTable",
+        "build_parallel_corpus",
+        "em_epoch",
+        "train_ibm1",
+        "uniform_init",
+    ),
+    "metrics": (
+        "ScoreConfig",
+        "ScoreRow",
+        "alignment_score",
+        "boundary_prf",
+        "subword_score",
+    ),
+    "stats": ("CorrelationReport", "build_report", "spearman"),
+    "tokenizers": (
+        "TokenizerModel",
+        "TrainConfig",
+        "canonical_subwords",
+        "load_model",
+        "save_model",
+        "segment",
+        "train",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -1,0 +1,34 @@
+"""The values the command line and the sweep config choose among, and defaults.
+
+This module imports nothing but `enum`, so that the argument parser and
+the sweep-config parser can name tokenizer kinds and aggregations
+without loading the pipeline modules.  `tokalign.tokenizers`,
+`tokalign.metrics` and `tokalign.ibm1` import these same objects.
+"""
+
+from enum import Enum
+
+
+class TokenizerKind(Enum):
+    BPE = "bpe"
+    WORDPIECE = "wordpiece"
+    UNIGRAM = "unigram"
+    CHARACTER = "character"
+    GOLD = "gold"
+
+
+TRAINED_KINDS = (TokenizerKind.BPE, TokenizerKind.WORDPIECE, TokenizerKind.UNIGRAM)
+MERGE_KINDS = (TokenizerKind.BPE, TokenizerKind.WORDPIECE)
+BASELINE_KINDS = (TokenizerKind.CHARACTER, TokenizerKind.GOLD)
+
+
+class Aggregation(Enum):
+    SUM = "sum"
+    LOG = "log"
+    MEAN = "mean"
+    MIN = "min"
+    MAX = "max"
+
+
+DEFAULT_THRESHOLDS = tuple(round(0.01 + i * 0.049, 3) for i in range(11))
+DEFAULT_EPOCHS = 10

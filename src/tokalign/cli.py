@@ -1,28 +1,33 @@
 """Command line entry point: parse the arguments and the sweep config, run, print.
 
 Each subcommand checks its arguments, calls the stage routines of
-`tokalign.sweep` and prints what they did.  `tokalign.sweep` owns those
-routines, the sweep's jobs and process pool, and the layout of the
-output tree.  This module owns the arguments, the sweep config's JSON
-format (`load_sweep_config`; README.md has an example) and the exit
-codes: 0 success, 1 usage or configuration error, 2 data error,
-3 numerical degeneracy.
+`tokalign.sweep` and prints what they did.  It imports the pipeline
+modules it runs only when it runs, so that a process loads no others.
+`tokalign.sweep` owns those routines, the sweep's jobs and process
+pool, and the layout of the output tree.  This module owns the
+arguments, the sweep config's JSON format (`load_sweep_config`;
+README.md has an example) and the exit codes: 0 success, 1 usage or
+configuration error, 2 data error, 3 numerical degeneracy.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from . import ibm1, metrics, sweep, tokenizers
+from .choices import (
+    BASELINE_KINDS,
+    DEFAULT_EPOCHS,
+    DEFAULT_THRESHOLDS,
+    TRAINED_KINDS,
+    Aggregation,
+    TokenizerKind,
+)
 from .corpus import FeatureMode
 from .errors import ConfigError, DataError, NumericalError
-from .metrics import Aggregation, DEFAULT_THRESHOLDS
-from .sweep import LanguageSpec, SweepConfig
-from .tokenizers import BASELINE_KINDS, TokenizerKind
+from .files import atomic_write, read_lines
 
 DEFAULT_VOCAB_SIZES = (
     2000, 4000, 8000, 16000, 24000, 32000,
@@ -53,7 +58,7 @@ def _parse_list(text: str, parse, label: str) -> list:
 
 def cmd_curate(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    dataset, feat_stats, seg_stats, join_stats = sweep.curate_files(
+    dataset, feat_stats, seg_stats, join_stats = corpus_mod.curate_files(
         Path(args.features), Path(args.segmentations), args.language, out
     )
     print(f"curated {len(dataset)} entries to {out}")
@@ -66,8 +71,10 @@ def cmd_curate(args: argparse.Namespace) -> int:
 
 
 def cmd_train_tokenizer(args: argparse.Namespace) -> int:
+    from . import sweep, tokenizers
+
     kind = TokenizerKind(args.kind)  # argparse's choices admit only kinds
-    if kind in tokenizers.TRAINED_KINDS and args.vocab_size is None:
+    if kind in TRAINED_KINDS and args.vocab_size is None:
         raise ConfigError(f"--vocab-size is required for kind {kind.value}")
     model = sweep.build_model(
         kind,
@@ -76,12 +83,14 @@ def cmd_train_tokenizer(args: argparse.Namespace) -> int:
         Path(args.corpus) if args.corpus else None,
         (lambda: sweep.load_curated(Path(args.curated))) if args.curated else None,
     )
-    sweep.atomic_write(Path(args.out), tokenizers.model_to_json(model))
+    atomic_write(Path(args.out), tokenizers.model_to_json(model))
     print(f"trained {kind.value} model with {len(model.vocab)} tokens to {args.out}")
     return EXIT_OK
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
+    from . import tokenizers
+
     model = tokenizers.load_model(Path(args.model))
     vocab = set(model.vocab)
     oov_count = 0
@@ -101,6 +110,8 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from . import metrics, sweep, tokenizers
+
     modes = _parse_list(args.mode, FeatureMode, "feature mode")
     if len(modes) != 1:
         raise ConfigError("evaluate takes exactly one feature mode")
@@ -135,8 +146,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    rows = metrics.read_score_rows(sweep.read_lines(Path(args.scores)))
-    report = sweep.write_report(rows, Path(args.out), args.seed)
+    from . import metrics, sweep
+
+    lines = read_lines(Path(args.scores))
+    # The report carries its scores' seed; --seed only fills in a missing one.
+    seed = metrics.read_seed(lines)
+    if seed is None:
+        seed = 0 if args.seed is None else args.seed
+    elif args.seed is not None and args.seed != seed:
+        raise ConfigError(f"--seed {args.seed} contradicts seed {seed} of {args.scores}")
+    rows = metrics.read_score_rows(lines)
+    report = sweep.write_report(rows, Path(args.out), seed)
     ok = len(report.ok_cells())
     print(f"wrote {len(report.cells)} report cells ({ok} with defined rho) to {args.out}")
     return EXIT_OK
@@ -192,7 +212,7 @@ _CONFIG_FIELDS = {
     "modes": (["joint", "split"], _list_of(FeatureMode)),
     "aggregations": ([a.value for a in Aggregation], _list_of(Aggregation)),
     "thresholds": (list(DEFAULT_THRESHOLDS), _list_of(_number)),
-    "epochs": (ibm1.DEFAULT_EPOCHS, _integer),
+    "epochs": (DEFAULT_EPOCHS, _integer),
     "seed": (0, _integer),
     "include_baselines": (True, _boolean),
     "include_null": (False, _boolean),
@@ -209,6 +229,10 @@ def _reject_unknown_keys(doc: dict, known, where: str) -> None:
 
 
 def load_sweep_config(path: Path) -> SweepConfig:
+    import json
+
+    from .sweep import LanguageSpec, SweepConfig
+
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
@@ -263,6 +287,8 @@ def load_sweep_config(path: Path) -> SweepConfig:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from . import sweep
+
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     if args.output_dir == "":
@@ -319,7 +345,7 @@ def build_parser() -> _Parser:
                    default=",".join(a.value for a in Aggregation))
     p.add_argument("--thresholds",
                    default=",".join(str(t) for t in DEFAULT_THRESHOLDS))
-    p.add_argument("--epochs", type=int, default=ibm1.DEFAULT_EPOCHS)
+    p.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
     p.add_argument("--include-null", action="store_true",
                    help="add a shared null source token during alignment")
     p.add_argument("--language", default=None)
@@ -340,7 +366,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("report", help="build a correlation report from score rows")
     p.add_argument("--scores", required=True, help="score CSV")
     p.add_argument("--out", required=True, help="correlation CSV to write")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -8,6 +8,9 @@ Two tab-separated inputs are joined into one curated dataset:
 The join is exact on the surface form after Unicode NFC normalization.
 A form may appear with several feature bundles; each match becomes its
 own entry, so the curated dataset keeps one row per analysis.
+
+:func:`curate_files` runs the join from the lexicon files to a curated
+file.
 """
 
 from __future__ import annotations
@@ -15,9 +18,11 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from .errors import DataError
+from .files import read_lines, write_rendered
 
 FEATURE_SEP = ";"
 SEGMENT_SEP = "|"
@@ -253,3 +258,14 @@ def read_curated(stream: Iterable[str]) -> CuratedDataset:
     if not entries:
         raise DataError("curated file contains no entries")
     return CuratedDataset(entries, language=language, meta=meta)
+
+
+def curate_files(
+    features: Path, segmentations: Path, language: str, out: Path
+) -> tuple[CuratedDataset, ParseStats, ParseStats, JoinStats]:
+    """Join the lexicons, write the dataset to `out`, and return it and the counts."""
+    feature_rows, feat_stats = parse_feature_lexicon(read_lines(features))
+    segmentation_map, seg_stats = parse_segmentation_lexicon(read_lines(segmentations))
+    dataset, join_stats = curate(segmentation_map, feature_rows, language=language)
+    write_rendered(out, write_curated, dataset)
+    return dataset, feat_stats, seg_stats, join_stats

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from .choices import DEFAULT_EPOCHS
 from .corpus import CuratedDataset, FeatureMode, feature_tokens
 from .errors import ConfigError, DataError, NumericalError, UncoverableWord
 from .tokenizers import TokenizerModel, canonical_subwords, segment
@@ -32,7 +33,6 @@ PROB_FLOOR = 1e-12
 # Rows lose at most the sub-floor entries maximization drops, far below
 # this, so a larger gap means the file was not written by training.
 ROW_SUM_TOLERANCE = 1e-6
-DEFAULT_EPOCHS = 10
 TABLE_SCHEMA = "translation-table/1"
 
 Probs = dict[str, dict[str, float]]

@@ -17,7 +17,8 @@ floats are bit for bit those of adding each slot in turn, because no
 score or sum is ever -0.0 (see :func:`alignment_scores`).
 
 :func:`write_csv` and :func:`read_csv` write and read every result CSV:
-score rows, the correlation report and a sweep's failures.
+score rows, the correlation report and a sweep's failures, and
+:func:`read_seed` reads the seed line that :func:`write_csv` writes.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, fields
-from enum import Enum
 from itertools import repeat
 from operator import add, truediv
 from typing import Iterable, Sequence, TextIO, get_type_hints
 
+# DEFAULT_THRESHOLDS is a public name of this module too, though unused here.
+from .choices import DEFAULT_THRESHOLDS, Aggregation
 from .corpus import CuratedDataset, FeatureMode
 from .errors import ConfigError, DataError
 from .ibm1 import (
@@ -41,14 +43,6 @@ from .ibm1 import (
     segment_entries,
 )
 from .tokenizers import TokenizerModel
-
-
-class Aggregation(Enum):
-    SUM = "sum"
-    LOG = "log"
-    MEAN = "mean"
-    MIN = "min"
-    MAX = "max"
 
 
 def check_threshold(threshold: float) -> None:
@@ -65,9 +59,6 @@ class ScoreConfig:
 
     def __post_init__(self) -> None:
         check_threshold(self.threshold)
-
-
-DEFAULT_THRESHOLDS = tuple(round(0.01 + i * 0.049, 3) for i in range(11))
 
 
 @dataclass
@@ -389,6 +380,9 @@ SCORE_COLUMNS = (
 )
 
 
+_SEED_LINE = "# seed:"
+
+
 def write_csv(
     columns: Sequence[str], rows: Iterable, stream: TextIO, seed: int | None = None
 ) -> None:
@@ -397,10 +391,27 @@ def write_csv(
     ``csv`` writes a float as its ``repr`` and ``None`` as an empty cell.
     """
     if seed is not None:
-        stream.write(f"# seed: {seed}\n")
+        stream.write(f"{_SEED_LINE} {seed}\n")
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows(rows)
+
+
+def read_seed(lines: Iterable[str]) -> int | None:
+    """The seed on the ``# seed:`` line that :func:`write_csv` wrote, or None.
+
+    Only the comment lines before the header are searched.
+    """
+    for line in lines:
+        if not line.startswith("#"):
+            break
+        if line.startswith(_SEED_LINE):
+            text = line[len(_SEED_LINE):].strip()
+            try:
+                return int(text)
+            except ValueError as exc:
+                raise DataError(f"seed {text!r} is not an integer") from exc
+    return None
 
 
 def _finite(cell: str) -> float:

@@ -2,56 +2,32 @@
 
 `tokalign.cli` parses arguments and the sweep config and prints; this
 module does the work.  It owns each stage routine that a subcommand and
-the sweep both run (curate, build a model, evaluate and write a point,
-write the report), the sweep's jobs and process pool, and the layout of
-the output tree, which no other module knows.  Every stage reads and
-writes plain files, so a sweep is resumable: grid points whose files
-exist are skipped, and the combined CSVs are rebuilt from them.
+the sweep both run (build a model, evaluate and write a point, write
+the report), the sweep's jobs and process pool, and the layout of the
+output tree, which no other module knows.  Curation is
+`tokalign.corpus.curate_files`, so that `tokalign curate` loads none of
+this module's imports.  Every stage reads and writes plain files, so a
+sweep is resumable: grid points whose files exist are skipped, and the
+combined CSVs are rebuilt from them.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import sys
 import traceback
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from . import corpus as corpus_mod
 from . import ibm1, metrics, stats, tokenizers
-from .corpus import CuratedDataset, FeatureMode, JoinStats, ParseStats
+from .choices import BASELINE_KINDS, MERGE_KINDS, Aggregation, TokenizerKind
+from .corpus import CuratedDataset, FeatureMode, curate_files
 from .errors import ConfigError, DataError, TokalignError
-from .metrics import Aggregation, ScoreRow
-from .tokenizers import BASELINE_KINDS, TokenizerKind, TokenizerModel, TrainConfig
-
-
-def atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def write_rendered(path: Path, render: Callable[..., None], *args, **kwargs) -> None:
-    """Write to `path` what ``render(*args, stream, **kwargs)`` writes.
-
-    The text is rendered in memory first, so a failure part way leaves
-    any existing file whole instead of truncated.
-    """
-    buffer = io.StringIO()
-    render(*args, buffer, **kwargs)
-    atomic_write(path, buffer.getvalue())
-
-
-def read_lines(path: Path) -> list[str]:
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            return handle.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+from .files import atomic_write, read_lines, write_rendered
+from .metrics import ScoreRow
+from .tokenizers import TokenizerModel, TrainConfig
 
 
 def load_curated(path: Path) -> CuratedDataset:
@@ -125,21 +101,6 @@ class SweepConfig:
         if self.include_baselines:
             grid.extend((kind, 0) for kind in BASELINE_KINDS)
         return grid
-
-
-def curate_files(
-    features: Path, segmentations: Path, language: str, out: Path
-) -> tuple[CuratedDataset, ParseStats, ParseStats, JoinStats]:
-    """Join the lexicons, write the dataset to `out`, and return it and the counts."""
-    feature_rows, feat_stats = corpus_mod.parse_feature_lexicon(read_lines(features))
-    segmentation_map, seg_stats = corpus_mod.parse_segmentation_lexicon(
-        read_lines(segmentations)
-    )
-    dataset, join_stats = corpus_mod.curate(
-        segmentation_map, feature_rows, language=language
-    )
-    write_rendered(out, corpus_mod.write_curated, dataset)
-    return dataset, feat_stats, seg_stats, join_stats
 
 
 def build_model(
@@ -337,7 +298,7 @@ def _model_job(job: _ModelJob, config: SweepConfig) -> dict[str, str]:
             except Exception as exc:
                 errors[_train_label(job.language, job.kind, size)] = _failure(exc)
                 continue
-            if full is None and job.kind in tokenizers.MERGE_KINDS:
+            if full is None and job.kind in MERGE_KINDS:
                 full = model
         if not job.evaluate:
             continue
@@ -375,6 +336,8 @@ def _model_job(job: _ModelJob, config: SweepConfig) -> dict[str, str]:
 
 def _submit(executor: ProcessPoolExecutor, fn, *args) -> Future:
     """Submit one job; in a pool broken by a dead worker, the job fails."""
+    from concurrent.futures import BrokenExecutor, Future
+
     try:
         return executor.submit(fn, *args)
     except BrokenExecutor as exc:
@@ -410,6 +373,10 @@ def _run_jobs(
             done.append((job, _model_job(job, config)))
             done.extend((then, _model_job(then, config)) for then in evaluations(job))
         return done
+    # Imported here, so that a sweep with nothing to run in parallel
+    # never loads `multiprocessing`.
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     pool = ProcessPoolExecutor(workers)
     try:
         futures = {_submit(pool, _model_job, job, config): job for job in model_jobs}
@@ -454,7 +421,7 @@ def _sweep(config: SweepConfig, jobs: int) -> tuple[list[ScoreRow], list[tuple[s
         untrained: dict[TokenizerKind, list[int]] = {}
         for kind, size in grid:
             model_path = _model_path(out, spec.name, kind, size)
-            if kind in tokenizers.MERGE_KINDS and not model_path.exists():
+            if kind in MERGE_KINDS and not model_path.exists():
                 # A merge kind's missing models share one training.
                 untrained.setdefault(kind, []).append(size)
             elif not all(p.exists() for p in (model_path, *points(spec.name, kind, size))):
@@ -491,7 +458,10 @@ def _sweep(config: SweepConfig, jobs: int) -> tuple[list[ScoreRow], list[tuple[s
                 continue
             for point_path in points(spec.name, kind, size):
                 if point_path.exists():
-                    rows.extend(metrics.read_score_rows(read_lines(point_path)))
+                    try:
+                        rows.extend(metrics.read_score_rows(read_lines(point_path)))
+                    except DataError as exc:
+                        raise DataError(f"point file {point_path}: {exc}") from exc
                 else:
                     label = _point_label(spec.name, point_path)
                     eval_failures.append((label, errors[label]))
@@ -505,9 +475,16 @@ def run_sweep(
     """Run the sweep, and write its score rows and failures (see `_sweep`).
 
     Also returns the failures' file; a run without failures removes it.
+    If the sweep raises, the combined files of an earlier run are removed
+    first, so that they cannot pass for this run's results.
     """
     out = config.output_dir
-    rows, failures = _sweep(config, jobs)
+    try:
+        rows, failures = _sweep(config, jobs)
+    except TokalignError:
+        for name in ("scores.csv", "failures.csv", "correlations.csv"):
+            (out / name).unlink(missing_ok=True)
+        raise
     write_rendered(out / "scores.csv", metrics.write_score_rows, rows, seed=config.seed)
     failures_path = out / "failures.csv"
     if failures:

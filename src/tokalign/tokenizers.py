@@ -44,10 +44,12 @@ import math
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
+# The kind groups are public names of this module too, though only
+# MERGE_KINDS is used here.
+from .choices import BASELINE_KINDS, MERGE_KINDS, TRAINED_KINDS, TokenizerKind
 from .corpus import CuratedDataset, normalize
 from .errors import ConfigError, DataError, NumericalError, UncoverableWord
 
@@ -58,19 +60,6 @@ MAX_SEED_TOKEN_LEN = 20
 OOV_CHAR_LOGPROB = -100.0
 PROB_FLOOR = 1e-12
 MODEL_SCHEMA = "subword-model/1"
-
-
-class TokenizerKind(Enum):
-    BPE = "bpe"
-    WORDPIECE = "wordpiece"
-    UNIGRAM = "unigram"
-    CHARACTER = "character"
-    GOLD = "gold"
-
-
-TRAINED_KINDS = (TokenizerKind.BPE, TokenizerKind.WORDPIECE, TokenizerKind.UNIGRAM)
-MERGE_KINDS = (TokenizerKind.BPE, TokenizerKind.WORDPIECE)
-BASELINE_KINDS = (TokenizerKind.CHARACTER, TokenizerKind.GOLD)
 
 
 @dataclass
@@ -161,26 +150,22 @@ def _merge_sequence(
     return out
 
 
-class _Likelihood:
-    """Pair likelihood count(ab) / (count(a) * count(b)), best first.
+def _likelihood_key(total: int) -> Callable[[int, int, int], int]:
+    """WordPiece's pair key, best first, for a corpus of `total` symbols.
 
-    Compared exactly by integer cross-multiplication, so the order is
-    platform independent and equal ratios tie.
+    The key of count(ab) / (count(a) * count(b)) is the negated floor of
+    that ratio times ``S = (total**2 + 1)**2``: a plain int, which the
+    heap compares in C.  It orders and ties pairs exactly as the ratios
+    do.  No count exceeds `total`, so two distinct ratios p/q and r/s
+    differ by at least 1/(qs) >= 1/total**4 > 1/S, and their scaled
+    floors differ in the same direction; equal ratios give equal keys.
     """
+    scale = (total * total + 1) ** 2
 
-    __slots__ = ("count", "denominator")
+    def key(count: int, left_count: int, right_count: int) -> int:
+        return -((count * scale) // (left_count * right_count))
 
-    def __init__(self, count: int, left_count: int, right_count: int) -> None:
-        self.count = count
-        self.denominator = left_count * right_count
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _Likelihood):
-            return NotImplemented
-        return self.count * other.denominator == other.count * self.denominator
-
-    def __lt__(self, other: _Likelihood) -> bool:
-        return self.count * other.denominator > other.count * self.denominator
+    return key
 
 
 def _frequency_key(count: int, left_count: int, right_count: int) -> int | None:
@@ -316,14 +301,16 @@ def train_wordpiece(corpus: Mapping[str, int], config: TrainConfig) -> Tokenizer
     """Merge loop over raw symbols scored by pair likelihood.
 
     Pairs are ranked by count(pair) / (count(left) * count(right)),
-    compared exactly by integer cross-multiplication so ties are
-    platform independent and break on the lexicographically smallest
-    pair.  Any observed pair is eligible, so even singleton pairs merge
-    once frequent pairs are exhausted.  The continuation marker
+    compared exactly through an integer key (see ``_likelihood_key``),
+    so ties are platform independent and break on the lexicographically
+    smallest pair.  Any observed pair is eligible, so even singleton
+    pairs merge once frequent pairs are exhausted.  The continuation marker
     decorates word-internal tokens at segmentation time only; training
     symbols and the stored vocabulary are marker-free.
     """
-    alphabet, merges = _train_merges(corpus, config.vocab_size, _Likelihood)
+    total = sum(len(word) * freq for word, freq in corpus.items())
+    score = _likelihood_key(total)
+    alphabet, merges = _train_merges(corpus, config.vocab_size, score)
     return _merge_model(TokenizerKind.WORDPIECE, alphabet, merges, config)
 
 

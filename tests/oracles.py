@@ -251,6 +251,29 @@ def wordpiece_best_pair(
     return best
 
 
+class Likelihood:
+    """Pair likelihood count(ab) / (count(a) * count(b)), best first.
+
+    Compared exactly by integer cross-multiplication, so equal ratios
+    tie.  This was WordPiece's heap key before the integer key
+    ``tokenizers._likelihood_key``, which must order and tie as it does.
+    """
+
+    __slots__ = ("count", "denominator")
+
+    def __init__(self, count: int, left_count: int, right_count: int) -> None:
+        self.count = count
+        self.denominator = left_count * right_count
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Likelihood):
+            return NotImplemented
+        return self.count * other.denominator == other.count * self.denominator
+
+    def __lt__(self, other: Likelihood) -> bool:
+        return self.count * other.denominator > other.count * self.denominator
+
+
 def replay_merge(symbols: list[str], pair: tuple[str, str]) -> list[str]:
     """Left-to-right non-overlapping replacement of one pair."""
     out: list[str] = []

@@ -1,5 +1,6 @@
 """Command line wiring: exit codes, output files, and sweep behavior."""
 
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -590,9 +591,45 @@ class TestSweep:
         def no_pool(*args, **kwargs):
             raise AssertionError("a sweep with nothing to do started a pool")
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert cli.main(argv) == 0
         assert _tree(tmp_path / "out") == finished
+
+    def test_finished_sweep_does_not_import_the_process_pool(self, tmp_path):
+        config_path = _sweep_setup(tmp_path)
+        argv = ["sweep", "--config", str(config_path), "--jobs", "2"]
+        assert cli.main(argv) == 0
+        code = (
+            "import sys\n"
+            "from tokalign import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_malformed_point_file_on_resume_names_it_and_removes_combined_files(
+        self, tmp_path, capsys
+    ):
+        config_path = _sweep_setup(tmp_path, vocab_sizes=(2, 60))
+        argv = ["sweep", "--config", str(config_path)]
+        assert cli.main(argv) == 0
+        out = tmp_path / "out"
+        point = out / "toy" / "points" / "bpe-60-split.csv"
+        seed_line, header, row, *rest = point.read_text(encoding="utf-8").splitlines(True)
+        cells = row.split(",")
+        cells[header.split(",").index("alignment_score")] = "nan"
+        _write(point, "".join([seed_line, header, ",".join(cells), *rest]))
+        combined = ("scores.csv", "failures.csv", "correlations.csv")
+        assert all((out / name).exists() for name in combined)
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"point file {point}: score row is malformed" in err
+        assert "'nan' is not a finite number" in err
+        assert not any((out / name).exists() for name in combined)
 
     def test_crashed_training_job_is_recorded_not_fatal(
         self, tmp_path, capsys, monkeypatch
@@ -965,6 +1002,36 @@ class TestReportCommand:
         code = cli.main(["report", "--scores", str(scores), "--out", str(out)])
         assert code == 2
         assert f"{cell!r} is not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def _scores(self, tmp_path, seed):
+        rows = [
+            ScoreRow("toy", "bpe", size, "split", "mean", 0.01, 0.1 * i, 0.9, 0.3, 0.5, 0)
+            for i, size in enumerate((200, 400, 800))
+        ]
+        scores = tmp_path / "scores.csv"
+        with scores.open("w", encoding="utf-8") as handle:
+            write_score_rows(rows, handle, seed=seed)
+        return scores
+
+    @pytest.mark.parametrize(
+        "file_seed, flag, report_seed",
+        [(5, [], 5), (5, ["--seed", "5"], 5), (None, [], 0), (None, ["--seed", "4"], 4)],
+    )
+    def test_report_carries_the_seed_of_its_scores(
+        self, tmp_path, file_seed, flag, report_seed
+    ):
+        scores = self._scores(tmp_path, file_seed)
+        out = tmp_path / "r.csv"
+        assert cli.main(["report", "--scores", str(scores), "--out", str(out), *flag]) == 0
+        assert out.read_text(encoding="utf-8").startswith(f"# seed: {report_seed}\n")
+
+    def test_seed_flag_contradicting_the_scores_exits_1(self, tmp_path, capsys):
+        scores = self._scores(tmp_path, 5)
+        out = tmp_path / "r.csv"
+        argv = ["report", "--scores", str(scores), "--out", str(out), "--seed", "0"]
+        assert cli.main(argv) == 1
+        assert "--seed 0 contradicts seed 5" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rejects_malformed_scores(self, tmp_path):

@@ -11,6 +11,8 @@ for byte the model of one Viterbi call per word.  Every tokenizer kind
 must segment a training word into subwords that concatenate back to the
 word.  A chain of EM epochs keeps rows normalized and never loses
 likelihood, and rank correlation agrees with scipy on series with ties.
+WordPiece's integer pair key orders and ties pairs exactly as the
+cross-multiplied ratio it replaced.
 """
 
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    Likelihood,
     alignment_reference,
     alignment_scores_reference,
     corpus_loglik_reference,
@@ -54,6 +57,7 @@ from tokalign.tokenizers import (
     model_to_json,
     segment,
     train,
+    _likelihood_key,
     train_character,
     train_unigram,
 )
@@ -401,3 +405,34 @@ def test_canonical_subwords_concatenate_to_the_word(case):
                 # A WordPiece [UNK] stands for the word, not its spelling.
                 continue
             assert "".join(subwords) == word, (model.kind, word, subwords)
+
+
+@st.composite
+def likelihood_cases(draw):
+    """A symbol total and two (pair, left, right) count triples within it.
+
+    The second triple is often the first scaled, so that equal ratios
+    from different counts, the ties that matter, are drawn often.
+    """
+    total = draw(st.one_of(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=10**12),
+    ))
+    count = st.integers(min_value=1, max_value=total)
+    first = (draw(count), draw(count), draw(count))
+    factor = draw(st.integers(min_value=1, max_value=4))
+    scaled = (first[0] * factor, first[1] * factor, first[2])
+    if draw(st.booleans()) and max(scaled) <= total:
+        second = scaled
+    else:
+        second = (draw(count), draw(count), draw(count))
+    return total, first, second
+
+
+@settings(max_examples=500, deadline=None)
+@given(likelihood_cases())
+def test_integer_likelihood_key_orders_and_ties_like_the_ratio(case):
+    total, first, second = case
+    key = _likelihood_key(total)
+    assert (key(*first) < key(*second)) == (Likelihood(*first) < Likelihood(*second))
+    assert (key(*first) == key(*second)) == (Likelihood(*first) == Likelihood(*second))
