@@ -27,7 +27,7 @@ from .choices import (
 )
 from .corpus import FeatureMode
 from .errors import ConfigError, DataError, NumericalError
-from .files import atomic_write, read_lines
+from .files import read_lines
 
 DEFAULT_VOCAB_SIZES = (
     2000, 4000, 8000, 16000, 24000, 32000,
@@ -83,7 +83,7 @@ def cmd_train_tokenizer(args: argparse.Namespace) -> int:
         Path(args.corpus) if args.corpus else None,
         (lambda: sweep.load_curated(Path(args.curated))) if args.curated else None,
     )
-    atomic_write(Path(args.out), tokenizers.model_to_json(model))
+    tokenizers.save_model(model, args.out)
     print(f"trained {kind.value} model with {len(model.vocab)} tokens to {args.out}")
     return EXIT_OK
 
@@ -358,9 +358,9 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="sweep config JSON")
     p.add_argument("--output-dir", default=None, help="override the config output_dir")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at least 1; a job builds and "
-                        "evaluates one model, or trains every size of one "
-                        "merge kind (1 runs every job in this process)")
+                   help="worker processes, at least 1; a job builds or loads "
+                        "one model size and evaluates it (1 runs every job in "
+                        "this process)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="build a correlation report from score rows")

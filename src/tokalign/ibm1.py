@@ -26,6 +26,7 @@ from typing import Sequence
 from .choices import DEFAULT_EPOCHS
 from .corpus import CuratedDataset, FeatureMode, feature_tokens
 from .errors import ConfigError, DataError, NumericalError, UncoverableWord
+from .files import atomic_write
 from .tokenizers import TokenizerModel, canonical_subwords, segment
 
 NULL_TOKEN = "<null>"
@@ -384,7 +385,7 @@ def table_to_json(table: TranslationTable) -> str:
 
 
 def save_table(table: TranslationTable, path: str | Path) -> None:
-    Path(path).write_text(table_to_json(table), encoding="utf-8")
+    atomic_write(Path(path), table_to_json(table))
 
 
 def load_table(path: str | Path) -> TranslationTable:

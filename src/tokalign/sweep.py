@@ -25,7 +25,7 @@ from . import ibm1, metrics, stats, tokenizers
 from .choices import BASELINE_KINDS, MERGE_KINDS, Aggregation, TokenizerKind
 from .corpus import CuratedDataset, FeatureMode, curate_files
 from .errors import ConfigError, DataError, TokalignError
-from .files import atomic_write, read_lines, write_rendered
+from .files import read_lines, write_rendered
 from .metrics import ScoreRow
 from .tokenizers import TokenizerModel, TrainConfig
 
@@ -197,7 +197,7 @@ def evaluate_point(
     """
     rows, table = run_evaluation(*evaluation)
     if table_path is not None:
-        atomic_write(table_path, ibm1.table_to_json(table))
+        ibm1.save_table(table, table_path)
     write_rendered(point_path, metrics.write_score_rows, rows, seed=seed)
     return rows, table
 
@@ -239,19 +239,19 @@ def _failure(exc: BaseException) -> str:
 
 
 class _ModelJob(NamedTuple):
-    """One language's missing work for one kind at the given sizes.
+    """One language's model at one (kind, size), and its missing points.
 
-    A merge kind's missing models share one training: one job that only
-    builds them.  Every other job is one size, which it builds or loads
-    and then evaluates.
+    A merge kind's missing models share one training: the job for its
+    largest missing size also writes the models of `cuts`, the kind's
+    other missing sizes, cut from its own.
     """
 
     language: str
     kind: TokenizerKind
-    sizes: tuple[int, ...]
+    size: int
     corpus: Path
     curated: Path
-    evaluate: bool = True
+    cuts: tuple[int, ...] = ()
 
 
 def _train_label(language: str, kind: TokenizerKind, size: int) -> str:
@@ -263,19 +263,17 @@ def _point_label(language: str, point_path: Path) -> str:
 
 
 def _model_job(job: _ModelJob, config: SweepConfig) -> dict[str, str]:
-    """Build or load each size's model and, if asked, evaluate its missing points.
+    """Build or load the job's model, write its cuts, then evaluate its missing points.
 
-    A model is segmented once, for all of its missing points.  Sizes run
-    largest first.  A merge kind trains once, at its largest
-    size, and the smaller sizes are cut from that model.  A size that
-    fails to train (say, below the alphabet) fails alone, and the next
-    size down trains directly.  Everything goes to disk, so the job can
-    run in a worker process.  Returns the failure text of each model or
-    point it could not write, by label.
+    A cut is written only if its model file is still missing, and equals
+    the model trained at its size.  A cut below the alphabet is skipped;
+    the size's own job trains it and fails alike.  The model is segmented
+    once, for all of its missing points.  Everything goes to disk, so the
+    job can run in a worker process.  Returns the failure text of the
+    model or each point it could not write, by label.
     """
     out = config.output_dir
     errors: dict[str, str] = {}
-    full: TokenizerModel | None = None
     dataset: list[CuratedDataset] = []
 
     def curated() -> CuratedDataset:
@@ -284,53 +282,53 @@ def _model_job(job: _ModelJob, config: SweepConfig) -> dict[str, str]:
             dataset.append(load_curated(job.curated))
         return dataset[0]
 
-    for size in sorted(job.sizes, reverse=True):
-        model_path = _model_path(out, job.language, job.kind, size)
-        model: TokenizerModel | None = None
-        if not model_path.exists():
-            try:
-                if full is not None:
-                    train_config = TrainConfig(job.kind, size, seed=config.seed)
-                    model = tokenizers.truncate_merges(full, train_config)
-                else:
-                    model = build_model(job.kind, size, config.seed, job.corpus, curated)
-                atomic_write(model_path, tokenizers.model_to_json(model))
-            except Exception as exc:
-                errors[_train_label(job.language, job.kind, size)] = _failure(exc)
+    model_path = _model_path(out, job.language, job.kind, job.size)
+    model: TokenizerModel | None = None
+    if not model_path.exists():
+        try:
+            model = build_model(job.kind, job.size, config.seed, job.corpus, curated)
+            tokenizers.save_model(model, model_path)
+        except Exception as exc:
+            return {_train_label(job.language, job.kind, job.size): _failure(exc)}
+        for size in job.cuts:
+            cut_path = _model_path(out, job.language, job.kind, size)
+            if cut_path.exists():
                 continue
-            if full is None and job.kind in MERGE_KINDS:
-                full = model
-        if not job.evaluate:
+            train_config = TrainConfig(job.kind, size, seed=config.seed)
+            try:
+                cut = tokenizers.truncate_merges(model, train_config)
+            except ConfigError:
+                continue
+            tokenizers.save_model(cut, cut_path)
+    segmented: Segmented | None = None
+    for mode in config.modes:
+        point_path, table_path = _point_paths(
+            out, job.language, job.kind, job.size, mode
+        )
+        if point_path.exists():
             continue
-        segmented: Segmented | None = None
-        for mode in config.modes:
-            point_path, table_path = _point_paths(
-                out, job.language, job.kind, size, mode
+        try:
+            if model is None:
+                model = tokenizers.load_model(model_path)
+            if segmented is None:
+                segmented = segment_dataset(curated(), model)
+            # Not kept, so the table is freed before the next point's EM.
+            evaluate_point(
+                point_path,
+                table_path,
+                config.seed,
+                curated(),
+                model,
+                segmented,
+                mode,
+                config.aggregations,
+                config.thresholds,
+                config.epochs,
+                config.include_null,
+                job.language,
             )
-            if point_path.exists():
-                continue
-            try:
-                if model is None:
-                    model = tokenizers.load_model(model_path)
-                if segmented is None:
-                    segmented = segment_dataset(curated(), model)
-                # Not kept, so the table is freed before the next point's EM.
-                evaluate_point(
-                    point_path,
-                    table_path,
-                    config.seed,
-                    curated(),
-                    model,
-                    segmented,
-                    mode,
-                    config.aggregations,
-                    config.thresholds,
-                    config.epochs,
-                    config.include_null,
-                    job.language,
-                )
-            except Exception as exc:
-                errors[_point_label(job.language, point_path)] = _failure(exc)
+        except Exception as exc:
+            errors[_point_label(job.language, point_path)] = _failure(exc)
     return errors
 
 
@@ -349,42 +347,31 @@ def _submit(executor: ProcessPoolExecutor, fn, *args) -> Future:
 def _run_jobs(
     model_jobs: list[_ModelJob], config: SweepConfig, jobs: int
 ) -> list[tuple[_ModelJob, dict[str, str] | BaseException]]:
-    """Run every job; returns each job run with its errors by label, or what it raised.
+    """Run every job; returns each with its errors by label, or what it raised.
 
-    When a build-only job ends, each size whose model it left on disk
-    becomes a job that evaluates.  The jobs share a pool of `jobs` worker
-    processes, capped at the most that can run at once; at a cap of one
-    they run in this process and no worker starts.  A worker that dies
-    fails its job, and those the broken pool still held, with
-    `BrokenProcessPool`.
+    No job waits on another, so the jobs go in list order to a pool of
+    `jobs` worker processes, which starts them in that order; with one
+    worker or one job they run in this process and no worker starts.  A
+    worker that dies fails its job, and those the broken pool still
+    held, with `BrokenProcessPool`.
     """
-
-    def evaluations(job: _ModelJob) -> list[_ModelJob]:
-        return [
-            job._replace(sizes=(size,), evaluate=True)
-            for size in ([] if job.evaluate else job.sizes)
-            if _model_path(config.output_dir, job.language, job.kind, size).exists()
-        ]
-
-    workers = min(jobs, sum(1 if job.evaluate else len(job.sizes) for job in model_jobs))
-    done: list[tuple[_ModelJob, dict[str, str] | BaseException]] = []
+    workers = min(jobs, len(model_jobs))
     if workers <= 1:
+        done: list[tuple[_ModelJob, dict[str, str] | BaseException]] = []
         for job in model_jobs:
-            done.append((job, _model_job(job, config)))
-            done.extend((then, _model_job(then, config)) for then in evaluations(job))
+            try:
+                done.append((job, _model_job(job, config)))
+            except Exception as exc:
+                done.append((job, exc))
         return done
     # Imported here, so that a sweep with nothing to run in parallel
     # never loads `multiprocessing`.
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(workers)
     try:
-        futures = {_submit(pool, _model_job, job, config): job for job in model_jobs}
-        builds = [future for future, job in futures.items() if not job.evaluate]
-        for future in as_completed(builds):
-            for job in evaluations(futures[future]):
-                futures[_submit(pool, _model_job, job, config)] = job
-        return [(job, f.exception() or f.result()) for f, job in futures.items()]
+        futures = [_submit(pool, _model_job, job, config) for job in model_jobs]
+        return [(job, f.exception() or f.result()) for f, job in zip(futures, model_jobs)]
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -415,36 +402,34 @@ def _sweep(config: SweepConfig, jobs: int) -> tuple[list[ScoreRow], list[tuple[s
     def points(lang: str, kind: TokenizerKind, size: int) -> list[Path]:
         return [_point_paths(out, lang, kind, size, mode)[0] for mode in config.modes]
 
-    model_jobs: list[_ModelJob] = []
+    # A merge kind's first job trains its largest missing size and cuts
+    # the others, whose own jobs go last, to find their models on disk.
+    first: list[_ModelJob] = []
+    other: list[_ModelJob] = []
+    rest: list[_ModelJob] = []
     for spec in config.languages:
         curated_path = _curated_path(out, spec)
         untrained: dict[TokenizerKind, list[int]] = {}
         for kind, size in grid:
             model_path = _model_path(out, spec.name, kind, size)
             if kind in MERGE_KINDS and not model_path.exists():
-                # A merge kind's missing models share one training.
                 untrained.setdefault(kind, []).append(size)
             elif not all(p.exists() for p in (model_path, *points(spec.name, kind, size))):
-                model_jobs.append(
-                    _ModelJob(spec.name, kind, (size,), spec.corpus, curated_path)
-                )
-        model_jobs.extend(
-            _ModelJob(spec.name, kind, tuple(sizes), spec.corpus, curated_path, False)
-            for kind, sizes in untrained.items()
-        )
-    # Merge builds reach the executor first, as their evaluations wait on them.
-    model_jobs.sort(key=lambda job: job.evaluate)
+                other.append(_ModelJob(spec.name, kind, size, spec.corpus, curated_path))
+        for kind, sizes in untrained.items():
+            largest, *cuts = sorted(sizes, reverse=True)
+            job = _ModelJob(spec.name, kind, largest, spec.corpus, curated_path)
+            first.append(job._replace(cuts=tuple(cuts)))
+            rest.extend(job._replace(size=size) for size in cuts)
 
     errors: dict[str, str] = {}
-    for job, outcome in _run_jobs(model_jobs, config, jobs):
+    for job, outcome in _run_jobs(first + other + rest, config, jobs):
         if isinstance(outcome, BaseException):
             # Blame all the job owned; the disk tells what it did write.
-            crash = _failure(outcome)
-            outcome = {}
-            for size in job.sizes:
-                outcome[_train_label(job.language, job.kind, size)] = crash
-                for point_path in points(job.language, job.kind, size):
-                    outcome[_point_label(job.language, point_path)] = crash
+            point_paths = points(job.language, job.kind, job.size)
+            labels = [_train_label(job.language, job.kind, job.size)]
+            labels += [_point_label(job.language, path) for path in point_paths]
+            outcome = dict.fromkeys(labels, _failure(outcome))
         errors.update(outcome)
 
     rows: list[ScoreRow] = []

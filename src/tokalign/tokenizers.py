@@ -52,6 +52,7 @@ from typing import Any, Callable, Iterable, Mapping
 from .choices import BASELINE_KINDS, MERGE_KINDS, TRAINED_KINDS, TokenizerKind
 from .corpus import CuratedDataset, normalize
 from .errors import ConfigError, DataError, NumericalError, UncoverableWord
+from .files import atomic_write
 
 UNK = "[UNK]"
 WORDPIECE_MARKER = "##"
@@ -765,7 +766,7 @@ def model_to_json(model: TokenizerModel) -> str:
 
 
 def save_model(model: TokenizerModel, path: str | Path) -> None:
-    Path(path).write_text(model_to_json(model), encoding="utf-8")
+    atomic_write(Path(path), model_to_json(model))
 
 
 def load_model(path: str | Path) -> TokenizerModel:

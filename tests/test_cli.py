@@ -440,6 +440,32 @@ def _kinds_sweep_setup(tmp_path):
     return config_path
 
 
+def _record_submissions(monkeypatch):
+    """Record (kind, size, cuts) of each job the sweep submits to its pool."""
+    submitted = []
+    submit = sweep._submit
+
+    def record(executor, fn, job, config):
+        submitted.append((job.kind.value, job.size, job.cuts))
+        return submit(executor, fn, job, config)
+
+    monkeypatch.setattr(sweep, "_submit", record)
+    return submitted
+
+
+def _record_trainings(monkeypatch):
+    """Record (kind, size) of each `tokenizers.train` call in this process."""
+    trained = []
+    train = tokenizers.train
+
+    def counting(corpus, config):
+        trained.append((config.kind.value, config.vocab_size))
+        return train(corpus, config)
+
+    monkeypatch.setattr(tokenizers, "train", counting)
+    return trained
+
+
 class TestSweep:
     def test_grid_products_and_report(self, tmp_path, capsys):
         config_path = _sweep_setup(tmp_path)
@@ -565,22 +591,58 @@ class TestSweep:
         doc["kinds"] = ["bpe"]
         doc["include_baselines"] = False
         config_path.write_text(json.dumps(doc), encoding="utf-8")
-        submitted = []
-        submit = sweep._submit
-
-        def record(executor, fn, job, config):
-            submitted.append((job.kind.value, job.sizes, job.evaluate))
-            return submit(executor, fn, job, config)
-
-        monkeypatch.setattr(sweep, "_submit", record)
+        submitted = _record_submissions(monkeypatch)
         assert cli.main(["sweep", "--config", str(config_path), "--jobs", "2"]) == 0
-        # One training for both sizes, then each size's points on any worker.
-        assert submitted == [
-            ("bpe", (60, 80), False),
-            ("bpe", (60,), True),
-            ("bpe", (80,), True),
-        ]
+        # The largest size trains and cuts the smaller one, whose own job,
+        # on any worker, goes last.
+        assert submitted == [("bpe", 80, (60,)), ("bpe", 60, ())]
         assert len(list((tmp_path / "out" / "toy" / "points").iterdir())) == 2
+
+    def test_jobs_go_merge_trainings_first_and_their_cut_sizes_last(
+        self, tmp_path, monkeypatch
+    ):
+        config_path = _kinds_sweep_setup(tmp_path)
+        below = json.loads(config_path.read_text(encoding="utf-8"))["vocab_sizes"][1]
+        submitted = _record_submissions(monkeypatch)
+        assert cli.main(["sweep", "--config", str(config_path), "--jobs", "2"]) == 0
+        assert submitted == [
+            ("bpe", 80, (60, below)),
+            ("wordpiece", 80, (60, below)),
+            ("unigram", 60, ()),
+            ("unigram", below, ()),
+            ("unigram", 80, ()),
+            ("character", 0, ()),
+            ("gold", 0, ()),
+            ("bpe", 60, ()),
+            ("bpe", below, ()),
+            ("wordpiece", 60, ()),
+            ("wordpiece", below, ()),
+        ]
+
+    def test_serial_sweep_trains_each_merge_kind_once(self, tmp_path, monkeypatch):
+        config_path = _sweep_setup(tmp_path, vocab_sizes=(60, 80, 70))
+        trained = _record_trainings(monkeypatch)
+        assert cli.main(["sweep", "--config", str(config_path), "--jobs", "1"]) == 0
+        assert trained == [("bpe", 80), ("wordpiece", 80)]
+        # Three sizes of two merge kinds, plus both baselines.
+        assert len(list((tmp_path / "out" / "toy" / "models").iterdir())) == 8
+
+    def test_cut_size_job_alone_trains_the_bytes_of_its_cut(self, tmp_path, monkeypatch):
+        config_path = _sweep_setup(tmp_path)
+        assert cli.main(["sweep", "--config", str(config_path), "--jobs", "1"]) == 0
+        out = tmp_path / "out" / "toy"
+        model = out / "models" / "bpe-60.json"
+        cut = model.read_bytes()
+        model.unlink()
+        (out / "points" / "bpe-60-split.csv").unlink()
+        config = cli.load_sweep_config(config_path)
+        corpus = config.languages[0].corpus
+        job = sweep._ModelJob("toy", TokenizerKind.BPE, 60, corpus, out / "curated.tsv")
+        trained = _record_trainings(monkeypatch)
+        assert sweep._model_job(job, config) == {}
+        assert trained == [("bpe", 60)]
+        assert model.read_bytes() == cut
+        assert (out / "points" / "bpe-60-split.csv").exists()
 
     def test_finished_sweep_starts_no_pool(self, tmp_path, monkeypatch):
         config_path = _sweep_setup(tmp_path)
@@ -642,7 +704,8 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(config_path), "--jobs", "1"]) == 0
         out = tmp_path / "out"
         failures = (out / "failures.csv").read_text(encoding="utf-8")
-        # The crashed job owned every size of its kind.
+        # The largest size fails to train, so the smaller one's own job
+        # trains it and fails alike.
         assert failures == (
             "point,error\n"
             "toy/bpe-60/train,RuntimeError: no bpe today\n"
@@ -655,6 +718,24 @@ class TestSweep:
             (out / "scores.csv").read_text(encoding="utf-8").splitlines(True)
         )
         assert {r.kind for r in rows} == {"character", "gold"}
+
+    def test_job_raising_in_this_process_is_recorded_not_fatal(self, tmp_path, monkeypatch):
+        def crash(model, config):
+            raise RuntimeError("no cuts today")
+
+        monkeypatch.setattr(tokenizers, "truncate_merges", crash)
+        config_path = _sweep_setup(tmp_path)
+        assert cli.main(["sweep", "--config", str(config_path), "--jobs", "1"]) == 0
+        out = tmp_path / "out"
+        failures = (out / "failures.csv").read_text(encoding="utf-8")
+        # The job raised after writing its own model, before its points;
+        # the cut sizes' own jobs trained them.
+        assert failures == (
+            "point,error\n"
+            "toy/bpe-80-split,RuntimeError: no cuts today\n"
+            "toy/wordpiece-80-split,RuntimeError: no cuts today\n"
+        )
+        assert len(list((out / "toy" / "models").iterdir())) == 6
 
     def test_crashed_evaluation_job_is_recorded_not_fatal(self, tmp_path, monkeypatch):
         evaluate = sweep.run_evaluation
