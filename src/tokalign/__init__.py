@@ -18,10 +18,9 @@ __version__ = "0.1.0"
 
 # The public names, by the module that defines them.
 _EXPORTS = {
-    "choices": ("Aggregation", "TokenizerKind"),
+    "choices": ("Aggregation", "FeatureMode", "TokenizerKind"),
     "corpus": (
         "CuratedDataset",
-        "FeatureMode",
         "WordEntry",
         "curate",
         "feature_tokens",

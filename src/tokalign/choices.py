@@ -2,8 +2,8 @@
 
 This module imports nothing but `enum`, so that the argument parser and
 the sweep-config parser can name tokenizer kinds and aggregations
-without loading the pipeline modules.  `tokalign.tokenizers`,
-`tokalign.metrics` and `tokalign.ibm1` import these same objects.
+without loading the pipeline modules.  The pipeline modules import
+these same objects, and `tokalign.corpus` re-exports `FeatureMode`.
 """
 
 from enum import Enum
@@ -20,6 +20,17 @@ class TokenizerKind(Enum):
 TRAINED_KINDS = (TokenizerKind.BPE, TokenizerKind.WORDPIECE, TokenizerKind.UNIGRAM)
 MERGE_KINDS = (TokenizerKind.BPE, TokenizerKind.WORDPIECE)
 BASELINE_KINDS = (TokenizerKind.CHARACTER, TokenizerKind.GOLD)
+
+
+class FeatureMode(Enum):
+    """How a feature bundle is rendered on the alignment target side.
+
+    JOINT keeps the bundle as one composite token, SPLIT emits one token
+    per feature atom.
+    """
+
+    JOINT = "joint"
+    SPLIT = "split"
 
 
 class Aggregation(Enum):

@@ -16,16 +16,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import corpus as corpus_mod
 from .choices import (
     BASELINE_KINDS,
     DEFAULT_EPOCHS,
     DEFAULT_THRESHOLDS,
     TRAINED_KINDS,
     Aggregation,
+    FeatureMode,
     TokenizerKind,
 )
-from .corpus import FeatureMode
 from .errors import ConfigError, DataError, NumericalError
 from .files import read_lines
 
@@ -57,8 +56,10 @@ def _parse_list(text: str, parse, label: str) -> list:
 
 
 def cmd_curate(args: argparse.Namespace) -> int:
+    from .corpus import curate_files
+
     out = Path(args.out)
-    dataset, feat_stats, seg_stats, join_stats = corpus_mod.curate_files(
+    dataset, feat_stats, seg_stats, join_stats = curate_files(
         Path(args.features), Path(args.segmentations), args.language, out
     )
     print(f"curated {len(dataset)} entries to {out}")
@@ -90,12 +91,13 @@ def cmd_train_tokenizer(args: argparse.Namespace) -> int:
 
 def cmd_segment(args: argparse.Namespace) -> int:
     from . import tokenizers
+    from .corpus import normalize
 
     model = tokenizers.load_model(Path(args.model))
     vocab = set(model.vocab)
     oov_count = 0
     for word in args.words:
-        pieces = tokenizers.segment(model, corpus_mod.normalize(word))
+        pieces = tokenizers.segment(model, normalize(word))
         print(f"{word}\t{' '.join(pieces)}")
         if tokenizers.UNK in pieces:
             continue

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
+# FeatureMode is a public name of this module too.
+from .choices import FeatureMode
 from .errors import DataError
 from .files import read_lines, write_rendered
 
@@ -33,17 +34,6 @@ LANGUAGE_META_KEY = "language"
 def normalize(text: str) -> str:
     """Return the NFC form; every surface string is normalized on entry."""
     return unicodedata.normalize("NFC", text)
-
-
-class FeatureMode(Enum):
-    """How a feature bundle is rendered on the alignment target side.
-
-    JOINT keeps the bundle as one composite token, SPLIT emits one token
-    per feature atom.
-    """
-
-    JOINT = "joint"
-    SPLIT = "split"
 
 
 @dataclass(frozen=True)

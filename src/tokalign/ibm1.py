@@ -20,6 +20,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Sequence
 
@@ -245,15 +247,17 @@ def _maximization(
     """Renormalize counts per source token, dropping sub-floor entries.
 
     ``rows`` are the live rows of ``probs`` (see ``_LinkCorpus.live_rows``), and
-    the live rows of the new table come back with it.  A row sums its
-    counts in first-seen order, which is the order the E-step first
-    adds to them.  Dropped links keep probability 0.0.
+    the live rows of the new table come back with it.  A row adds its
+    counts left to right in first-seen order, which is the order the
+    E-step first adds to them; the builtin ``sum`` of floats would
+    compensate rounding error from Python 3.12 on.  Dropped links keep
+    probability 0.0.
     """
     new_probs = [0.0] * len(probs)
     new_rows: dict[str, list[int]] = {}
     failures: dict[str, str] = {}
     for s, row in rows.items():
-        total = sum([counts[i] for i in row])
+        total = reduce(add, [counts[i] for i in row], 0.0)
         if total <= 0.0:
             failures[s] = f"source token {s!r} collected no counts"
             continue
@@ -424,9 +428,9 @@ def load_table(path: str | Path) -> TranslationTable:
 
 
 def row_sums(table: TranslationTable) -> dict[str, float]:
-    """Per-source probability sums, summed in sorted target order."""
+    """Per-source probability sums, summed left to right in sorted target order."""
     sums: dict[str, float] = {}
     for s in sorted(table.probs):
         row = table.probs[s]
-        sums[s] = sum(row[t] for t in sorted(row))
+        sums[s] = reduce(add, [row[t] for t in sorted(row)], 0.0)
     return sums

@@ -26,23 +26,21 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, fields
+from functools import cache, reduce
 from itertools import repeat
 from operator import add, truediv
-from typing import Iterable, Sequence, TextIO, get_type_hints
+from typing import TYPE_CHECKING, Iterable, Sequence, TextIO, get_type_hints
 
 # DEFAULT_THRESHOLDS is a public name of this module too, though unused here.
-from .choices import DEFAULT_THRESHOLDS, Aggregation
-from .corpus import CuratedDataset, FeatureMode
+from .choices import DEFAULT_THRESHOLDS, Aggregation, FeatureMode
 from .errors import ConfigError, DataError
-from .ibm1 import (
-    NULL_TOKEN,
-    ParallelPair,
-    Segments,
-    TranslationTable,
-    build_parallel_corpus,
-    segment_entries,
-)
-from .tokenizers import TokenizerModel
+
+# Annotations only: reading and writing result CSVs, as a resumed sweep
+# and `tokalign report` do, loads none of these modules.
+if TYPE_CHECKING:
+    from .corpus import CuratedDataset
+    from .ibm1 import ParallelPair, Segments, TranslationTable
+    from .tokenizers import TokenizerModel
 
 
 def check_threshold(threshold: float) -> None:
@@ -69,17 +67,26 @@ class BoundaryCounts:
     excluded: int = 0
 
 
+def _sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum.
+
+    From Python 3.12 the builtin ``sum`` of floats compensates rounding
+    error, so its result would depend on the interpreter version.
+    """
+    return reduce(add, values, 0.0)
+
+
 def _log_sum(surviving: list[float]) -> float:
-    return sum(math.log(p) for p in surviving)
+    return _sum(map(math.log, surviving))
 
 
 def _mean(surviving: list[float]) -> float:
-    return sum(surviving) / len(surviving)
+    return _sum(surviving) / len(surviving)
 
 
 # Each aggregation of a non-empty survivor list.
 _AGGREGATE = {
-    Aggregation.SUM: sum,
+    Aggregation.SUM: _sum,
     Aggregation.LOG: _log_sum,
     Aggregation.MEAN: _mean,
     Aggregation.MIN: min,
@@ -153,6 +160,9 @@ def alignment_scores(
     0.0, copying a vector equals adding it to 0.0, and ``x / 1 == x``.
     Those identities hold because no score or sum here is ever -0.0.
     """
+    # Scoring follows EM, so this module is loaded by then.
+    from .ibm1 import NULL_TOKEN
+
     if not pairs:
         raise DataError("no scorable entries")
     for threshold in thresholds:
@@ -280,6 +290,8 @@ def alignment_score(
     Entries the tokenizer cannot cover are excluded, matching the
     exclusion applied when the table's training corpus was built.
     """
+    from .ibm1 import build_parallel_corpus
+
     pairs, _ = build_parallel_corpus(dataset, model, config.mode)
     return alignment_score_from_pairs(table, pairs, config)
 
@@ -306,6 +318,8 @@ def boundary_prf(
     dataset: CuratedDataset, model: TokenizerModel
 ) -> tuple[float, float, float, BoundaryCounts]:
     """Micro-averaged boundary precision, recall, and F1."""
+    from .ibm1 import segment_entries
+
     return boundary_prf_from_segments(dataset, segment_entries(dataset, model))
 
 
@@ -427,6 +441,13 @@ _PARSERS = {
 }
 
 
+@cache
+def _parsers(record: type) -> tuple:
+    """The cell parser of each of `record`'s fields, resolved once per type."""
+    hints = get_type_hints(record)
+    return tuple(_PARSERS[hints[f.name]] for f in fields(record))
+
+
 def read_csv(
     stream: Iterable[str], columns: Sequence[str], record: type, what: str
 ) -> list:
@@ -435,8 +456,7 @@ def read_csv(
     Comment lines are skipped and each cell is parsed by its field's type.
     Malformed input, a non-finite float included, raises DataError.
     """
-    hints = get_type_hints(record)
-    parsers = [_PARSERS[hints[f.name]] for f in fields(record)]
+    parsers = _parsers(record)
     reader = csv.reader(line for line in stream if not line.startswith("#"))
     if tuple(next(reader, ())) != tuple(columns):
         raise DataError(f"{what} header does not match the expected columns")

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence, TextIO
 
 from .errors import DataError
@@ -42,8 +44,9 @@ def average_ranks(values: Sequence[float]) -> list[float]:
 
 def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
+    # Left to right: the builtin `sum` of floats compensates from Python 3.12.
+    mean_x = reduce(add, xs, 0.0) / n
+    mean_y = reduce(add, ys, 0.0) / n
     cov = 0.0
     var_x = 0.0
     var_y = 0.0
@@ -128,8 +131,17 @@ def _target_value(row: ScoreRow, target_metric: str) -> float:
 
 
 def _cells_for_group(
-    key: tuple[str, str, str, float], rows: list[ScoreRow]
+    key: tuple[str, str, str, float],
+    rows: list[ScoreRow],
+    target_ranks: dict[tuple[float, ...], list[float]],
 ) -> list[CorrelationCell]:
+    """The group's cells, each rho as :func:`spearman` gives it.
+
+    A scope's alignment scores are ranked once for its three targets.
+    A target series does not change with the aggregation or threshold,
+    so its ranks are kept in `target_ranks`, keyed by its values, for
+    the other groups of its language and mode.
+    """
     language, mode, aggregation, threshold = key
     labels = [row.label for row in rows]
     if len(set(labels)) != len(labels):
@@ -144,24 +156,29 @@ def _cells_for_group(
             scopes.append((kind, subset))
     cells: list[CorrelationCell] = []
     for scope, subset in scopes:
-        scores = [row.alignment for row in subset]
-        for target_metric in TARGET_METRICS:
-            targets = [_target_value(row, target_metric) for row in subset]
-            if len(subset) < MIN_POINTS:
-                cells.append(
-                    CorrelationCell(
-                        language, mode, aggregation, threshold,
-                        target_metric, scope, len(subset), None,
-                        STATUS_UNDERPOPULATED,
-                    )
+        if len(subset) < MIN_POINTS:
+            cells.extend(
+                CorrelationCell(
+                    language, mode, aggregation, threshold,
+                    target_metric, scope, len(subset), None,
+                    STATUS_UNDERPOPULATED,
                 )
-                continue
-            try:
-                rho = spearman(scores, targets)
-                status = STATUS_OK
-            except DataError:
-                rho = None
-                status = STATUS_CONSTANT
+                for target_metric in TARGET_METRICS
+            )
+            continue
+        scores = [row.alignment for row in subset]
+        # A constant series on either side leaves rho undefined; the
+        # ranks of any other series have a positive variance.
+        score_ranks = None if min(scores) == max(scores) else average_ranks(scores)
+        for target_metric in TARGET_METRICS:
+            targets = tuple(_target_value(row, target_metric) for row in subset)
+            rho = None
+            if score_ranks is not None and min(targets) != max(targets):
+                ranks = target_ranks.get(targets)
+                if ranks is None:
+                    ranks = target_ranks[targets] = average_ranks(targets)
+                rho = _pearson(score_ranks, ranks)
+            status = STATUS_CONSTANT if rho is None else STATUS_OK
             cells.append(
                 CorrelationCell(
                     language, mode, aggregation, threshold,
@@ -186,8 +203,9 @@ def build_report(score_rows: Sequence[ScoreRow]) -> CorrelationReport:
         key = (row.language, row.mode, row.aggregation, row.threshold)
         groups.setdefault(key, []).append(row)
     report = CorrelationReport()
+    target_ranks: dict[tuple[float, ...], list[float]] = {}
     for key in sorted(groups):
-        report.cells.extend(_cells_for_group(key, groups[key]))
+        report.cells.extend(_cells_for_group(key, groups[key], target_ranks))
     return report
 
 

@@ -9,29 +9,36 @@ output tree, which no other module knows.  Curation is
 this module's imports.  Every stage reads and writes plain files, so a
 sweep is resumable: grid points whose files exist are skipped, and the
 combined CSVs are rebuilt from them.
+
+The lexicon, tokenizer and aligner modules are imported by the routines
+that run them, so a sweep with every point on disk, and `tokalign
+report`, load none of them.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from . import corpus as corpus_mod
-from . import ibm1, metrics, stats, tokenizers
-from .choices import BASELINE_KINDS, MERGE_KINDS, Aggregation, TokenizerKind
-from .corpus import CuratedDataset, FeatureMode, curate_files
+from . import metrics, stats
+from .choices import BASELINE_KINDS, MERGE_KINDS, Aggregation, FeatureMode, TokenizerKind
 from .errors import ConfigError, DataError, TokalignError
 from .files import read_lines, write_rendered
 from .metrics import ScoreRow
-from .tokenizers import TokenizerModel, TrainConfig
+
+if TYPE_CHECKING:
+    from .corpus import CuratedDataset
+    from .ibm1 import Segments, TranslationTable
+    from .tokenizers import TokenizerModel
 
 
 def load_curated(path: Path) -> CuratedDataset:
-    return corpus_mod.read_curated(read_lines(path))
+    from .corpus import read_curated
+
+    return read_curated(read_lines(path))
 
 
 def check_values(label: str, values: Sequence, check: Callable | None = None) -> None:
@@ -116,6 +123,8 @@ def build_model(
     returns (so that a caller can read it once for the lookup and the
     evaluation); every other kind trains on the corpus file.
     """
+    from . import tokenizers
+
     if kind is TokenizerKind.GOLD:
         if curated is None:
             raise ConfigError("gold tokenizer needs a curated dataset (--curated)")
@@ -127,15 +136,18 @@ def build_model(
         raise DataError(f"corpus {corpus_path} contains no words")
     if kind is TokenizerKind.CHARACTER:
         return tokenizers.train_character(corpus)
-    return tokenizers.train(corpus, TrainConfig(kind, vocab_size, seed=seed))
+    return tokenizers.train(corpus, tokenizers.TrainConfig(kind, vocab_size, seed=seed))
 
 
-Segmented = tuple[ibm1.Segments, tuple[float, float, float]]
+# A string, so that naming `Segments` loads no module.
+Segmented = tuple["Segments", tuple[float, float, float]]
 
 
 def segment_dataset(dataset: CuratedDataset, model: TokenizerModel) -> Segmented:
     """Each entry's subwords, plus the boundary precision, recall and F1."""
-    segments = ibm1.segment_entries(dataset, model)
+    from .ibm1 import segment_entries
+
+    segments = segment_entries(dataset, model)
     precision, recall, f1, _counts = metrics.boundary_prf_from_segments(
         dataset, segments
     )
@@ -152,7 +164,7 @@ def run_evaluation(
     epochs: int,
     include_null: bool,
     language: str,
-) -> tuple[list[ScoreRow], ibm1.TranslationTable]:
+) -> tuple[list[ScoreRow], TranslationTable]:
     """Train one translation table and score the aggregation grid.
 
     ``segmented`` is :func:`segment_dataset` of this dataset and model;
@@ -161,6 +173,8 @@ def run_evaluation(
     mode), so it is trained once, and one pass over the pairs scores
     every aggregation and threshold combination.
     """
+    from . import ibm1
+
     segments, (precision, recall, f1) = segmented
     pairs, excluded = ibm1.pairs_from_segments(
         dataset, segments, mode, include_null=include_null
@@ -189,15 +203,17 @@ def run_evaluation(
 
 def evaluate_point(
     point_path: Path, table_path: Path | None, seed: int, *evaluation
-) -> tuple[list[ScoreRow], ibm1.TranslationTable]:
+) -> tuple[list[ScoreRow], TranslationTable]:
     """Run ``run_evaluation(*evaluation)`` and write the table, if asked, then the rows.
 
     The score rows go last, as a sweep takes their file for the mark of
     a finished point.
     """
+    from .ibm1 import save_table
+
     rows, table = run_evaluation(*evaluation)
     if table_path is not None:
-        ibm1.save_table(table, table_path)
+        save_table(table, table_path)
     write_rendered(point_path, metrics.write_score_rows, rows, seed=seed)
     return rows, table
 
@@ -234,6 +250,8 @@ def _point_paths(
 def _failure(exc: BaseException) -> str:
     """A sweep step's failure text; an unexpected error also prints its traceback."""
     if not isinstance(exc, TokalignError):
+        import traceback
+
         traceback.print_exception(exc, file=sys.stderr)
     return f"{type(exc).__name__}: {exc}"
 
@@ -272,6 +290,8 @@ def _model_job(job: _ModelJob, config: SweepConfig) -> dict[str, str]:
     job can run in a worker process.  Returns the failure text of the
     model or each point it could not write, by label.
     """
+    from . import tokenizers
+
     out = config.output_dir
     errors: dict[str, str] = {}
     dataset: list[CuratedDataset] = []
@@ -294,7 +314,7 @@ def _model_job(job: _ModelJob, config: SweepConfig) -> dict[str, str]:
             cut_path = _model_path(out, job.language, job.kind, size)
             if cut_path.exists():
                 continue
-            train_config = TrainConfig(job.kind, size, seed=config.seed)
+            train_config = tokenizers.TrainConfig(job.kind, size, seed=config.seed)
             try:
                 cut = tokenizers.truncate_merges(model, train_config)
             except ConfigError:
@@ -364,6 +384,12 @@ def _run_jobs(
             except Exception as exc:
                 done.append((job, exc))
         return done
+    # Loaded before the workers fork, so that they inherit these modules
+    # instead of each compiling them again.  Loaded after `multiprocessing`
+    # instead, they raised the parent's peak memory, which every worker
+    # inherits, by about 1 MB.
+    from . import corpus, ibm1, tokenizers  # noqa: F401
+
     # Imported here, so that a sweep with nothing to run in parallel
     # never loads `multiprocessing`.
     from concurrent.futures import ProcessPoolExecutor
@@ -382,6 +408,8 @@ def _curated_path(out: Path, spec: LanguageSpec) -> Path:
         return spec.curated
     curated_path = out / spec.name / "curated.tsv"
     if not curated_path.exists():
+        from .corpus import curate_files
+
         curate_files(spec.features, spec.segmentations, spec.name, curated_path)
     return curated_path
 

@@ -44,6 +44,8 @@ import math
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
@@ -429,7 +431,8 @@ def _unigram_seed(
         scores[ch] = float(char_counts[ch])
     for token in seeds:
         scores[token] = float(substr_counts[token] * len(token))
-    total = sum(scores.values())
+    # Left to right: the builtin `sum` of floats compensates from Python 3.12.
+    total = reduce(add, scores.values(), 0.0)
     logprob = {t: math.log(scores[t] / total) for t in sorted(scores)}
     return chars, logprob
 

@@ -8,8 +8,10 @@ only here, as a second opinion on rank statistics.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -558,7 +560,9 @@ def _maximization(counts: dict[str, dict[str, float]]) -> Probs:
     """Renormalize counts per source token, dropping sub-floor entries."""
     new_probs: Probs = {}
     for s, row in counts.items():
-        total = sum(row.values())
+        # Left to right, as ibm1 adds; the builtin `sum` of floats
+        # compensates rounding error from Python 3.12 on.
+        total = functools.reduce(operator.add, row.values(), 0.0)
         if total <= 0.0:
             raise NumericalError(f"source token {s!r} collected no counts")
         new_row = {}

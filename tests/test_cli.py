@@ -109,7 +109,7 @@ class TestCurate:
             stream.write(f"# language: {dataset.language}\n")
             raise OSError("no space left on device")
 
-        monkeypatch.setattr(cli.corpus_mod, "write_curated", write_half)
+        monkeypatch.setattr("tokalign.corpus.write_curated", write_half)
         code = cli.main(
             [
                 "curate",

@@ -1,7 +1,9 @@
 """EM training of the subword-to-feature translation table."""
 
+import functools
 import json
 import math
+import operator
 import random
 
 import pytest
@@ -167,6 +169,20 @@ class TestInvariants:
                 probs, _ = em_epoch(pairs, probs)
                 for s, row in probs.items():
                     assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
+
+    def test_row_totals_add_left_to_right(self):
+        # "s" collects 0.1 from each of ten targets.  Compensated
+        # summation (the builtin `sum` of floats from Python 3.12) totals
+        # those to 1.0; adding in turn gives 0.9999999999999999.
+        targets = tuple(f"T{i}" for i in range(10))
+        in_turn = functools.reduce(operator.add, [0.1] * 10, 0.0)
+        assert in_turn != math.fsum([0.1] * 10)
+        pairs = [ParallelPair(("s", "u"), targets)]
+        probs = {"s": dict.fromkeys(targets, 0.1), "u": dict.fromkeys(targets, 0.9)}
+        new_probs, _ = em_epoch(pairs, probs)
+        assert [repr(p) for p in new_probs["s"].values()] == [repr(0.1 / in_turn)] * 10
+        table = TranslationTable(probs, ["s", "u"], sorted(targets), 1)
+        assert repr(row_sums(table)["s"]) == repr(in_turn)
 
     def test_row_sums_helper_reports_unit_mass(self, em_pairs):
         table = train_ibm1(em_pairs, epochs=4)

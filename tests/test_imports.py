@@ -12,9 +12,15 @@ import sys
 import pytest
 
 import tokalign
+from test_cli import _sweep_setup
+from tokalign import cli
+from tokalign.metrics import ScoreRow, write_score_rows
 
 PIPELINE = ("tokalign.sweep", "tokalign.tokenizers", "tokalign.ibm1",
             "tokalign.metrics", "tokalign.stats")
+# What reading score rows and writing the report needs, and no more.
+RESULT_PATH = {f"tokalign.{name}" for name in
+               ("choices", "cli", "errors", "files", "metrics", "stats", "sweep")}
 
 
 def _modules_after(code):
@@ -66,3 +72,48 @@ def test_pipeline_modules_resolve_as_attributes():
         "import tokalign\nassert tokalign.ibm1.train_ibm1 is tokalign.train_ibm1"
     )
     assert "tokalign.ibm1" in modules
+
+
+def _package_modules(modules):
+    return {m for m in modules if m.startswith("tokalign.")}
+
+
+def test_report_loads_only_the_result_path(tmp_path):
+    scores = tmp_path / "scores.csv"
+    rows = [ScoreRow("toy", "bpe", size, "split", "mean", 0.01, size / 1000, 0.5,
+                     size / 2000, 0.4, 0) for size in (100, 200, 300)]
+    with scores.open("w", encoding="utf-8") as stream:
+        write_score_rows(rows, stream, seed=0)
+    argv = ["report", "--scores", str(scores), "--out", str(tmp_path / "corr.csv")]
+    modules = _modules_after(f"from tokalign import cli\nassert cli.main({argv!r}) == 0")
+    assert _package_modules(modules) == RESULT_PATH
+    assert (tmp_path / "corr.csv").exists()
+
+
+def test_finished_sweep_rerun_loads_only_the_result_path(tmp_path):
+    config_path = _sweep_setup(tmp_path)
+    argv = ["sweep", "--config", str(config_path), "--jobs", "2"]
+    assert cli.main(argv[:-1] + ["1"]) == 0
+    modules = _modules_after(f"from tokalign import cli\nassert cli.main({argv!r}) == 0")
+    assert _package_modules(modules) == RESULT_PATH
+
+
+def test_pool_workers_inherit_the_pipeline_modules(tmp_path):
+    config_path = _sweep_setup(tmp_path)
+    argv = ["sweep", "--config", str(config_path), "--jobs", "2"]
+    # Forked workers share what the parent loaded before the pool started.
+    code = (
+        "import concurrent.futures, sys\n"
+        "from tokalign import cli\n"
+        "real = concurrent.futures.ProcessPoolExecutor\n"
+        "loaded = []\n"
+        "def recording(*args, **kwargs):\n"
+        "    loaded.append(set(sys.modules))\n"
+        "    return real(*args, **kwargs)\n"
+        "concurrent.futures.ProcessPoolExecutor = recording\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "assert len(loaded) == 1\n"
+        "assert {'tokalign.tokenizers', 'tokalign.ibm1'} <= loaded[0]\n"
+    )
+    _modules_after(code)
+    assert (tmp_path / "out" / "scores.csv").exists()

@@ -1,7 +1,9 @@
 """Alignment scores, boundary agreement, and score-row CSV files."""
 
+import functools
 import io
 import math
+import operator
 
 import pytest
 
@@ -111,6 +113,19 @@ class TestSubwordScore:
             self.table, "s", ["A", "A"], _config(Aggregation.LOG)
         )
         assert got == pytest.approx(2 * math.log(0.6), abs=1e-12)
+
+    def test_sum_and_mean_add_left_to_right(self):
+        # Compensated summation (the builtin `sum` of floats from Python
+        # 3.12) gives 1.0 here; adding in turn gives 0.9999999999999999.
+        values = [0.1] * 10
+        in_turn = functools.reduce(operator.add, values, 0.0)
+        assert in_turn != math.fsum(values)
+        table = _table({"s": {f"F{i}": p for i, p in enumerate(values)}})
+        features = [f"F{i}" for i in range(len(values))]
+        got = subword_score(table, "s", features, _config(Aggregation.SUM, 0.0))
+        assert repr(got) == repr(in_turn)
+        got = subword_score(table, "s", features, _config(Aggregation.MEAN, 0.0))
+        assert repr(got) == repr(in_turn / len(values))
 
     def test_unknown_subword_scores_zero(self):
         assert subword_score(self.table, "x", ["A"], _config(Aggregation.MAX)) == 0.0
