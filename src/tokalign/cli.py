@@ -26,7 +26,7 @@ from .choices import (
     TokenizerKind,
 )
 from .errors import ConfigError, DataError, NumericalError
-from .files import read_lines
+from .files import read_lines, resolve_path
 
 DEFAULT_VOCAB_SIZES = (
     2000, 4000, 8000, 16000, 24000, 32000,
@@ -230,26 +230,37 @@ def _reject_unknown_keys(doc: dict, known, where: str) -> None:
         raise ConfigError(f"{where} has unknown keys: {', '.join(map(repr, unknown))}")
 
 
-def load_sweep_config(path: Path) -> SweepConfig:
+def _read_config(path: Path) -> tuple[bytes, dict]:
+    """The sweep config file's bytes, and the JSON object they hold."""
     import json
 
-    from .sweep import LanguageSpec, SweepConfig
-
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        data = path.read_bytes()
+        doc = json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")
+    return data, doc
+
+
+def _output_dir(path: Path, doc: dict) -> Path:
+    """The config's output directory; ValueError if it is not a path string."""
+    raw = doc.get("output_dir", _CONFIG_FIELDS["output_dir"][0])
+    return resolve_path(path.parent, _path_text(raw))
+
+
+def load_sweep_config(path: Path) -> SweepConfig:
+    return _sweep_config(path, _read_config(path)[1])
+
+
+def _sweep_config(path: Path, doc: dict) -> SweepConfig:
+    """Check the config `doc` read from `path`; its paths resolve against `path`'s directory."""
+    from .sweep import LanguageSpec, SweepConfig
+
     _reject_unknown_keys(doc, ["languages", *_CONFIG_FIELDS], "sweep config")
-    base = path.parent
-
-    def _resolve(raw: str) -> Path:
-        p = Path(raw)
-        return p if p.is_absolute() else base / p
-
     languages = []
     lang_doc = doc.get("languages")
     if not isinstance(lang_doc, dict) or not lang_doc:
@@ -268,7 +279,7 @@ def load_sweep_config(path: Path) -> SweepConfig:
             )
         try:
             paths = {
-                key: _resolve(_path_text(spec[key]))
+                key: resolve_path(path.parent, _path_text(spec[key]))
                 for key in _LANGUAGE_KEYS
                 if spec.get(key) is not None
             }
@@ -284,29 +295,77 @@ def load_sweep_config(path: Path) -> SweepConfig:
             values[field_name] = parse(doc.get(field_name, default))
         except ValueError as exc:
             raise ConfigError(f"sweep config field {field_name}: {exc}") from exc
-    values["output_dir"] = _resolve(values["output_dir"])
+    values["output_dir"] = _output_dir(path, doc)
     return SweepConfig(languages=languages, **values)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    from . import sweep
+def _input_paths(doc: dict, config: SweepConfig) -> list[str]:
+    """The path strings of the inputs the sweep reads, as the config gives them.
 
+    That is each language's corpus, and its curated dataset or else both
+    lexicons.
+    """
+    paths = []
+    for spec in config.languages:
+        if spec.curated is not None:
+            keys = ("corpus", "curated")
+        else:
+            keys = ("corpus", "features", "segmentations")
+        paths.extend(doc["languages"][spec.name][key] for key in keys)
+    return paths
+
+
+def _sweep_summary(rows: int, cells: int, out: Path) -> str:
+    return f"sweep complete: {rows} score rows, {cells} report cells under {out}"
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     if args.output_dir == "":
         raise ConfigError("--output-dir must be a non-empty path")
-    config = load_sweep_config(Path(args.config))
-    if args.output_dir is not None:
-        config.output_dir = Path(args.output_dir)
+    from . import manifest
+
+    config_path = Path(args.config)
+    data, doc = _read_config(config_path)
+    try:
+        out = Path(args.output_dir) if args.output_dir else _output_dir(config_path, doc)
+    except ValueError:
+        out = None  # `_sweep_config` reports it
+    # Checked before the pipeline modules load, which a finished sweep
+    # does not need.
+    check = manifest.check(config_path, data, out)
+    if check.finished:
+        print(_sweep_summary(*check.finished, out))
+        return EXIT_OK
+
+    from . import sweep
+
+    config = _sweep_config(config_path, doc)
+    config.output_dir = out  # the --output-dir override, if any
+    if check.changed:
+        print(
+            f"warning: {', '.join(check.changed)} changed since the sweep under "
+            f"{config.output_dir} last finished; existing grid points are reused "
+            "as they are",
+            file=sys.stderr,
+        )
     rows, failures, failures_path = sweep.run_sweep(config, args.jobs)
     # Printed before the report, which fails if no point is left.
     if failures:
         print(f"{len(failures)} grid points failed; see {failures_path}")
     report = sweep.report_sweep(config, rows)
-    print(
-        f"sweep complete: {len(rows)} score rows, "
-        f"{len(report.cells)} report cells under {config.output_dir}"
-    )
+    if not failures:
+        manifest.write(
+            config_path,
+            data,
+            _input_paths(doc, config),
+            config.output_dir,
+            sweep.rerun_files(config),
+            len(rows),
+            len(report.cells),
+        )
+    print(_sweep_summary(len(rows), len(report.cells), config.output_dir))
     return EXIT_OK
 
 

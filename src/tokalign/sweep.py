@@ -8,7 +8,10 @@ output tree, which no other module knows.  Curation is
 `tokalign.corpus.curate_files`, so that `tokalign curate` loads none of
 this module's imports.  Every stage reads and writes plain files, so a
 sweep is resumable: grid points whose files exist are skipped, and the
-combined CSVs are rebuilt from them.
+combined CSVs are rebuilt from them.  A sweep that finished with no
+failures is not run again at all: `tokalign.manifest` records the files
+listed by `rerun_files`, and a rerun that finds them, its config, its
+inputs and the program unchanged rewrites nothing.
 
 The lexicon, tokenizer and aligner modules are imported by the routines
 that run them, so a sweep with every point on disk, and `tokalign
@@ -247,6 +250,10 @@ def _point_paths(
     )
 
 
+def _lexicon_curated_path(out: Path, lang: str) -> Path:
+    return out / lang / "curated.tsv"
+
+
 def _failure(exc: BaseException) -> str:
     """A sweep step's failure text; an unexpected error also prints its traceback."""
     if not isinstance(exc, TokalignError):
@@ -406,7 +413,7 @@ def _curated_path(out: Path, spec: LanguageSpec) -> Path:
     """The language's curated dataset, curated from its lexicons if missing."""
     if spec.curated is not None:
         return spec.curated
-    curated_path = out / spec.name / "curated.tsv"
+    curated_path = _lexicon_curated_path(out, spec.name)
     if not curated_path.exists():
         from .corpus import curate_files
 
@@ -488,10 +495,21 @@ def run_sweep(
     """Run the sweep, and write its score rows and failures (see `_sweep`).
 
     Also returns the failures' file; a run without failures removes it.
-    If the sweep raises, the combined files of an earlier run are removed
-    first, so that they cannot pass for this run's results.
+    An output or language directory that exists as some other file is a
+    `ConfigError` before any job runs, and an earlier run's manifest is
+    removed before any file is written.  If the sweep raises, the
+    combined files of an earlier run are removed first, so that they
+    cannot pass for this run's results.
     """
+    from .manifest import NAME as MANIFEST
+
     out = config.output_dir
+    # Checked first: a file in a directory's place fails every job alike.
+    for path in (out, *(out / spec.name for spec in config.languages)):
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"output path {path} exists and is not a directory")
+    # The manifest vouches for a finished tree, which this run now rewrites.
+    (out / MANIFEST).unlink(missing_ok=True)
     try:
         rows, failures = _sweep(config, jobs)
     except TokalignError:
@@ -510,3 +528,28 @@ def run_sweep(
 def report_sweep(config: SweepConfig, rows: list[ScoreRow]) -> stats.CorrelationReport:
     """Write the sweep's correlation report (see `write_report`)."""
     return write_report(rows, config.output_dir / "correlations.csv", config.seed)
+
+
+def rerun_files(config: SweepConfig) -> tuple[list[str], list[str], list[str]]:
+    """The output files a rerun of this finished sweep depends on.
+
+    A rerun reads every point file and rewrites `scores.csv` and
+    `correlations.csv`, tests that each model file and each lexicon
+    language's curated dataset exist, and removes `failures.csv`; it
+    neither reads nor writes a table.  Returns the files whose bytes
+    count, those that exist and those that do not, as POSIX paths
+    relative to the output directory.
+    """
+    here = Path()
+    hashed = ["scores.csv", "correlations.csv"]
+    present = []
+    for spec in config.languages:
+        if spec.curated is None:
+            present.append(_lexicon_curated_path(here, spec.name).as_posix())
+        for kind, size in config.grid:
+            present.append(_model_path(here, spec.name, kind, size).as_posix())
+            hashed.extend(
+                _point_paths(here, spec.name, kind, size, mode)[0].as_posix()
+                for mode in config.modes
+            )
+    return hashed, present, ["failures.csv"]

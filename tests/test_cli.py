@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from conftest import random_corpus
-from tokalign import cli, sweep, tokenizers
+from tokalign import cli, manifest, sweep, tokenizers
 from tokalign.corpus import CuratedDataset, WordEntry, write_curated
 from tokalign.ibm1 import load_table
 from tokalign.metrics import read_score_rows, write_score_rows, ScoreRow
@@ -1040,6 +1041,185 @@ class TestSweep:
         config_path.write_text(json.dumps(doc), encoding="utf-8")
         assert cli.main(["sweep", "--config", str(config_path)]) == 1
         assert "does not exist" in capsys.readouterr().err
+
+
+def _mtimes(root):
+    return {path: path.stat().st_mtime_ns for path in sorted(root.rglob("*"))}
+
+
+def _edit_point(tmp_path, out):
+    point = out / "toy" / "points" / "bpe-60-split.csv"
+    seed_line, header, row, *rest = point.read_text(encoding="utf-8").splitlines(True)
+    cells = row.split(",")
+    cells[header.split(",").index("alignment_score")] = "0.5"
+    _write(point, "".join([seed_line, header, ",".join(cells), *rest]))
+
+
+def _append(path, text):
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write(text)
+
+
+# Each edit to a finished tree, its config or its inputs after which a
+# rerun must run the full sweep.
+_MISSES = {
+    "config-byte": lambda tmp_path, out: _append(tmp_path / "sweep.json", "\n"),
+    "input": lambda tmp_path, out: _append(tmp_path / "lang" / "corpus.txt", "kamit\n"),
+    "point-edited": _edit_point,
+    "point-deleted": lambda tmp_path, out: (
+        out / "toy" / "points" / "bpe-60-split.csv"
+    ).unlink(),
+    "model-deleted": lambda tmp_path, out: (out / "toy" / "models" / "bpe-60.json").unlink(),
+    "scores-edited": lambda tmp_path, out: _append(out / "scores.csv", "\n"),
+    "correlations-deleted": lambda tmp_path, out: (out / "correlations.csv").unlink(),
+    "failures-present": lambda tmp_path, out: _write(out / "failures.csv", "point,error\n"),
+    "manifest-malformed": lambda tmp_path, out: _write(out / "manifest.json", "{"),
+}
+
+
+class TestFinishedSweep:
+    """A sweep that finished with no failures writes a manifest; a rerun checks it."""
+
+    def test_rerun_prints_the_summary_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        config_path = _sweep_setup(tmp_path)
+        argv = ["sweep", "--config", str(config_path)]
+        assert cli.main(argv) == 0
+        first = capsys.readouterr()
+        out = tmp_path / "out"
+        assert (out / "manifest.json").exists()
+        before = _mtimes(out)
+
+        def no_sweep(*args):
+            raise AssertionError("a finished sweep ran again")
+
+        monkeypatch.setattr(sweep, "run_sweep", no_sweep)
+        assert cli.main(argv + ["--jobs", "2"]) == 0
+        again = capsys.readouterr()
+        assert again.out == first.out
+        assert again.err == ""
+        assert _mtimes(out) == before
+
+    @pytest.mark.parametrize("edit", [*_MISSES, "program"])
+    def test_any_change_runs_the_full_sweep(self, tmp_path, capsys, monkeypatch, edit):
+        config_path = _sweep_setup(tmp_path)
+        checked, plain = tmp_path / "checked", tmp_path / "plain"
+        argv = ["sweep", "--config", str(config_path), "--output-dir"]
+        assert cli.main(argv + [str(checked)]) == 0
+        if edit == "program":
+            monkeypatch.setattr(manifest, "_program_digest", lambda: "0" * 64)
+        else:
+            _MISSES[edit](tmp_path, checked)
+        # The same tree with no manifest takes the full sweep, as the
+        # program did before manifests.
+        shutil.copytree(checked, plain)
+        (plain / "manifest.json").unlink()
+        capsys.readouterr()
+        runs = []
+        run_sweep = sweep.run_sweep
+        monkeypatch.setattr(sweep, "run_sweep", lambda *a: runs.append(1) or run_sweep(*a))
+        assert cli.main(argv + [str(checked)]) == 0
+        checked_out = capsys.readouterr().out
+        assert cli.main(argv + [str(plain)]) == 0
+        assert capsys.readouterr().out == checked_out.replace(str(checked), str(plain))
+        assert runs == [1, 1]
+        assert _tree(checked) == _tree(plain)
+        assert "manifest.json" in _tree(checked)
+
+    def test_manifest_bytes_do_not_depend_on_jobs_or_output_dir(self, tmp_path, capsys):
+        config_path = _sweep_setup(tmp_path)
+        argv = ["sweep", "--config", str(config_path), "--output-dir"]
+        for name, jobs in (("a", "1"), ("b", "2")):
+            assert cli.main(argv + [str(tmp_path / name), "--jobs", jobs]) == 0
+        manifest_bytes = (tmp_path / "a" / "manifest.json").read_bytes()
+        assert (tmp_path / "b" / "manifest.json").read_bytes() == manifest_bytes
+        assert str(tmp_path).encode() not in manifest_bytes
+        assert _tree(tmp_path / "a") == _tree(tmp_path / "b")
+        capsys.readouterr()
+        # The summary names the output directory as given.
+        assert cli.main(argv + [str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().out == (
+            f"sweep complete: 24 score rows, 12 report cells under {tmp_path / 'b'}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "vocab_sizes, include_baselines, code",
+        [((2, 60), True, 0), ((2,), False, 2)],
+        ids=["failures", "no-report"],
+    )
+    def test_run_with_failures_leaves_no_manifest(
+        self, tmp_path, vocab_sizes, include_baselines, code
+    ):
+        config_path = _sweep_setup(tmp_path)
+        assert cli.main(["sweep", "--config", str(config_path)]) == 0
+        assert (tmp_path / "out" / "manifest.json").exists()
+        config_path = _sweep_setup(tmp_path, vocab_sizes=vocab_sizes)
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
+        doc["include_baselines"] = include_baselines
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["sweep", "--config", str(config_path)]) == code
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_changed_config_warns_that_points_are_reused(self, tmp_path, capsys):
+        config_path = _sweep_setup(tmp_path)
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
+        doc.update(kinds=["bpe", "unigram"], aggregations=["mean"], thresholds=[0.01])
+        doc["epochs"] = 10
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["sweep", "--config", str(config_path)]
+        assert cli.main(argv) == 0
+        out = tmp_path / "out"
+        finished = _tree(out)
+        capsys.readouterr()
+        doc.update(thresholds=[0.01, 0.3], epochs=1)
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"warning: config changed since the sweep under {out} last finished; "
+            "existing grid points are reused as they are"
+        ]
+        # Two sizes of two kinds plus both baselines, at the old threshold.
+        assert "6 score rows" in captured.out
+        for name in ("scores.csv", "correlations.csv"):
+            assert _tree(out)[name] == finished[name]
+
+    def test_changed_input_warns_and_names_it(self, tmp_path, capsys):
+        config_path = _sweep_setup(tmp_path)
+        argv = ["sweep", "--config", str(config_path)]
+        assert cli.main(argv) == 0
+        _append(tmp_path / "lang" / "features.tsv", "lemma\tkamit\tN;ACC\n")
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: input lang/features.tsv changed since the sweep under "
+            f"{tmp_path / 'out'} last finished; existing grid points are reused as they are"
+        ]
+
+    def test_resume_after_deleting_a_point_does_not_warn(self, tmp_path, capsys):
+        config_path = _sweep_setup(tmp_path)
+        argv = ["sweep", "--config", str(config_path)]
+        assert cli.main(argv) == 0
+        (tmp_path / "out" / "toy" / "points" / "bpe-60-split.csv").unlink()
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "out" / "toy" / "points" / "bpe-60-split.csv").exists()
+
+    @pytest.mark.parametrize("where", ["out", "out/toy"])
+    def test_output_path_that_is_a_file_exits_1_before_any_job(
+        self, tmp_path, capsys, where
+    ):
+        config_path = _sweep_setup(tmp_path)
+        blocker = tmp_path / where
+        blocker.parent.mkdir(exist_ok=True)
+        _write(blocker, "not a directory\n")
+        assert cli.main(["sweep", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: output path {blocker} exists and is not a directory\n"
+        assert [p.name for p in tmp_path.rglob("*.json")] == ["sweep.json"]
+        assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
 
 class TestReportCommand:

@@ -21,6 +21,9 @@ PIPELINE = ("tokalign.sweep", "tokalign.tokenizers", "tokalign.ibm1",
 # What reading score rows and writing the report needs, and no more.
 RESULT_PATH = {f"tokalign.{name}" for name in
                ("choices", "cli", "errors", "files", "metrics", "stats", "sweep")}
+# What checking a finished sweep's manifest needs, and no more.
+FINISHED_RERUN = {f"tokalign.{name}" for name in
+                  ("choices", "cli", "errors", "files", "manifest")}
 
 
 def _modules_after(code):
@@ -95,7 +98,8 @@ def test_finished_sweep_rerun_loads_only_the_result_path(tmp_path):
     argv = ["sweep", "--config", str(config_path), "--jobs", "2"]
     assert cli.main(argv[:-1] + ["1"]) == 0
     modules = _modules_after(f"from tokalign import cli\nassert cli.main({argv!r}) == 0")
-    assert _package_modules(modules) == RESULT_PATH
+    assert _package_modules(modules) == FINISHED_RERUN
+    assert "dataclasses" not in modules
 
 
 def test_pool_workers_inherit_the_pipeline_modules(tmp_path):
