@@ -72,11 +72,13 @@ def cmd_curate(args: argparse.Namespace) -> int:
 
 
 def cmd_train_tokenizer(args: argparse.Namespace) -> int:
-    from . import sweep, tokenizers
-
     kind = TokenizerKind(args.kind)  # argparse's choices admit only kinds
     if kind in TRAINED_KINDS and args.vocab_size is None:
         raise ConfigError(f"--vocab-size is required for kind {kind.value}")
+    if kind not in TRAINED_KINDS and args.vocab_size is not None:
+        raise ConfigError(f"--vocab-size is for trained kinds only, not kind {kind.value}")
+    from . import sweep, tokenizers
+
     model = sweep.build_model(
         kind,
         args.vocab_size or 0,
@@ -350,6 +352,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "as they are",
             file=sys.stderr,
         )
+    # Points computed before the change are then reused as they are, and
+    # the manifest keeps what changed, so that later reruns warn too.
+    reused = check.changed and any(
+        point.exists() for point in sweep.point_files(config, config.output_dir)
+    )
     rows, failures, failures_path = sweep.run_sweep(config, args.jobs)
     # Printed before the report, which fails if no point is left.
     if failures:
@@ -364,6 +371,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             sweep.rerun_files(config),
             len(rows),
             len(report.cells),
+            check.earlier if reused else None,
         )
     print(_sweep_summary(len(rows), len(report.cells), config.output_dir))
     return EXIT_OK

@@ -8,7 +8,8 @@ output directory, after every other file.  It records:
 * the sha256 of each input file, under the path string the config gives;
 * the state of every output file that a rerun reads or tests (see
   `tokalign.sweep.rerun_files`), by path relative to the output directory;
-* the summary counts, `rows` and `cells`.
+* the summary counts, `rows` and `cells`;
+* `stale`: whether the run reused points computed before a change.
 
 `tokalign sweep` checks it before it loads the pipeline.  When all of it
 still holds, a rerun would write the same bytes that are on disk, so the
@@ -17,6 +18,13 @@ or malformed manifest included, runs the full sweep, which removes the
 manifest before it writes any file.  The check uses file contents, not
 modification times, and nothing in the manifest depends on `--jobs`, the
 output directory or the Python version.
+
+A run that the check found changed, and that reused a point file from
+before it, writes a stale manifest: it keeps the earlier digest of each
+part that changed (the config, the program or an input), so that every
+rerun warns again while that part still differs, and it is never a
+finished run.  Once nothing differs, the rerun is a silent full sweep,
+which writes a manifest that is not stale.
 
 This module imports only the standard library, `errors` and `files`, and
 loads a sha256 only once a manifest has been read or is written.
@@ -32,7 +40,7 @@ from typing import NamedTuple
 from .files import atomic_write, resolve_path
 
 NAME = "manifest.json"
-SCHEMA = "sweep-manifest/1"
+SCHEMA = "sweep-manifest/2"
 
 
 class Check(NamedTuple):
@@ -40,11 +48,13 @@ class Check(NamedTuple):
 
     `finished` holds (rows, cells) when the rerun has nothing to do.
     `changed` names what differs from the run that wrote the manifest:
-    "config", "program", or "input <path string>".
+    "config", "program", or "input <path string>"; `earlier` is then
+    that manifest.
     """
 
     finished: tuple[int, int] | None = None
     changed: tuple[str, ...] = ()
+    earlier: dict | None = None
 
 
 @cache
@@ -111,6 +121,7 @@ def _read(path: Path) -> dict | None:
         and _is_list(doc.get("present"))
         and _is_list(doc.get("absent"))
         and all(type(doc.get(count)) is int for count in ("rows", "cells"))
+        and type(doc.get("stale")) is bool
     )
     return doc if well_formed else None
 
@@ -134,7 +145,9 @@ def check(config_path: Path, config_data: bytes, out: Path | None) -> Check:
         if _file_sha256(resolve_path(base, raw)) != digest:
             changed.append(f"input {raw}")
     if changed:
-        return Check(changed=tuple(changed))
+        return Check(changed=tuple(changed), earlier=manifest)
+    if manifest["stale"]:
+        return Check()
     outputs_hold = (
         all(_file_sha256(out / rel) == digest for rel, digest in manifest["outputs"].items())
         and all((out / rel).exists() for rel in manifest["present"])
@@ -151,12 +164,15 @@ def write(
     files: tuple[list[str], list[str], list[str]],
     rows: int,
     cells: int,
+    earlier: dict | None = None,
 ) -> None:
     """Write the manifest of a sweep that finished with no failures.
 
     `inputs` are the config's input path strings; `files` are the output
     files whose bytes, presence and absence a rerun depends on, as
-    `tokalign.sweep.rerun_files` lists them.
+    `tokalign.sweep.rerun_files` lists them.  `earlier` is the manifest
+    of `Check.earlier` when the run reused points computed before the
+    change; the manifest is then stale and keeps its digests.
     """
     hashed, present, absent = files
     base = config_path.parent
@@ -170,5 +186,11 @@ def write(
         "absent": sorted(absent),
         "rows": rows,
         "cells": cells,
+        "stale": earlier is not None,
     }
+    if earlier is not None:
+        # A part that did not change has the same digest either way.
+        doc["config"], doc["program"] = earlier["config"], earlier["program"]
+        kept = earlier["inputs"]
+        doc["inputs"] = {raw: kept.get(raw, sha) for raw, sha in doc["inputs"].items()}
     atomic_write(out / NAME, json.dumps(doc, indent=1, sort_keys=True) + "\n")

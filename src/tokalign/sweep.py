@@ -120,25 +120,26 @@ def build_model(
     corpus_path: Path | None,
     curated: Callable[[], CuratedDataset] | None,
 ) -> TokenizerModel:
-    """Build one tokenizer model.
+    """Build one tokenizer model, as the kind's row of `tokenizers.KINDS` says.
 
-    The gold lookup comes from the curated dataset, which `curated`
-    returns (so that a caller can read it once for the lookup and the
-    evaluation); every other kind trains on the corpus file.
+    A kind built from the curated dataset gets it from `curated` (so
+    that a caller can read it once for the model and the evaluation);
+    every other kind is built from the corpus file.
     """
     from . import tokenizers
 
-    if kind is TokenizerKind.GOLD:
+    row = tokenizers.KINDS[kind]
+    if row.curated:
         if curated is None:
-            raise ConfigError("gold tokenizer needs a curated dataset (--curated)")
-        return tokenizers.build_gold_lookup(curated())
+            raise ConfigError(f"{kind.value} tokenizer needs a curated dataset (--curated)")
+        return row.build(curated())
     if corpus_path is None:
         raise ConfigError(f"{kind.value} tokenizer needs a training corpus (--corpus)")
     corpus = dict(tokenizers.word_frequencies(read_lines(corpus_path)))
     if not corpus:
         raise DataError(f"corpus {corpus_path} contains no words")
-    if kind is TokenizerKind.CHARACTER:
-        return tokenizers.train_character(corpus)
+    if not row.sized:
+        return row.build(corpus)
     return tokenizers.train(corpus, tokenizers.TrainConfig(kind, vocab_size, seed=seed))
 
 
@@ -323,7 +324,7 @@ def _model_job(job: _ModelJob, config: SweepConfig) -> dict[str, str]:
                 continue
             train_config = tokenizers.TrainConfig(job.kind, size, seed=config.seed)
             try:
-                cut = tokenizers.truncate_merges(model, train_config)
+                cut = tokenizers.KINDS[job.kind].cut(model, train_config)
             except ConfigError:
                 continue
             tokenizers.save_model(cut, cut_path)
@@ -530,6 +531,16 @@ def report_sweep(config: SweepConfig, rows: list[ScoreRow]) -> stats.Correlation
     return write_report(rows, config.output_dir / "correlations.csv", config.seed)
 
 
+def point_files(config: SweepConfig, out: Path) -> list[Path]:
+    """The score file of every grid point under `out`."""
+    return [
+        _point_paths(out, spec.name, kind, size, mode)[0]
+        for spec in config.languages
+        for kind, size in config.grid
+        for mode in config.modes
+    ]
+
+
 def rerun_files(config: SweepConfig) -> tuple[list[str], list[str], list[str]]:
     """The output files a rerun of this finished sweep depends on.
 
@@ -542,14 +553,11 @@ def rerun_files(config: SweepConfig) -> tuple[list[str], list[str], list[str]]:
     """
     here = Path()
     hashed = ["scores.csv", "correlations.csv"]
+    hashed += [path.as_posix() for path in point_files(config, here)]
     present = []
     for spec in config.languages:
         if spec.curated is None:
             present.append(_lexicon_curated_path(here, spec.name).as_posix())
         for kind, size in config.grid:
             present.append(_model_path(here, spec.name, kind, size).as_posix())
-            hashed.extend(
-                _point_paths(here, spec.name, kind, size, mode)[0].as_posix()
-                for mode in config.modes
-            )
     return hashed, present, ["failures.csv"]

@@ -11,6 +11,12 @@ Five model kinds share a single serializable container:
 * ``character``: split into single characters.
 * ``gold``: look up the curated gold segmentation.
 
+Only the trained kinds, the first three, take a vocabulary size.  All
+that differs between kinds is one row each of ``KINDS``: what the kind
+is built from, its build and segment functions, whether it takes a
+size, its cut (``truncate_merges`` for the merge kinds) and the check
+``load_model`` runs on its model files.
+
 BPE and WordPiece share one incremental merge loop, ``_train_merges``.
 It keeps pair counts, symbol counts, an index from each pair to the
 words holding it and a lazy heap of pair scores.  Each merge rewrites
@@ -23,13 +29,13 @@ from the larger, which lets a sweep train each merge kind once.
 Each pruning round of the unigram trainer makes two hard EM passes over
 the corpus, then one Viterbi pass per word for each multi-character
 token on the word's best path.  Within a round a word's in-vocabulary
-substrings never change, so the trainer interns the
-vocabulary to ids and slices and looks up each word's substrings once,
-into a span lattice: one flat ``array('i')`` of ``(end, start, id)``
-triples in the order ``_viterbi`` visits them.  Every pass of the round
-walks that array with list-indexed log-probabilities, and pruning
-renumbers the ids in place and drops the pruned spans, so later rounds
-never slice again.  ``_viterbi`` itself only segments.
+substrings never change, so the trainer interns the vocabulary to ids
+and slices and looks up each word's substrings once, into a span
+lattice: one flat ``array('i')`` of ``(end, start, id)`` triples in the
+order the segmenter, ``_segment_unigram``, visits them.  Every pass of
+the round walks that array with list-indexed log-probabilities, and
+pruning renumbers the ids in place and drops the pruned spans, so later
+rounds never slice again.
 
 All training is deterministic: corpora are handled in sorted order and
 score ties break lexicographically, so retraining on the same input
@@ -47,11 +53,9 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
-# The kind groups are public names of this module too, though only
-# MERGE_KINDS is used here.
-from .choices import BASELINE_KINDS, MERGE_KINDS, TRAINED_KINDS, TokenizerKind
+from .choices import TokenizerKind
 from .corpus import CuratedDataset, normalize
 from .errors import ConfigError, DataError, NumericalError, UncoverableWord
 from .files import atomic_write
@@ -294,12 +298,6 @@ def train_bpe(corpus: Mapping[str, int], config: TrainConfig) -> TokenizerModel:
     return _merge_model(TokenizerKind.BPE, alphabet, merges, config)
 
 
-def _strip_marker(token: str, marker: str) -> str:
-    if marker and token.startswith(marker):
-        return token[len(marker):]
-    return token
-
-
 def train_wordpiece(corpus: Mapping[str, int], config: TrainConfig) -> TokenizerModel:
     """Merge loop over raw symbols scored by pair likelihood.
 
@@ -314,7 +312,7 @@ def train_wordpiece(corpus: Mapping[str, int], config: TrainConfig) -> Tokenizer
     total = sum(len(word) * freq for word, freq in corpus.items())
     score = _likelihood_key(total)
     alphabet, merges = _train_merges(corpus, config.vocab_size, score)
-    return _merge_model(TokenizerKind.WORDPIECE, alphabet, merges, config)
+    return _merge_model(TokenizerKind.WORDPIECE, alphabet, merges, config, WORDPIECE_MARKER)
 
 
 def _merge_model(
@@ -322,6 +320,7 @@ def _merge_model(
     alphabet: Iterable[str],
     merges: list[tuple[str, str]],
     config: TrainConfig,
+    marker: str = "",
 ) -> TokenizerModel:
     return TokenizerModel(
         kind=kind,
@@ -329,7 +328,7 @@ def _merge_model(
         vocab_size=config.vocab_size,
         seed=config.seed,
         merges=merges,
-        continuation_marker=WORDPIECE_MARKER if kind is TokenizerKind.WORDPIECE else "",
+        continuation_marker=marker,
     )
 
 
@@ -352,43 +351,37 @@ def truncate_merges(model: TokenizerModel, config: TrainConfig) -> TokenizerMode
     while len(vocab) < config.vocab_size and cut < len(joins):
         vocab.add(joins[cut])
         cut += 1
-    return _merge_model(model.kind, alphabet, model.merges[:cut], config)
+    return _merge_model(
+        model.kind, alphabet, model.merges[:cut], config, model.continuation_marker
+    )
 
 
-def _viterbi(
-    word: str,
-    logprob: Mapping[str, float],
-    max_token_len: int,
-    oov_char_logprob: float | None = None,
-) -> tuple[list[str], float] | None:
-    """Best-scoring segmentation of ``word`` under a unigram model.
+def _segment_unigram(model: TokenizerModel, word: str) -> list[str]:
+    """Best-scoring (Viterbi) segmentation of ``word`` under a unigram model.
 
-    Returns None when no segmentation covers the word.  With
-    ``oov_char_logprob`` set, single characters outside the vocabulary
-    are admitted at that penalty, which makes coverage total.
+    Single characters outside the vocabulary are admitted at
+    OOV_CHAR_LOGPROB, which makes coverage total.
     """
+    logprob = model.token_logprob
     n = len(word)
     best_score: list[float | None] = [None] * (n + 1)
     back: list[tuple[int, str] | None] = [None] * (n + 1)
     best_score[0] = 0.0
     for end in range(1, n + 1):
-        for start in range(max(0, end - max_token_len), end):
+        for start in range(max(0, end - model._max_token_len), end):
             prev = best_score[start]
             if prev is None:
                 continue
             token = word[start:end]
             lp = logprob.get(token)
             if lp is None:
-                if oov_char_logprob is not None and end - start == 1:
-                    lp = oov_char_logprob
-                else:
+                if end - start > 1:
                     continue
+                lp = OOV_CHAR_LOGPROB
             cand = prev + lp
             if best_score[end] is None or cand > best_score[end]:
                 best_score[end] = cand
                 back[end] = (start, token)
-    if best_score[n] is None:
-        return None
     tokens: list[str] = []
     pos = n
     while pos > 0:
@@ -396,7 +389,7 @@ def _viterbi(
         tokens.append(token)
         pos = start
     tokens.reverse()
-    return tokens, best_score[n]
+    return tokens
 
 
 def _unigram_seed(
@@ -440,9 +433,10 @@ def _unigram_seed(
 def _span_lattices(words: list[tuple[str, int]], tokens: list[str]) -> list[array]:
     """Each word's in-vocabulary spans as a flat ``(end, start, id)`` array.
 
-    ``id`` indexes ``tokens``.  Spans come in the order ``_viterbi``
-    visits them, end ascending and then start ascending, so a walk over
-    the array compares the same candidates in the same order.
+    ``id`` indexes ``tokens``.  Spans come in the order
+    ``_segment_unigram`` visits them, end ascending and then start
+    ascending, so a walk over the array compares the same candidates in
+    the same order.
     """
     ids = {token: i for i, token in enumerate(tokens)}
     max_len = max(len(t) for t in tokens)
@@ -464,7 +458,8 @@ def _lattice_best(spans: array, n: int, logprob: list[float]) -> float:
     -inf marks an unreached position: -inf plus a finite log-probability
     stays -inf and never wins the strict ``>``, so an unreached start or
     a span whose log-probability is set to -inf is skipped exactly as
-    ``_viterbi`` skips it.  Returns -inf when no path covers the word.
+    ``_segment_unigram`` skips it.  Returns -inf when no path covers the
+    word.
     """
     best = [-math.inf] * (n + 1)
     best[0] = 0.0
@@ -578,7 +573,8 @@ def train_unigram(corpus: Mapping[str, int], config: TrainConfig) -> TokenizerMo
     walk.  Pruning renumbers the surviving ids in place and drops the
     pruned spans, so no later round slices a word again.  The
     candidates, their order and the strict ``>`` tie rule are those of
-    ``_viterbi``, so the models are the ones a per-call Viterbi gives.
+    ``_segment_unigram``, so the models are the ones a per-call Viterbi
+    gives.
     """
     words = _sorted_corpus(corpus)
     chars, seed_logprob = _unigram_seed(words, config)
@@ -643,17 +639,6 @@ def build_gold_lookup(dataset: CuratedDataset) -> TokenizerModel:
     return TokenizerModel(kind=TokenizerKind.GOLD, vocab=vocab, gold_map=gold_map)
 
 
-def train(corpus: Mapping[str, int], config: TrainConfig) -> TokenizerModel:
-    """Dispatch to the trainer for config.kind."""
-    if config.kind is TokenizerKind.BPE:
-        return train_bpe(corpus, config)
-    if config.kind is TokenizerKind.WORDPIECE:
-        return train_wordpiece(corpus, config)
-    if config.kind is TokenizerKind.UNIGRAM:
-        return train_unigram(corpus, config)
-    raise ConfigError(f"kind {config.kind.value!r} is not trainable from a corpus")
-
-
 def _segment_bpe(model: TokenizerModel, word: str) -> list[str]:
     # Applying the lowest-ranked applicable merge first is equivalent to
     # replaying all merges in learned order, because a merge can only
@@ -695,14 +680,64 @@ def _segment_wordpiece(model: TokenizerModel, word: str) -> list[str]:
     return tokens
 
 
-def _segment_unigram(model: TokenizerModel, word: str) -> list[str]:
-    result = _viterbi(
-        word,
-        model.token_logprob,
-        model._max_token_len,
-        oov_char_logprob=OOV_CHAR_LOGPROB,
-    )
-    return result[0]
+def _segment_gold(model: TokenizerModel, word: str) -> list[str]:
+    segs = model.gold_map.get(word)
+    if segs is None:
+        raise DataError(f"form {word!r} is not in the gold lookup table")
+    return list(segs)
+
+
+def _check_merges(model: TokenizerModel, path: str | Path) -> None:
+    for left, right in model.merges:
+        if left + right not in model._vocab_set:
+            raise DataError(
+                f"model file {path} has merge ({left!r}, {right!r}) "
+                "whose join is not in the vocabulary"
+            )
+
+
+def _check_gold(model: TokenizerModel, path: str | Path) -> None:
+    for form, segs in model.gold_map.items():
+        if not segs or not all(segs):
+            raise DataError(f"model file {path}: empty gold segment for form {form!r}")
+        if "".join(segs) != form:
+            raise DataError(
+                f"model file {path}: gold segments {segs!r} do not concatenate "
+                f"to form {form!r}"
+            )
+
+
+class Kind(NamedTuple):
+    """One row of ``KINDS``: all that differs between tokenizer kinds."""
+
+    build: Callable[..., TokenizerModel]  # (corpus or curated dataset[, TrainConfig])
+    segment: Callable[[TokenizerModel, str], list[str]]
+    sized: bool = True  # build takes a TrainConfig, and so a vocabulary size
+    curated: bool = False  # built from the curated dataset, not the corpus
+    cut: Callable[[TokenizerModel, TrainConfig], TokenizerModel] | None = None
+    check: Callable[[TokenizerModel, str | Path], None] | None = None  # on load
+
+
+# `choices` groups the same kinds for code that must not load this module.
+KINDS: dict[TokenizerKind, Kind] = {
+    TokenizerKind.BPE: Kind(train_bpe, _segment_bpe, cut=truncate_merges, check=_check_merges),
+    TokenizerKind.WORDPIECE: Kind(
+        train_wordpiece, _segment_wordpiece, cut=truncate_merges, check=_check_merges
+    ),
+    TokenizerKind.UNIGRAM: Kind(train_unigram, _segment_unigram),
+    TokenizerKind.CHARACTER: Kind(train_character, lambda model, word: list(word), sized=False),
+    TokenizerKind.GOLD: Kind(
+        build_gold_lookup, _segment_gold, sized=False, curated=True, check=_check_gold
+    ),
+}
+
+
+def train(corpus: Mapping[str, int], config: TrainConfig) -> TokenizerModel:
+    """Train config.kind's model on the corpus; only a sized kind trains."""
+    row = KINDS[config.kind]
+    if not row.sized:
+        raise ConfigError(f"kind {config.kind.value!r} is not trainable from a corpus")
+    return row.build(corpus, config)
 
 
 def segment(model: TokenizerModel, word: str) -> list[str]:
@@ -715,20 +750,7 @@ def segment(model: TokenizerModel, word: str) -> list[str]:
     """
     if not word:
         raise DataError("cannot segment an empty word")
-    if model.kind is TokenizerKind.CHARACTER:
-        return list(word)
-    if model.kind is TokenizerKind.GOLD:
-        segs = model.gold_map.get(word)
-        if segs is None:
-            raise DataError(f"form {word!r} is not in the gold lookup table")
-        return list(segs)
-    if model.kind is TokenizerKind.BPE:
-        return _segment_bpe(model, word)
-    if model.kind is TokenizerKind.WORDPIECE:
-        return _segment_wordpiece(model, word)
-    if model.kind is TokenizerKind.UNIGRAM:
-        return _segment_unigram(model, word)
-    raise ConfigError(f"unknown tokenizer kind {model.kind!r}")
+    return KINDS[model.kind].segment(model, word)
 
 
 def canonical_subwords(model: TokenizerModel, tokens: list[str]) -> list[str]:
@@ -740,11 +762,8 @@ def canonical_subwords(model: TokenizerModel, tokens: list[str]) -> list[str]:
     """
     if UNK in tokens:
         raise UncoverableWord("unknown-token placeholder in segmentation")
-    marker = model.continuation_marker
-    if not marker or not tokens:
-        return list(tokens)
     # Only word-internal tokens are decorated, so only those are stripped.
-    return [tokens[0]] + [_strip_marker(t, marker) for t in tokens[1:]]
+    return tokens[:1] + [t.removeprefix(model.continuation_marker) for t in tokens[1:]]
 
 
 def model_to_json(model: TokenizerModel) -> str:
@@ -791,13 +810,9 @@ def load_model(path: str | Path) -> TokenizerModel:
             gold_map={form: list(segs) for form, segs in doc["gold_map"]},
             continuation_marker=str(doc["continuation_marker"]),
         )
-        if kind in MERGE_KINDS:
-            for left, right in model.merges:
-                if left + right not in model._vocab_set:
-                    raise DataError(
-                        f"model file {path} has merge ({left!r}, {right!r}) "
-                        "whose join is not in the vocabulary"
-                    )
+        check = KINDS[kind].check
+        if check is not None:
+            check(model, path)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"model file {path} is malformed: {exc}") from exc
     for token, lp in model.token_logprob.items():

@@ -185,6 +185,53 @@ class TestTrainAndSegment:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "kind, flag, inputs",
+        [("character", "-3", "--corpus"), ("gold", "50", "--curated")],
+    )
+    def test_vocab_size_for_a_kind_that_takes_none_exits_1(
+        self, tmp_path, capsys, kind, flag, inputs
+    ):
+        # The input does not exist: the size is rejected before it is read.
+        out = tmp_path / "m.json"
+        argv = ["train-tokenizer", inputs, str(tmp_path / "missing"), "--kind", kind,
+                "--vocab-size", flag, "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"config error: --vocab-size is for trained kinds only, not kind {kind}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "segments, error",
+        [
+            (["zzz", "q"], "gold segments ['zzz', 'q'] do not concatenate to form 'kamit'"),
+            ([], "empty gold segment for form 'kamit'"),
+            (["kam", ""], "empty gold segment for form 'kamit'"),
+        ],
+        ids=["misspelt", "no-segments", "empty-segment"],
+    )
+    def test_gold_model_whose_segments_do_not_spell_the_form_exits_2(
+        self, tmp_path, capsys, segments, error
+    ):
+        curated, dataset = _curated_file(tmp_path)
+        model = tmp_path / "gold.json"
+        doc = json.loads(model_to_json(build_gold_lookup(dataset)))
+        doc["gold_map"] = [[form, segments if form == "kamit" else segs]
+                           for form, segs in doc["gold_map"]]
+        _write(model, json.dumps(doc))
+        out = tmp_path / "scores.csv"
+        for argv in (
+            ["segment", "--model", str(model), "kamit"],
+            ["evaluate", "--curated", str(curated), "--model", str(model),
+             "--out", str(out)],
+        ):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"data error: model file {model}: {error}\n"
+        assert not out.exists()
+
     def test_segment_prints_word_and_pieces(self, tmp_path, capsys):
         corpus = _write(tmp_path / "corpus.txt", "abab abab\n")
         out = tmp_path / "bpe.json"
@@ -724,7 +771,9 @@ class TestSweep:
         def crash(model, config):
             raise RuntimeError("no cuts today")
 
-        monkeypatch.setattr(tokenizers, "truncate_merges", crash)
+        for kind in (TokenizerKind.BPE, TokenizerKind.WORDPIECE):
+            row = tokenizers.KINDS[kind]._replace(cut=crash)
+            monkeypatch.setitem(tokenizers.KINDS, kind, row)
         config_path = _sweep_setup(tmp_path)
         assert cli.main(["sweep", "--config", str(config_path), "--jobs", "1"]) == 0
         out = tmp_path / "out"
@@ -1107,6 +1156,7 @@ class TestFinishedSweep:
         checked, plain = tmp_path / "checked", tmp_path / "plain"
         argv = ["sweep", "--config", str(config_path), "--output-dir"]
         assert cli.main(argv + [str(checked)]) == 0
+        before = json.loads((checked / "manifest.json").read_text(encoding="utf-8"))
         if edit == "program":
             monkeypatch.setattr(manifest, "_program_digest", lambda: "0" * 64)
         else:
@@ -1124,8 +1174,16 @@ class TestFinishedSweep:
         assert cli.main(argv + [str(plain)]) == 0
         assert capsys.readouterr().out == checked_out.replace(str(checked), str(plain))
         assert runs == [1, 1]
-        assert _tree(checked) == _tree(plain)
-        assert "manifest.json" in _tree(checked)
+        checked_tree, plain_tree = _tree(checked), _tree(plain)
+        checked_manifest = json.loads(checked_tree.pop("manifest.json"))
+        expected = json.loads(plain_tree.pop("manifest.json"))
+        assert checked_tree == plain_tree
+        if edit in ("config-byte", "input", "program"):
+            # The rerun warned and reused every point, so its manifest
+            # keeps the digests that the points were computed under.
+            expected.update({key: before[key] for key in ("config", "program", "inputs")})
+            expected["stale"] = True
+        assert checked_manifest == expected
 
     def test_manifest_bytes_do_not_depend_on_jobs_or_output_dir(self, tmp_path, capsys):
         config_path = _sweep_setup(tmp_path)
@@ -1184,6 +1242,65 @@ class TestFinishedSweep:
         assert "6 score rows" in captured.out
         for name in ("scores.csv", "correlations.csv"):
             assert _tree(out)[name] == finished[name]
+
+    def _changed_config_sweep(self, tmp_path, capsys, monkeypatch):
+        """Sweep, change the config and rerun, reusing every point.
+
+        Returns the original config's bytes, and a function that writes
+        a config's bytes, reruns and returns (stderr, whether the full
+        sweep ran, the score rows).
+        """
+        config_path = _sweep_setup(tmp_path)
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
+        doc.update(kinds=["bpe", "unigram"], aggregations=["mean"], thresholds=[0.01])
+        doc["epochs"] = 10
+        original = json.dumps(doc)
+        changed = json.dumps(dict(doc, thresholds=[0.01, 0.3], epochs=1))
+        runs = []
+        run_sweep = sweep.run_sweep
+        monkeypatch.setattr(sweep, "run_sweep", lambda *a: runs.append(1) or run_sweep(*a))
+
+        def rerun(text):
+            _write(config_path, text)
+            runs.clear()
+            assert cli.main(["sweep", "--config", str(config_path)]) == 0
+            scores = (tmp_path / "out" / "scores.csv").read_text(encoding="utf-8")
+            return capsys.readouterr().err, bool(runs), read_score_rows(scores.splitlines(True))
+
+        assert rerun(original)[0] == ""
+        warning = (
+            f"warning: config changed since the sweep under {tmp_path / 'out'} last "
+            "finished; existing grid points are reused as they are\n"
+        )
+        assert rerun(changed)[:2] == (warning, True)
+        return original, changed, warning, rerun
+
+    def test_warning_repeats_while_the_config_differs_from_the_reused_points(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        _, changed, warning, rerun = self._changed_config_sweep(tmp_path, capsys, monkeypatch)
+        for _ in range(2):
+            err, ran, rows = rerun(changed)
+            assert (err, ran) == (warning, True)
+            # Two sizes of two kinds plus both baselines, at the old threshold.
+            assert len(rows) == 6
+            assert {row.threshold for row in rows} == {0.01}
+
+    def test_restored_config_reruns_silently_then_is_finished(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        original, _, _, rerun = self._changed_config_sweep(tmp_path, capsys, monkeypatch)
+        assert rerun(original)[:2] == ("", True)
+        assert rerun(original)[:2] == ("", False)
+
+    def test_recomputing_every_point_ends_the_warnings(self, tmp_path, capsys, monkeypatch):
+        _, changed, warning, rerun = self._changed_config_sweep(tmp_path, capsys, monkeypatch)
+        for point in (tmp_path / "out" / "toy" / "points").iterdir():
+            point.unlink()
+        err, ran, rows = rerun(changed)
+        assert (err, ran) == (warning, True)
+        assert {row.threshold for row in rows} == {0.01, 0.3}
+        assert rerun(changed)[:2] == ("", False)
 
     def test_changed_input_warns_and_names_it(self, tmp_path, capsys):
         config_path = _sweep_setup(tmp_path)

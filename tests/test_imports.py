@@ -102,6 +102,18 @@ def test_finished_sweep_rerun_loads_only_the_result_path(tmp_path):
     assert "dataclasses" not in modules
 
 
+def test_rerun_without_a_manifest_loads_only_the_result_path_and_manifest(tmp_path):
+    config_path = _sweep_setup(tmp_path)
+    argv = ["sweep", "--config", str(config_path), "--jobs", "2"]
+    assert cli.main(argv[:-1] + ["1"]) == 0
+    (tmp_path / "out" / "manifest.json").unlink()
+    # Every point is on disk, so the full sweep runs no job.
+    modules = _modules_after(f"from tokalign import cli\nassert cli.main({argv!r}) == 0")
+    assert _package_modules(modules) == RESULT_PATH | {"tokalign.manifest"}
+    assert "concurrent.futures.process" not in modules
+    assert (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_pool_workers_inherit_the_pipeline_modules(tmp_path):
     config_path = _sweep_setup(tmp_path)
     argv = ["sweep", "--config", str(config_path), "--jobs", "2"]

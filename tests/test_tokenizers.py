@@ -14,9 +14,11 @@ from oracles import (
     wordpiece_best_pair,
 )
 from conftest import random_corpus
+from tokalign.choices import MERGE_KINDS, TRAINED_KINDS
 from tokalign.errors import ConfigError, DataError, UncoverableWord
 from tokalign.synth import SynthConfig, build_language
 from tokalign.tokenizers import (
+    KINDS,
     OOV_CHAR_LOGPROB,
     PROB_FLOOR,
     UNK,
@@ -295,6 +297,15 @@ class TestBaselines:
             train({"ab": 2}, _config(TokenizerKind.CHARACTER, 2))
         with pytest.raises(ConfigError):
             train({"ab": 2}, _config(TokenizerKind.GOLD, 2))
+
+
+class TestKindTable:
+    def test_one_row_per_kind_agreeing_with_the_kind_groups(self):
+        assert list(KINDS) == list(TokenizerKind)
+        for kind, row in KINDS.items():
+            assert (row.cut is not None) == (kind in MERGE_KINDS), kind
+            assert row.curated == (kind is TokenizerKind.GOLD), kind
+            assert row.sized == (kind in TRAINED_KINDS), kind
 
 
 class TestValidation:
