@@ -272,12 +272,13 @@ def _sweep_config(path: Path, doc: dict) -> SweepConfig:
         if not isinstance(spec, dict) or spec.get("corpus") is None:
             raise ConfigError(f"language {name!r} needs at least a corpus path")
         _reject_unknown_keys(spec, _LANGUAGE_KEYS, f"language {name!r}")
-        if spec.get("curated") is None and (
-            spec.get("features") is None or spec.get("segmentations") is None
-        ):
+        # One source for the dataset: a curated file given with lexicons
+        # would leave the lexicons unread.
+        sources = {key for key in _LANGUAGE_KEYS[1:] if spec.get(key) is not None}
+        if sources not in ({"curated"}, {"features", "segmentations"}):
             raise ConfigError(
                 f"language {name!r} needs either a curated path or both "
-                "feature and segmentation lexicons"
+                "feature and segmentation lexicons, and not both"
             )
         try:
             paths = {
@@ -301,20 +302,14 @@ def _sweep_config(path: Path, doc: dict) -> SweepConfig:
     return SweepConfig(languages=languages, **values)
 
 
-def _input_paths(doc: dict, config: SweepConfig) -> list[str]:
-    """The path strings of the inputs the sweep reads, as the config gives them.
-
-    That is each language's corpus, and its curated dataset or else both
-    lexicons.
-    """
-    paths = []
-    for spec in config.languages:
-        if spec.curated is not None:
-            keys = ("corpus", "curated")
-        else:
-            keys = ("corpus", "features", "segmentations")
-        paths.extend(doc["languages"][spec.name][key] for key in keys)
-    return paths
+def _input_paths(doc: dict) -> list[str]:
+    """The path strings of the inputs the sweep reads, as the config gives them."""
+    return [
+        spec[key]
+        for spec in doc["languages"].values()
+        for key in _LANGUAGE_KEYS
+        if spec.get(key) is not None
+    ]
 
 
 def _sweep_summary(rows: int, cells: int, out: Path) -> str:
@@ -327,6 +322,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.output_dir == "":
         raise ConfigError("--output-dir must be a non-empty path")
     from . import manifest
+    from .files import Digests
 
     config_path = Path(args.config)
     data, doc = _read_config(config_path)
@@ -334,30 +330,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         out = Path(args.output_dir) if args.output_dir else _output_dir(config_path, doc)
     except ValueError:
         out = None  # `_sweep_config` reports it
+    digests = Digests()
     # Checked before the pipeline modules load, which a finished sweep
     # does not need.
-    check = manifest.check(config_path, data, out)
-    if check.finished:
-        print(_sweep_summary(*check.finished, out))
+    finished = manifest.check(config_path, data, out, digests)
+    if finished:
+        print(_sweep_summary(*finished, out))
         return EXIT_OK
 
     from . import sweep
 
     config = _sweep_config(config_path, doc)
     config.output_dir = out  # the --output-dir override, if any
-    if check.changed:
-        print(
-            f"warning: {', '.join(check.changed)} changed since the sweep under "
-            f"{config.output_dir} last finished; existing grid points are reused "
-            "as they are",
-            file=sys.stderr,
-        )
-    # Points computed before the change are then reused as they are, and
-    # the manifest keeps what changed, so that later reruns warn too.
-    reused = check.changed and any(
-        point.exists() for point in sweep.point_files(config, config.output_dir)
-    )
-    rows, failures, failures_path = sweep.run_sweep(config, args.jobs)
+    rows, failures, failures_path = sweep.run_sweep(config, args.jobs, digests)
     # Printed before the report, which fails if no point is left.
     if failures:
         print(f"{len(failures)} grid points failed; see {failures_path}")
@@ -366,12 +351,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         manifest.write(
             config_path,
             data,
-            _input_paths(doc, config),
+            _input_paths(doc),
+            digests,
             config.output_dir,
             sweep.rerun_files(config),
             len(rows),
             len(report.cells),
-            check.earlier if reused else None,
         )
     print(_sweep_summary(len(rows), len(report.cells), config.output_dir))
     return EXIT_OK

@@ -395,7 +395,7 @@ def save_table(table: TranslationTable, path: str | Path) -> None:
 def load_table(path: str | Path) -> TranslationTable:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise DataError(f"table file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != TABLE_SCHEMA:
         raise DataError(f"table file {path} has an unrecognized schema")

@@ -7,14 +7,16 @@ the report), the sweep's jobs and process pool, and the layout of the
 output tree, which no other module knows.  Curation is
 `tokalign.corpus.curate_files`, so that `tokalign curate` loads none of
 this module's imports.  Every stage reads and writes plain files, so a
-sweep is resumable: grid points whose files exist are skipped, and the
-combined CSVs are rebuilt from them.  A sweep that finished with no
-failures is not run again at all: `tokalign.manifest` records the files
-listed by `rerun_files`, and a rerun that finds them, its config, its
-inputs and the program unchanged rewrites nothing.
+sweep is resumable: a curated dataset, model or grid point is reused
+only while its `<file>.key` holds the key of the inputs that make it
+(see `_keys`), and the combined CSVs are rebuilt from the points.  A
+sweep that finished with no failures is not run again at all:
+`tokalign.manifest` records the files listed by `rerun_files`, and a
+rerun that finds them, its config, its inputs and the program unchanged
+rewrites nothing.
 
 The lexicon, tokenizer and aligner modules are imported by the routines
-that run them, so a sweep with every point on disk, and `tokalign
+that run them, so a sweep whose every point is fresh, and `tokalign
 report`, load none of them.
 """
 
@@ -27,9 +29,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import metrics, stats
-from .choices import BASELINE_KINDS, MERGE_KINDS, Aggregation, FeatureMode, TokenizerKind
+from .choices import BASELINE_KINDS, CURATED_KINDS, MERGE_KINDS
+from .choices import Aggregation, FeatureMode, TokenizerKind
 from .errors import ConfigError, DataError, TokalignError
-from .files import read_lines, write_rendered
+from .files import Digests, atomic_write, read_lines, sha256_hex, write_rendered
 from .metrics import ScoreRow
 
 if TYPE_CHECKING:
@@ -255,6 +258,60 @@ def _lexicon_curated_path(out: Path, lang: str) -> Path:
     return out / lang / "curated.tsv"
 
 
+def _key(*parts: object) -> str:
+    """The key of an artefact made from `parts`: the sha256 of their repr."""
+    return sha256_hex(repr(parts).encode("utf-8"))
+
+
+def _key_path(path: Path) -> Path:
+    return path.with_name(f"{path.name}.key")
+
+
+def _fresh(path: Path, key: str) -> bool:
+    """Whether `path` exists and the key recorded beside it is `key`."""
+    try:
+        return _key_path(path).read_bytes() == f"{key}\n".encode() and path.exists()
+    except OSError:
+        return False
+
+
+def _write_keyed(path: Path, key: str, write: Callable, *args) -> None:
+    """Run ``write(*args)``, which writes `path`, then record `key` beside it.
+
+    The earlier key goes first, so a crash in between leaves no key.
+    """
+    key_path = _key_path(path)
+    key_path.unlink(missing_ok=True)
+    write(*args)
+    atomic_write(key_path, f"{key}\n")
+
+
+def _keys(
+    config: SweepConfig, spec: LanguageSpec, curated_path: Path, digests: Digests
+) -> dict[Path, str]:
+    """The key of each model and point file of one language, by path.
+
+    A model's key covers the program, its kind, size and seed, and the
+    corpus (the dataset, for a kind built from it), so a merge kind's
+    cut has the key of the training at its size.  A point's key covers
+    its model's key, the dataset and every setting of its evaluation.
+    """
+    out = config.output_dir
+    dataset = digests[curated_path]
+    aggregations = tuple(aggregation.value for aggregation in config.aggregations)
+    evaluation = (spec.name, config.epochs, config.include_null, aggregations)
+    evaluation += (tuple(config.thresholds), config.seed)
+    keys = {}
+    for kind, size in config.grid:
+        source = dataset if kind in CURATED_KINDS else digests[spec.corpus]
+        model_key = _key(digests.program, kind.value, size, config.seed, source)
+        keys[_model_path(out, spec.name, kind, size)] = model_key
+        for mode in config.modes:
+            point_path = _point_paths(out, spec.name, kind, size, mode)[0]
+            keys[point_path] = _key(model_key, dataset, mode.value, *evaluation)
+    return keys
+
+
 def _failure(exc: BaseException) -> str:
     """A sweep step's failure text; an unexpected error also prints its traceback."""
     if not isinstance(exc, TokalignError):
@@ -265,11 +322,11 @@ def _failure(exc: BaseException) -> str:
 
 
 class _ModelJob(NamedTuple):
-    """One language's model at one (kind, size), and its missing points.
+    """One language's model at one (kind, size), and its points.
 
-    A merge kind's missing models share one training: the job for its
-    largest missing size also writes the models of `cuts`, the kind's
-    other missing sizes, cut from its own.
+    A merge kind's models to make share one training: the job for its
+    largest such size also writes the models of `cuts`, the kind's other
+    such sizes, cut from its own.  `keys` are the language's (`_keys`).
     """
 
     language: str
@@ -277,6 +334,7 @@ class _ModelJob(NamedTuple):
     size: int
     corpus: Path
     curated: Path
+    keys: dict[Path, str]
     cuts: tuple[int, ...] = ()
 
 
@@ -289,14 +347,14 @@ def _point_label(language: str, point_path: Path) -> str:
 
 
 def _model_job(job: _ModelJob, config: SweepConfig) -> dict[str, str]:
-    """Build or load the job's model, write its cuts, then evaluate its missing points.
+    """Build or load the job's model, write its cuts, then evaluate its points.
 
-    A cut is written only if its model file is still missing, and equals
-    the model trained at its size.  A cut below the alphabet is skipped;
-    the size's own job trains it and fails alike.  The model is segmented
-    once, for all of its missing points.  Everything goes to disk, so the
-    job can run in a worker process.  Returns the failure text of the
-    model or each point it could not write, by label.
+    Each of these is made only if its file is not fresh (see `_fresh`).
+    A cut equals the model trained at its size.  A cut below the
+    alphabet is skipped; the size's own job trains it and fails alike.
+    The model is segmented once, for all of its points.  Everything goes
+    to disk, so the job can run in a worker process.  Returns the failure
+    text of the model or each point it could not write, by label.
     """
     from . import tokenizers
 
@@ -310,30 +368,34 @@ def _model_job(job: _ModelJob, config: SweepConfig) -> dict[str, str]:
             dataset.append(load_curated(job.curated))
         return dataset[0]
 
+    def fresh(path: Path) -> bool:
+        return _fresh(path, job.keys[path])
+
     model_path = _model_path(out, job.language, job.kind, job.size)
     model: TokenizerModel | None = None
-    if not model_path.exists():
+    if not fresh(model_path):
         try:
             model = build_model(job.kind, job.size, config.seed, job.corpus, curated)
-            tokenizers.save_model(model, model_path)
+            key = job.keys[model_path]
+            _write_keyed(model_path, key, tokenizers.save_model, model, model_path)
         except Exception as exc:
             return {_train_label(job.language, job.kind, job.size): _failure(exc)}
         for size in job.cuts:
             cut_path = _model_path(out, job.language, job.kind, size)
-            if cut_path.exists():
+            if fresh(cut_path):
                 continue
             train_config = tokenizers.TrainConfig(job.kind, size, seed=config.seed)
             try:
                 cut = tokenizers.KINDS[job.kind].cut(model, train_config)
             except ConfigError:
                 continue
-            tokenizers.save_model(cut, cut_path)
+            _write_keyed(cut_path, job.keys[cut_path], tokenizers.save_model, cut, cut_path)
     segmented: Segmented | None = None
     for mode in config.modes:
         point_path, table_path = _point_paths(
             out, job.language, job.kind, job.size, mode
         )
-        if point_path.exists():
+        if fresh(point_path):
             continue
         try:
             if model is None:
@@ -341,7 +403,10 @@ def _model_job(job: _ModelJob, config: SweepConfig) -> dict[str, str]:
             if segmented is None:
                 segmented = segment_dataset(curated(), model)
             # Not kept, so the table is freed before the next point's EM.
-            evaluate_point(
+            _write_keyed(
+                point_path,
+                job.keys[point_path],
+                evaluate_point,
                 point_path,
                 table_path,
                 config.seed,
@@ -410,51 +475,67 @@ def _run_jobs(
         pool.shutdown(cancel_futures=True)
 
 
-def _curated_path(out: Path, spec: LanguageSpec) -> Path:
-    """The language's curated dataset, curated from its lexicons if missing."""
+def _curated_path(out: Path, spec: LanguageSpec, digests: Digests) -> Path:
+    """The language's curated dataset, curated from its lexicons unless fresh.
+
+    Its key covers the program, both lexicons and the language name.
+    """
     if spec.curated is not None:
         return spec.curated
     curated_path = _lexicon_curated_path(out, spec.name)
-    if not curated_path.exists():
+    key = _key(digests.program, digests[spec.features], digests[spec.segmentations], spec.name)
+    if not _fresh(curated_path, key):
         from .corpus import curate_files
 
-        curate_files(spec.features, spec.segmentations, spec.name, curated_path)
+        _write_keyed(
+            curated_path, key, curate_files,
+            spec.features, spec.segmentations, spec.name, curated_path,
+        )
     return curated_path
 
 
-def _sweep(config: SweepConfig, jobs: int) -> tuple[list[ScoreRow], list[tuple[str, str]]]:
-    """Build the missing models and evaluate the missing grid points.
+def _sweep(
+    config: SweepConfig, jobs: int, digests: Digests
+) -> tuple[list[ScoreRow], list[tuple[str, str]]]:
+    """Make the models and grid points that are not fresh.
 
     Every language's jobs run on one executor (see `_run_jobs`).  What
-    failed is read off the disk afterwards: a size without a model file
-    failed to train, and a missing point file failed to evaluate, whether
+    failed is read off the disk afterwards: a size without a fresh model
+    failed to train, and a point not fresh failed to evaluate, whether
     its job returned an error, raised or lost its worker.  Returns the
     score rows of every point file, in grid order, and the failures by
     label: per language, training before evaluation, each in grid order.
     """
     out = config.output_dir
     grid = config.grid
+    keys: dict[Path, str] = {}
+
+    def fresh(path: Path) -> bool:
+        return _fresh(path, keys[path])
 
     def points(lang: str, kind: TokenizerKind, size: int) -> list[Path]:
         return [_point_paths(out, lang, kind, size, mode)[0] for mode in config.modes]
 
-    # A merge kind's first job trains its largest missing size and cuts
+    # A merge kind's first job trains its largest size to make and cuts
     # the others, whose own jobs go last, to find their models on disk.
     first: list[_ModelJob] = []
     other: list[_ModelJob] = []
     rest: list[_ModelJob] = []
     for spec in config.languages:
-        curated_path = _curated_path(out, spec)
+        curated_path = _curated_path(out, spec, digests)
+        language_keys = _keys(config, spec, curated_path, digests)
+        keys.update(language_keys)
+        inputs = (spec.corpus, curated_path, language_keys)
         untrained: dict[TokenizerKind, list[int]] = {}
         for kind, size in grid:
             model_path = _model_path(out, spec.name, kind, size)
-            if kind in MERGE_KINDS and not model_path.exists():
+            if kind in MERGE_KINDS and not fresh(model_path):
                 untrained.setdefault(kind, []).append(size)
-            elif not all(p.exists() for p in (model_path, *points(spec.name, kind, size))):
-                other.append(_ModelJob(spec.name, kind, size, spec.corpus, curated_path))
+            elif not all(fresh(p) for p in (model_path, *points(spec.name, kind, size))):
+                other.append(_ModelJob(spec.name, kind, size, *inputs))
         for kind, sizes in untrained.items():
             largest, *cuts = sorted(sizes, reverse=True)
-            job = _ModelJob(spec.name, kind, largest, spec.corpus, curated_path)
+            job = _ModelJob(spec.name, kind, largest, *inputs)
             first.append(job._replace(cuts=tuple(cuts)))
             rest.extend(job._replace(size=size) for size in cuts)
 
@@ -473,12 +554,12 @@ def _sweep(config: SweepConfig, jobs: int) -> tuple[list[ScoreRow], list[tuple[s
     for spec in config.languages:
         eval_failures = []
         for kind, size in grid:
-            if not _model_path(out, spec.name, kind, size).exists():
+            if not fresh(_model_path(out, spec.name, kind, size)):
                 label = _train_label(spec.name, kind, size)
                 failures.append((label, errors[label]))
                 continue
             for point_path in points(spec.name, kind, size):
-                if point_path.exists():
+                if fresh(point_path):
                     try:
                         rows.extend(metrics.read_score_rows(read_lines(point_path)))
                     except DataError as exc:
@@ -491,7 +572,7 @@ def _sweep(config: SweepConfig, jobs: int) -> tuple[list[ScoreRow], list[tuple[s
 
 
 def run_sweep(
-    config: SweepConfig, jobs: int
+    config: SweepConfig, jobs: int, digests: Digests
 ) -> tuple[list[ScoreRow], list[tuple[str, str]], Path]:
     """Run the sweep, and write its score rows and failures (see `_sweep`).
 
@@ -512,7 +593,7 @@ def run_sweep(
     # The manifest vouches for a finished tree, which this run now rewrites.
     (out / MANIFEST).unlink(missing_ok=True)
     try:
-        rows, failures = _sweep(config, jobs)
+        rows, failures = _sweep(config, jobs, digests)
     except TokalignError:
         for name in ("scores.csv", "failures.csv", "correlations.csv"):
             (out / name).unlink(missing_ok=True)
@@ -531,33 +612,25 @@ def report_sweep(config: SweepConfig, rows: list[ScoreRow]) -> stats.Correlation
     return write_report(rows, config.output_dir / "correlations.csv", config.seed)
 
 
-def point_files(config: SweepConfig, out: Path) -> list[Path]:
-    """The score file of every grid point under `out`."""
-    return [
-        _point_paths(out, spec.name, kind, size, mode)[0]
-        for spec in config.languages
-        for kind, size in config.grid
-        for mode in config.modes
-    ]
-
-
 def rerun_files(config: SweepConfig) -> tuple[list[str], list[str], list[str]]:
     """The output files a rerun of this finished sweep depends on.
 
     A rerun reads every point file and rewrites `scores.csv` and
     `correlations.csv`, tests that each model file and each lexicon
-    language's curated dataset exist, and removes `failures.csv`; it
-    neither reads nor writes a table.  Returns the files whose bytes
-    count, those that exist and those that do not, as POSIX paths
-    relative to the output directory.
+    language's curated dataset exist, reads their key files, and removes
+    `failures.csv`; it neither reads nor writes a table.  Returns the
+    files whose bytes count, those that exist and those that do not, as
+    POSIX paths relative to the output directory.
     """
     here = Path()
-    hashed = ["scores.csv", "correlations.csv"]
-    hashed += [path.as_posix() for path in point_files(config, here)]
+    hashed = [Path("scores.csv"), Path("correlations.csv")]
     present = []
     for spec in config.languages:
+        made = [_model_path(here, spec.name, kind, size) for kind, size in config.grid]
         if spec.curated is None:
-            present.append(_lexicon_curated_path(here, spec.name).as_posix())
-        for kind, size in config.grid:
-            present.append(_model_path(here, spec.name, kind, size).as_posix())
-    return hashed, present, ["failures.csv"]
+            made.append(_lexicon_curated_path(here, spec.name))
+        cells = [(kind, size, mode) for kind, size in config.grid for mode in config.modes]
+        points = [_point_paths(here, spec.name, *cell)[0] for cell in cells]
+        present += made
+        hashed += points + [_key_path(path) for path in made + points]
+    return [p.as_posix() for p in hashed], [p.as_posix() for p in present], ["failures.csv"]

@@ -794,7 +794,7 @@ def save_model(model: TokenizerModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> TokenizerModel:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != MODEL_SCHEMA:
         raise DataError(f"model file {path} has an unrecognized schema")

@@ -10,13 +10,16 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from conftest import random_corpus
-from tokalign import cli, manifest, sweep, tokenizers
+from tokalign import cli, files, sweep, tokenizers
 from tokalign.corpus import CuratedDataset, WordEntry, write_curated
+from tokalign.files import Digests
+from tokalign.manifest import NAME
 from tokalign.ibm1 import load_table
 from tokalign.metrics import read_score_rows, write_score_rows, ScoreRow
 from tokalign.stats import read_report
@@ -439,7 +442,8 @@ class TestEvaluate:
         assert not out.exists()
 
 
-def _sweep_setup(tmp_path, vocab_sizes=(60, 80)):
+def _sweep_setup(tmp_path, vocab_sizes=(60, 80), **fields):
+    """Write the toy language and a sweep config over it; `fields` override the config's."""
     lang_dir = tmp_path / "lang"
     config = SynthConfig(
         noun_stems=20, verb_stems=20, sentences=120, words_per_sentence=6
@@ -461,10 +465,17 @@ def _sweep_setup(tmp_path, vocab_sizes=(60, 80)):
                 "segmentations": "lang/segmentations.tsv",
             }
         },
+        **fields,
     }
     config_path = tmp_path / "sweep.json"
     config_path.write_text(json.dumps(doc), encoding="utf-8")
     return config_path
+
+
+def _edit_config(tmp_path, **fields):
+    config_path = tmp_path / "sweep.json"
+    doc = json.loads(config_path.read_text(encoding="utf-8"))
+    _write(config_path, json.dumps(dict(doc, **fields)))
 
 
 def _tree(root):
@@ -481,10 +492,8 @@ def _kinds_sweep_setup(tmp_path):
     config_path = _sweep_setup(tmp_path)
     corpus = (tmp_path / "lang" / "corpus.txt").read_text(encoding="utf-8")
     alphabet = len(set(corpus) - set(" \n"))
-    doc = json.loads(config_path.read_text(encoding="utf-8"))
-    doc["kinds"] = ["bpe", "wordpiece", "unigram"]
-    doc["vocab_sizes"] = [60, alphabet - 1, 80]
-    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    kinds = ["bpe", "wordpiece", "unigram"]
+    _edit_config(tmp_path, kinds=kinds, vocab_sizes=[60, alphabet - 1, 80])
     return config_path
 
 
@@ -616,10 +625,7 @@ class TestSweep:
         assert _tree(out) == serial
 
     def test_each_model_is_segmented_once_for_all_its_modes(self, tmp_path, monkeypatch):
-        config_path = _sweep_setup(tmp_path)
-        doc = json.loads(config_path.read_text(encoding="utf-8"))
-        doc["modes"] = ["joint", "split"]
-        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        config_path = _sweep_setup(tmp_path, modes=["joint", "split"])
         segment = sweep.segment_dataset
         segmented = []
 
@@ -631,20 +637,16 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(config_path)]) == 0
         # bpe and wordpiece at two sizes, plus the two baselines.
         assert len(segmented) == len(set(segmented)) == 6
-        assert len(list((tmp_path / "out" / "toy" / "points").iterdir())) == 12
+        assert len(list((tmp_path / "out" / "toy" / "points").glob("*.csv"))) == 12
 
     def test_merge_kind_points_are_jobs_of_their_own(self, tmp_path, monkeypatch):
-        config_path = _sweep_setup(tmp_path)
-        doc = json.loads(config_path.read_text(encoding="utf-8"))
-        doc["kinds"] = ["bpe"]
-        doc["include_baselines"] = False
-        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        config_path = _sweep_setup(tmp_path, kinds=["bpe"], include_baselines=False)
         submitted = _record_submissions(monkeypatch)
         assert cli.main(["sweep", "--config", str(config_path), "--jobs", "2"]) == 0
         # The largest size trains and cuts the smaller one, whose own job,
         # on any worker, goes last.
         assert submitted == [("bpe", 80, (60,)), ("bpe", 60, ())]
-        assert len(list((tmp_path / "out" / "toy" / "points").iterdir())) == 2
+        assert len(list((tmp_path / "out" / "toy" / "points").glob("*.csv"))) == 2
 
     def test_jobs_go_merge_trainings_first_and_their_cut_sizes_last(
         self, tmp_path, monkeypatch
@@ -673,7 +675,7 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(config_path), "--jobs", "1"]) == 0
         assert trained == [("bpe", 80), ("wordpiece", 80)]
         # Three sizes of two merge kinds, plus both baselines.
-        assert len(list((tmp_path / "out" / "toy" / "models").iterdir())) == 8
+        assert len(list((tmp_path / "out" / "toy" / "models").glob("*.json"))) == 8
 
     def test_cut_size_job_alone_trains_the_bytes_of_its_cut(self, tmp_path, monkeypatch):
         config_path = _sweep_setup(tmp_path)
@@ -684,8 +686,10 @@ class TestSweep:
         model.unlink()
         (out / "points" / "bpe-60-split.csv").unlink()
         config = cli.load_sweep_config(config_path)
-        corpus = config.languages[0].corpus
-        job = sweep._ModelJob("toy", TokenizerKind.BPE, 60, corpus, out / "curated.tsv")
+        spec = config.languages[0]
+        curated = out / "curated.tsv"
+        keys = sweep._keys(config, spec, curated, Digests())
+        job = sweep._ModelJob("toy", TokenizerKind.BPE, 60, spec.corpus, curated, keys)
         trained = _record_trainings(monkeypatch)
         assert sweep._model_job(job, config) == {}
         assert trained == [("bpe", 60)]
@@ -785,7 +789,7 @@ class TestSweep:
             "toy/bpe-80-split,RuntimeError: no cuts today\n"
             "toy/wordpiece-80-split,RuntimeError: no cuts today\n"
         )
-        assert len(list((out / "toy" / "models").iterdir())) == 6
+        assert len(list((out / "toy" / "models").glob("*.json"))) == 6
 
     def test_crashed_evaluation_job_is_recorded_not_fatal(self, tmp_path, monkeypatch):
         evaluate = sweep.run_evaluation
@@ -885,10 +889,7 @@ class TestSweep:
         assert isinstance(future.exception(), BrokenProcessPool)
 
     def test_failures_are_written_when_no_point_is_left(self, tmp_path, capsys):
-        config_path = _sweep_setup(tmp_path, vocab_sizes=(2,))
-        doc = json.loads(config_path.read_text(encoding="utf-8"))
-        doc["include_baselines"] = False
-        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        config_path = _sweep_setup(tmp_path, vocab_sizes=(2,), include_baselines=False)
         assert cli.main(["sweep", "--config", str(config_path)]) == 2
         assert "zero score rows" in capsys.readouterr().err
         failures = (tmp_path / "out" / "failures.csv").read_text(encoding="utf-8")
@@ -900,10 +901,7 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(config_path)]) == 0
         out = tmp_path / "out"
         assert (out / "correlations.csv").exists()
-        config_path = _sweep_setup(tmp_path, vocab_sizes=(2,))
-        doc = json.loads(config_path.read_text(encoding="utf-8"))
-        doc["include_baselines"] = False
-        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        config_path = _sweep_setup(tmp_path, vocab_sizes=(2,), include_baselines=False)
         assert cli.main(["sweep", "--config", str(config_path)]) == 2
         assert "zero score rows" in capsys.readouterr().err
         assert not (out / "correlations.csv").exists()
@@ -994,10 +992,7 @@ class TestSweep:
     def test_invalid_config_exits_1_before_training(
         self, tmp_path, capsys, field, value
     ):
-        config_path = _sweep_setup(tmp_path)
-        doc = json.loads(config_path.read_text(encoding="utf-8"))
-        doc[field] = value
-        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        config_path = _sweep_setup(tmp_path, **{field: value})
         assert cli.main(["sweep", "--config", str(config_path)]) == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -1050,6 +1045,21 @@ class TestSweep:
         before = sorted(tmp_path.rglob("*"))
         assert cli.main(["sweep", "--config", str(config_path)]) == 1
         assert "non-empty path" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("lexicon", ["features", "segmentations"])
+    def test_curated_path_with_a_lexicon_exits_1_before_any_output(
+        self, tmp_path, capsys, lexicon
+    ):
+        config_path = _sweep_setup(tmp_path)
+        curated, _ = _curated_file(tmp_path)
+        toy = {"corpus": "lang/corpus.txt", "curated": curated.name}
+        toy[lexicon] = f"lang/{lexicon}.tsv"
+        _edit_config(tmp_path, languages={"toy": toy})
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(["sweep", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert "language 'toy' needs either a curated path or both" in err
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -1123,6 +1133,9 @@ _MISSES = {
     "correlations-deleted": lambda tmp_path, out: (out / "correlations.csv").unlink(),
     "failures-present": lambda tmp_path, out: _write(out / "failures.csv", "point,error\n"),
     "manifest-malformed": lambda tmp_path, out: _write(out / "manifest.json", "{"),
+    "key-deleted": lambda tmp_path, out: (
+        out / "toy" / "points" / "bpe-60-split.csv.key"
+    ).unlink(),
 }
 
 
@@ -1156,9 +1169,8 @@ class TestFinishedSweep:
         checked, plain = tmp_path / "checked", tmp_path / "plain"
         argv = ["sweep", "--config", str(config_path), "--output-dir"]
         assert cli.main(argv + [str(checked)]) == 0
-        before = json.loads((checked / "manifest.json").read_text(encoding="utf-8"))
         if edit == "program":
-            monkeypatch.setattr(manifest, "_program_digest", lambda: "0" * 64)
+            monkeypatch.setattr(files, "_program_digest", lambda: "0" * 64)
         else:
             _MISSES[edit](tmp_path, checked)
         # The same tree with no manifest takes the full sweep, as the
@@ -1174,16 +1186,7 @@ class TestFinishedSweep:
         assert cli.main(argv + [str(plain)]) == 0
         assert capsys.readouterr().out == checked_out.replace(str(checked), str(plain))
         assert runs == [1, 1]
-        checked_tree, plain_tree = _tree(checked), _tree(plain)
-        checked_manifest = json.loads(checked_tree.pop("manifest.json"))
-        expected = json.loads(plain_tree.pop("manifest.json"))
-        assert checked_tree == plain_tree
-        if edit in ("config-byte", "input", "program"):
-            # The rerun warned and reused every point, so its manifest
-            # keeps the digests that the points were computed under.
-            expected.update({key: before[key] for key in ("config", "program", "inputs")})
-            expected["stale"] = True
-        assert checked_manifest == expected
+        assert _tree(checked) == _tree(plain)
 
     def test_manifest_bytes_do_not_depend_on_jobs_or_output_dir(self, tmp_path, capsys):
         config_path = _sweep_setup(tmp_path)
@@ -1212,107 +1215,9 @@ class TestFinishedSweep:
         config_path = _sweep_setup(tmp_path)
         assert cli.main(["sweep", "--config", str(config_path)]) == 0
         assert (tmp_path / "out" / "manifest.json").exists()
-        config_path = _sweep_setup(tmp_path, vocab_sizes=vocab_sizes)
-        doc = json.loads(config_path.read_text(encoding="utf-8"))
-        doc["include_baselines"] = include_baselines
-        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        config_path = _sweep_setup(tmp_path, vocab_sizes, include_baselines=include_baselines)
         assert cli.main(["sweep", "--config", str(config_path)]) == code
         assert not (tmp_path / "out" / "manifest.json").exists()
-
-    def test_changed_config_warns_that_points_are_reused(self, tmp_path, capsys):
-        config_path = _sweep_setup(tmp_path)
-        doc = json.loads(config_path.read_text(encoding="utf-8"))
-        doc.update(kinds=["bpe", "unigram"], aggregations=["mean"], thresholds=[0.01])
-        doc["epochs"] = 10
-        config_path.write_text(json.dumps(doc), encoding="utf-8")
-        argv = ["sweep", "--config", str(config_path)]
-        assert cli.main(argv) == 0
-        out = tmp_path / "out"
-        finished = _tree(out)
-        capsys.readouterr()
-        doc.update(thresholds=[0.01, 0.3], epochs=1)
-        config_path.write_text(json.dumps(doc), encoding="utf-8")
-        assert cli.main(argv) == 0
-        captured = capsys.readouterr()
-        assert captured.err.splitlines() == [
-            f"warning: config changed since the sweep under {out} last finished; "
-            "existing grid points are reused as they are"
-        ]
-        # Two sizes of two kinds plus both baselines, at the old threshold.
-        assert "6 score rows" in captured.out
-        for name in ("scores.csv", "correlations.csv"):
-            assert _tree(out)[name] == finished[name]
-
-    def _changed_config_sweep(self, tmp_path, capsys, monkeypatch):
-        """Sweep, change the config and rerun, reusing every point.
-
-        Returns the original config's bytes, and a function that writes
-        a config's bytes, reruns and returns (stderr, whether the full
-        sweep ran, the score rows).
-        """
-        config_path = _sweep_setup(tmp_path)
-        doc = json.loads(config_path.read_text(encoding="utf-8"))
-        doc.update(kinds=["bpe", "unigram"], aggregations=["mean"], thresholds=[0.01])
-        doc["epochs"] = 10
-        original = json.dumps(doc)
-        changed = json.dumps(dict(doc, thresholds=[0.01, 0.3], epochs=1))
-        runs = []
-        run_sweep = sweep.run_sweep
-        monkeypatch.setattr(sweep, "run_sweep", lambda *a: runs.append(1) or run_sweep(*a))
-
-        def rerun(text):
-            _write(config_path, text)
-            runs.clear()
-            assert cli.main(["sweep", "--config", str(config_path)]) == 0
-            scores = (tmp_path / "out" / "scores.csv").read_text(encoding="utf-8")
-            return capsys.readouterr().err, bool(runs), read_score_rows(scores.splitlines(True))
-
-        assert rerun(original)[0] == ""
-        warning = (
-            f"warning: config changed since the sweep under {tmp_path / 'out'} last "
-            "finished; existing grid points are reused as they are\n"
-        )
-        assert rerun(changed)[:2] == (warning, True)
-        return original, changed, warning, rerun
-
-    def test_warning_repeats_while_the_config_differs_from_the_reused_points(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        _, changed, warning, rerun = self._changed_config_sweep(tmp_path, capsys, monkeypatch)
-        for _ in range(2):
-            err, ran, rows = rerun(changed)
-            assert (err, ran) == (warning, True)
-            # Two sizes of two kinds plus both baselines, at the old threshold.
-            assert len(rows) == 6
-            assert {row.threshold for row in rows} == {0.01}
-
-    def test_restored_config_reruns_silently_then_is_finished(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        original, _, _, rerun = self._changed_config_sweep(tmp_path, capsys, monkeypatch)
-        assert rerun(original)[:2] == ("", True)
-        assert rerun(original)[:2] == ("", False)
-
-    def test_recomputing_every_point_ends_the_warnings(self, tmp_path, capsys, monkeypatch):
-        _, changed, warning, rerun = self._changed_config_sweep(tmp_path, capsys, monkeypatch)
-        for point in (tmp_path / "out" / "toy" / "points").iterdir():
-            point.unlink()
-        err, ran, rows = rerun(changed)
-        assert (err, ran) == (warning, True)
-        assert {row.threshold for row in rows} == {0.01, 0.3}
-        assert rerun(changed)[:2] == ("", False)
-
-    def test_changed_input_warns_and_names_it(self, tmp_path, capsys):
-        config_path = _sweep_setup(tmp_path)
-        argv = ["sweep", "--config", str(config_path)]
-        assert cli.main(argv) == 0
-        _append(tmp_path / "lang" / "features.tsv", "lemma\tkamit\tN;ACC\n")
-        capsys.readouterr()
-        assert cli.main(argv) == 0
-        assert capsys.readouterr().err.splitlines() == [
-            f"warning: input lang/features.tsv changed since the sweep under "
-            f"{tmp_path / 'out'} last finished; existing grid points are reused as they are"
-        ]
 
     def test_resume_after_deleting_a_point_does_not_warn(self, tmp_path, capsys):
         config_path = _sweep_setup(tmp_path)
@@ -1337,6 +1242,97 @@ class TestFinishedSweep:
         assert err == f"config error: output path {blocker} exists and is not a directory\n"
         assert [p.name for p in tmp_path.rglob("*.json")] == ["sweep.json"]
         assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
+# ROADMAP item 1's stale-resume reproduction changes the config this way.
+_BUG_2 = {"thresholds": [0.01, 0.3], "epochs": 1}
+
+
+def _bug_2_without_manifest(tmp_path):
+    # As after a run with failures, which writes no manifest.
+    _edit_config(tmp_path, **_BUG_2)
+    (tmp_path / "out" / NAME).unlink()
+
+
+def _bug_2_undone(tmp_path, crash=False):
+    """Delete a point and rerun under the Bug 2 config, then restore the config.
+
+    With `crash`, the rerun stops between writing its first point and
+    writing that point's key.
+    """
+    (tmp_path / "out" / "toy" / "points" / "bpe-60-split.csv").unlink()
+    original = (tmp_path / "sweep.json").read_bytes()
+    _edit_config(tmp_path, **_BUG_2)
+
+    class Crash(BaseException):
+        pass
+
+    def write(path, text, atomic_write=sweep.atomic_write):
+        if crash and path.name.endswith(".csv.key"):
+            raise Crash
+        atomic_write(path, text)
+
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(Crash) if crash else nullcontext():
+        patch.setattr(sweep, "atomic_write", write)
+        assert cli.main(["sweep", "--config", str(tmp_path / "sweep.json")]) == 0
+    (tmp_path / "sweep.json").write_bytes(original)
+
+
+def _halve(path):
+    lines = path.read_text(encoding="utf-8").splitlines(True)
+    _write(path, "".join(lines[: len(lines) // 2]))
+
+
+_GRID = {(kind, size) for kind in ("bpe", "unigram") for size in (60, 80)}
+_GRID |= {("character", 0), ("gold", 0)}
+# Each edit to a swept tree or its inputs (config fields, or a function of
+# the test directory), and the (kind, size) of every point that a rerun
+# must evaluate again.
+_EDITS = {
+    "epochs": ({"epochs": 1}, _GRID),
+    "thresholds": ({"thresholds": [0.01, 0.3]}, _GRID),
+    "aggregation-order": ({"aggregations": ["max", "mean"]}, _GRID),
+    "include-null": ({"include_null": True}, _GRID),
+    "seed": ({"seed": 1}, _GRID),
+    "vocab-size-added": ({"vocab_sizes": [60, 80, 100]}, {("bpe", 100), ("unigram", 100)}),
+    "config-no-manifest": (_bug_2_without_manifest, _GRID),
+    "config-undone": (_bug_2_undone, _GRID),
+    # The crashed run's point has no key, so it alone is made again.
+    "crash-at-a-key": (lambda tmp_path: _bug_2_undone(tmp_path, crash=True), {("bpe", 60)}),
+    "corpus": (
+        lambda tmp_path: _append(tmp_path / "lang" / "corpus.txt", "kamit kamol\n" * 50),
+        _GRID - {("gold", 0)},
+    ),
+    "lexicon": (lambda tmp_path: _halve(tmp_path / "lang" / "features.tsv"), _GRID),
+}
+
+
+class TestResumeKeys:
+    """A rerun reuses a curated file, model or point only under its inputs' key."""
+
+    @pytest.mark.parametrize("edit", _EDITS)
+    def test_rerun_after_an_edit_matches_a_fresh_sweep(self, tmp_path, monkeypatch, edit):
+        kinds = ["bpe", "unigram"]
+        config_path = _sweep_setup(tmp_path, kinds=kinds, thresholds=[0.01], epochs=10)
+        argv = ["sweep", "--config", str(config_path)]
+        assert cli.main(argv) == 0
+        change, expected = _EDITS[edit]
+        if isinstance(change, dict):
+            _edit_config(tmp_path, **change)
+        else:
+            change(tmp_path)
+        evaluated = set()
+        evaluate = sweep.run_evaluation
+
+        def recording(dataset, model, *args):
+            evaluated.add((model.kind.value, model.vocab_size))
+            return evaluate(dataset, model, *args)
+
+        monkeypatch.setattr(sweep, "run_evaluation", recording)
+        assert cli.main(argv) == 0
+        assert evaluated == expected
+        assert cli.main(argv + ["--output-dir", str(tmp_path / "fresh")]) == 0
+        assert _tree(tmp_path / "out") == _tree(tmp_path / "fresh")
 
 
 class TestReportCommand:
@@ -1421,6 +1417,26 @@ class TestReportCommand:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("command", ["curate", "segment", "evaluate", "report"])
+    def test_input_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\n")
+        segments = _write(tmp_path / "segments.tsv", SEGMENTS)
+        curated, _ = _curated_file(tmp_path)
+        out = tmp_path / "out"
+        argv = {
+            "curate": ["curate", "--features", bad, "--segmentations", segments],
+            "segment": ["segment", "--model", bad, "kamit"],
+            "evaluate": ["evaluate", "--curated", curated, "--model", bad],
+            "report": ["report", "--scores", bad],
+        }[command]
+        if command != "segment":
+            argv += ["--out", out]
+        assert cli.main([str(arg) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(bad) in err
+        assert not out.exists()
+
     def test_no_command_prints_help_and_exits_1(self, capsys):
         assert cli.main([]) == 1
         assert "usage" in capsys.readouterr().err.lower()

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from tokalign.errors import DataError
 from tokalign.files import atomic_write
 from tokalign.ibm1 import load_table, save_table, train_ibm1
 from tokalign.tokenizers import TokenizerKind, TrainConfig, load_model, save_model, train
@@ -58,3 +59,11 @@ def test_failed_save_leaves_the_earlier_file_whole(
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
     load(path)
+
+
+@pytest.mark.parametrize("load", [load_model, load_table])
+def test_file_that_is_not_utf8_is_a_data_error(tmp_path, load):
+    path = tmp_path / "artefact.json"
+    path.write_bytes(b"\xff\n")
+    with pytest.raises(DataError, match="is not valid JSON"):
+        load(path)

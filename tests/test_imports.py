@@ -4,10 +4,12 @@ Module sets are read in a fresh interpreter, since this test process has
 imported every module already.
 """
 
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +116,30 @@ def test_rerun_without_a_manifest_loads_only_the_result_path_and_manifest(tmp_pa
     assert (tmp_path / "out" / "manifest.json").exists()
 
 
+def test_finished_sweep_rerun_never_loads_hashlib(tmp_path):
+    # `hashlib` loads OpenSSL; `test_pool_workers_inherit_the_pipeline_modules`
+    # checks the full sweep, which hashes its inputs before its pool forks.
+    argv = ["sweep", "--config", str(_sweep_setup(tmp_path))]
+    assert cli.main(argv) == 0
+    code = f"from tokalign import cli\nassert cli.main({argv!r}) == 0"
+    assert "hashlib" not in _modules_after(code)
+
+
+def test_the_package_imports_only_the_standard_library_and_itself():
+    allowed = sys.stdlib_module_names | {"tokalign"}
+    allowed |= {"_sha2", "_sha256"}  # one sha256 module, renamed in Python 3.12
+    for path in Path(tokalign.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in allowed, f"{path.name} imports {name}"
+
+
 def test_pool_workers_inherit_the_pipeline_modules(tmp_path):
     config_path = _sweep_setup(tmp_path)
     argv = ["sweep", "--config", str(config_path), "--jobs", "2"]
@@ -131,5 +157,5 @@ def test_pool_workers_inherit_the_pipeline_modules(tmp_path):
         "assert len(loaded) == 1\n"
         "assert {'tokalign.tokenizers', 'tokalign.ibm1'} <= loaded[0]\n"
     )
-    _modules_after(code)
+    assert "hashlib" not in _modules_after(code)
     assert (tmp_path / "out" / "scores.csv").exists()

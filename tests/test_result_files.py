@@ -9,6 +9,7 @@ import io
 
 from tokalign import sweep
 from tokalign.corpus import FeatureMode
+from tokalign.files import Digests
 from tokalign.metrics import Aggregation, ScoreRow, write_score_rows
 from tokalign.stats import CorrelationCell, CorrelationReport, write_report
 from tokalign.sweep import LanguageSpec, SweepConfig
@@ -58,7 +59,7 @@ def test_failures_csv_bytes(tmp_path, monkeypatch):
         ("toy/bpe-2/train", "ConfigError: vocab size 2 is below the alphabet"),
         ("toy/bpe-60-split", 'ValueError: bad "cell", twice'),
     ]
-    monkeypatch.setattr(sweep, "_sweep", lambda config, jobs: (ROWS, failures))
+    monkeypatch.setattr(sweep, "_sweep", lambda config, jobs, digests: (ROWS, failures))
     config = SweepConfig(
         languages=[LanguageSpec("toy", tmp_path / "corpus.txt")],
         kinds=[TokenizerKind.BPE],
@@ -72,7 +73,7 @@ def test_failures_csv_bytes(tmp_path, monkeypatch):
         include_null=False,
         output_dir=tmp_path / "out",
     )
-    sweep.run_sweep(config, 1)
+    sweep.run_sweep(config, 1, Digests())
     out = tmp_path / "out"
     assert (out / "scores.csv").read_text(encoding="utf-8") == SCORES_TEXT
     assert (out / "failures.csv").read_text(encoding="utf-8") == (

@@ -14,7 +14,7 @@ from oracles import (
     wordpiece_best_pair,
 )
 from conftest import random_corpus
-from tokalign.choices import MERGE_KINDS, TRAINED_KINDS
+from tokalign.choices import CURATED_KINDS, MERGE_KINDS, TRAINED_KINDS
 from tokalign.errors import ConfigError, DataError, UncoverableWord
 from tokalign.synth import SynthConfig, build_language
 from tokalign.tokenizers import (
@@ -304,7 +304,7 @@ class TestKindTable:
         assert list(KINDS) == list(TokenizerKind)
         for kind, row in KINDS.items():
             assert (row.cut is not None) == (kind in MERGE_KINDS), kind
-            assert row.curated == (kind is TokenizerKind.GOLD), kind
+            assert row.curated == (kind in CURATED_KINDS), kind
             assert row.sized == (kind in TRAINED_KINDS), kind
 
 
