@@ -83,7 +83,7 @@ def cmd_train_tokenizer(args: argparse.Namespace) -> int:
         kind,
         args.vocab_size or 0,
         args.seed,
-        Path(args.corpus) if args.corpus else None,
+        (lambda: sweep.load_corpus(Path(args.corpus))) if args.corpus else None,
         (lambda: sweep.load_curated(Path(args.curated))) if args.curated else None,
     )
     tokenizers.save_model(model, args.out)

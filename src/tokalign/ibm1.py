@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+from json.encoder import encode_basestring
 from operator import add
 from pathlib import Path
 from typing import Sequence
@@ -30,6 +31,7 @@ from .corpus import CuratedDataset, FeatureMode, feature_tokens
 from .errors import ConfigError, DataError, NumericalError, UncoverableWord
 from .files import atomic_write
 from .tokenizers import TokenizerModel, canonical_subwords, segment
+from .tokenizers import json_array, json_floats, json_typed
 
 NULL_TOKEN = "<null>"
 PROB_FLOOR = 1e-12
@@ -370,22 +372,41 @@ def train_ibm1(
     )
 
 
+# The text `table_to_json` fills in: `json_array` renders each array,
+# and `_ENTRY` each item of `entries`.
+_TABLE = (
+    '{\n "schema": %s,\n "epochs_trained": %s,\n "loglik_trajectory": %s,\n'
+    ' "source_vocab": %s,\n "target_vocab": %s,\n "entries": %s\n}\n'
+)
+_ENTRY = "[\n   %s,\n   %s,\n   %s\n  ]"
+
+
 def table_to_json(table: TranslationTable) -> str:
-    """Canonical JSON rendering with sorted sparse entries."""
-    entries = []
+    """Canonical JSON rendering with sorted sparse entries.
+
+    The bytes are ``json.dumps(doc, ensure_ascii=False, indent=1) + "\\n"``
+    of the document in `_TABLE`, rendered by hand: the `json` module's
+    indented output runs in Python, not in its C encoder.
+    """
+    enc = encode_basestring
+    sources: list[str] = []
+    targets: list[str] = []
+    probs: list[float] = []
     for s in sorted(table.probs):
         row = table.probs[s]
-        for t in sorted(row):
-            entries.append([s, t, row[t]])
-    doc = {
-        "schema": TABLE_SCHEMA,
-        "epochs_trained": table.epochs_trained,
-        "loglik_trajectory": table.loglik_trajectory,
-        "source_vocab": table.source_vocab,
-        "target_vocab": table.target_vocab,
-        "entries": entries,
-    }
-    return json.dumps(doc, ensure_ascii=False, indent=1) + "\n"
+        row_targets = sorted(row)
+        sources += [enc(s)] * len(row_targets)
+        targets += row_targets
+        probs += map(row.__getitem__, row_targets)
+    entries = map(_ENTRY.__mod__, zip(sources, map(enc, targets), json_floats(probs)))
+    return _TABLE % (
+        enc(TABLE_SCHEMA),
+        int.__repr__(table.epochs_trained),
+        json_array(json_floats(table.loglik_trajectory), 1),
+        json_array(map(enc, table.source_vocab), 1),
+        json_array(map(enc, table.target_vocab), 1),
+        json_array(entries, 1),
+    )
 
 
 def save_table(table: TranslationTable, path: str | Path) -> None:
@@ -393,6 +414,13 @@ def save_table(table: TranslationTable, path: str | Path) -> None:
 
 
 def load_table(path: str | Path) -> TranslationTable:
+    """Read a table file; a malformed one is a DataError.
+
+    Besides the schema, types and probabilities, every (source, target)
+    entry must be listed once, the trajectory must be finite and hold one
+    log likelihood per epoch trained, as `train_ibm1` writes it, and
+    each row must sum to 1.
+    """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
@@ -402,16 +430,27 @@ def load_table(path: str | Path) -> TranslationTable:
     try:
         probs: Probs = {}
         for s, t, p in doc["entries"]:
-            probs.setdefault(s, {})[t] = float(p)
+            row = probs.setdefault(json_typed(s, str), {})
+            if json_typed(t, str) in row:
+                raise ValueError(f"entry ({s!r}, {t!r}) is listed twice")
+            row[t] = json_typed(p, float)
         table = TranslationTable(
             probs=probs,
-            source_vocab=list(doc["source_vocab"]),
-            target_vocab=list(doc["target_vocab"]),
-            epochs_trained=int(doc["epochs_trained"]),
-            loglik_trajectory=[float(x) for x in doc["loglik_trajectory"]],
+            source_vocab=[json_typed(s, str) for s in doc["source_vocab"]],
+            target_vocab=[json_typed(t, str) for t in doc["target_vocab"]],
+            epochs_trained=json_typed(doc["epochs_trained"], int),
+            loglik_trajectory=[json_typed(x, float) for x in doc["loglik_trajectory"]],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"table file {path} is malformed: {exc}") from exc
+    trajectory = table.loglik_trajectory
+    if not trajectory or len(trajectory) != table.epochs_trained:
+        raise DataError(
+            f"table file {path}: {len(trajectory)} log likelihoods for "
+            f"{table.epochs_trained!r} epochs trained"
+        )
+    if not all(map(math.isfinite, trajectory)):
+        raise DataError(f"table file {path}: log likelihood trajectory is not finite")
     for s, row in probs.items():
         for t, p in row.items():
             # Written this way round, the comparison also rejects NaN.

@@ -15,9 +15,11 @@ sweep that finished with no failures is not run again at all:
 rerun that finds them, its config, its inputs and the program unchanged
 rewrites nothing.
 
-The lexicon, tokenizer and aligner modules are imported by the routines
-that run them, so a sweep whose every point is fresh, and `tokalign
-report`, load none of them.
+Within one sweep, each process reads a language's curated dataset and
+counts its corpus once, and all of its jobs share them (`_read_once`);
+nothing read outlives the sweep's jobs.  The lexicon, tokenizer and
+aligner modules are imported by the routines that run them, so a sweep
+whose every point is fresh, and `tokalign report`, load none of them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, TypeVar
 
 from . import metrics, stats
 from .choices import BASELINE_KINDS, CURATED_KINDS, MERGE_KINDS
@@ -40,11 +42,41 @@ if TYPE_CHECKING:
     from .ibm1 import Segments, TranslationTable
     from .tokenizers import TokenizerModel
 
+T = TypeVar("T")
+
 
 def load_curated(path: Path) -> CuratedDataset:
-    from .corpus import read_curated
+    from . import corpus
 
-    return read_curated(read_lines(path))
+    return corpus.read_curated(read_lines(path))
+
+
+def load_corpus(path: Path) -> dict[str, int]:
+    """The word counts of a training corpus file, which must hold a word."""
+    from . import tokenizers
+
+    counts = dict(tokenizers.word_frequencies(read_lines(path)))
+    if not counts:
+        raise DataError(f"corpus {path} contains no words")
+    return counts
+
+
+# What `_read_once` has read in this process during the running sweep's
+# jobs, by (loader, path).  Module state, because a pool worker keeps it
+# from one job to the next; `_sweep` empties it before and after them.
+_READS: dict[tuple[Callable, Path], object] = {}
+
+
+def _read_once(load: Callable[[Path], T], path: Path) -> T:
+    """``load(path)``, run once per process and sweep; callers share the result.
+
+    No job changes what it gets.  A read that fails is not kept, so each
+    job that needs the file runs it again and fails with the same error.
+    """
+    key = (load, path)
+    if key not in _READS:
+        _READS[key] = load(path)
+    return _READS[key]
 
 
 def check_values(label: str, values: Sequence, check: Callable | None = None) -> None:
@@ -120,14 +152,15 @@ def build_model(
     kind: TokenizerKind,
     vocab_size: int,
     seed: int,
-    corpus_path: Path | None,
+    corpus: Callable[[], dict[str, int]] | None,
     curated: Callable[[], CuratedDataset] | None,
 ) -> TokenizerModel:
     """Build one tokenizer model, as the kind's row of `tokenizers.KINDS` says.
 
-    A kind built from the curated dataset gets it from `curated` (so
-    that a caller can read it once for the model and the evaluation);
-    every other kind is built from the corpus file.
+    A kind built from the curated dataset gets it from `curated`, and
+    every other kind its corpus's word counts from `corpus` (see
+    `load_corpus`), so that a caller decides when each is read: the
+    sweep reads each once per process for all its jobs.
     """
     from . import tokenizers
 
@@ -136,14 +169,11 @@ def build_model(
         if curated is None:
             raise ConfigError(f"{kind.value} tokenizer needs a curated dataset (--curated)")
         return row.build(curated())
-    if corpus_path is None:
+    if corpus is None:
         raise ConfigError(f"{kind.value} tokenizer needs a training corpus (--corpus)")
-    corpus = dict(tokenizers.word_frequencies(read_lines(corpus_path)))
-    if not corpus:
-        raise DataError(f"corpus {corpus_path} contains no words")
     if not row.sized:
-        return row.build(corpus)
-    return tokenizers.train(corpus, tokenizers.TrainConfig(kind, vocab_size, seed=seed))
+        return row.build(corpus())
+    return tokenizers.train(corpus(), tokenizers.TrainConfig(kind, vocab_size, seed=seed))
 
 
 # A string, so that naming `Segments` loads no module.
@@ -360,13 +390,14 @@ def _model_job(job: _ModelJob, config: SweepConfig) -> dict[str, str]:
 
     out = config.output_dir
     errors: dict[str, str] = {}
-    dataset: list[CuratedDataset] = []
 
     def curated() -> CuratedDataset:
-        # Read on first use, so that a bad file fails only what needs it.
-        if not dataset:
-            dataset.append(load_curated(job.curated))
-        return dataset[0]
+        # Read on first use, so that a bad file fails only what needs it,
+        # and once in this process for all of the sweep's jobs.
+        return _read_once(load_curated, job.curated)
+
+    def corpus() -> dict[str, int]:
+        return _read_once(load_corpus, job.corpus)
 
     def fresh(path: Path) -> bool:
         return _fresh(path, job.keys[path])
@@ -375,7 +406,7 @@ def _model_job(job: _ModelJob, config: SweepConfig) -> dict[str, str]:
     model: TokenizerModel | None = None
     if not fresh(model_path):
         try:
-            model = build_model(job.kind, job.size, config.seed, job.corpus, curated)
+            model = build_model(job.kind, job.size, config.seed, corpus, curated)
             key = job.keys[model_path]
             _write_keyed(model_path, key, tokenizers.save_model, model, model_path)
         except Exception as exc:
@@ -539,8 +570,15 @@ def _sweep(
             first.append(job._replace(cuts=tuple(cuts)))
             rest.extend(job._replace(size=size) for size in cuts)
 
+    # The reads of one sweep's jobs are not kept for the next, nor for any
+    # other command that this process runs.
+    _READS.clear()
+    try:
+        done = _run_jobs(first + other + rest, config, jobs)
+    finally:
+        _READS.clear()
     errors: dict[str, str] = {}
-    for job, outcome in _run_jobs(first + other + rest, config, jobs):
+    for job, outcome in done:
         if isinstance(outcome, BaseException):
             # Blame all the job owned; the disk tells what it did write.
             point_paths = points(job.language, job.kind, job.size)

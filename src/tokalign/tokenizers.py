@@ -51,6 +51,7 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import reduce
+from json.encoder import encode_basestring
 from operator import add
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
@@ -696,6 +697,13 @@ def _check_merges(model: TokenizerModel, path: str | Path) -> None:
             )
 
 
+def _check_unigram(model: TokenizerModel, path: str | Path) -> None:
+    if model.token_logprob.keys() != model._vocab_set:
+        raise DataError(
+            f"model file {path}: the vocabulary is not the set of tokens with a log-probability"
+        )
+
+
 def _check_gold(model: TokenizerModel, path: str | Path) -> None:
     for form, segs in model.gold_map.items():
         if not segs or not all(segs):
@@ -724,7 +732,7 @@ KINDS: dict[TokenizerKind, Kind] = {
     TokenizerKind.WORDPIECE: Kind(
         train_wordpiece, _segment_wordpiece, cut=truncate_merges, check=_check_merges
     ),
-    TokenizerKind.UNIGRAM: Kind(train_unigram, _segment_unigram),
+    TokenizerKind.UNIGRAM: Kind(train_unigram, _segment_unigram, check=_check_unigram),
     TokenizerKind.CHARACTER: Kind(train_character, lambda model, word: list(word), sized=False),
     TokenizerKind.GOLD: Kind(
         build_gold_lookup, _segment_gold, sized=False, curated=True, check=_check_gold
@@ -766,25 +774,71 @@ def canonical_subwords(model: TokenizerModel, tokens: list[str]) -> list[str]:
     return tokens[:1] + [t.removeprefix(model.continuation_marker) for t in tokens[1:]]
 
 
+# The text `model_to_json` fills in: `json_array` renders each array,
+# and `_PAIR` each item of `merges`, `token_logprob` and `gold_map`.
+_MODEL = (
+    '{\n "schema": %s,\n "kind": %s,\n "vocab_size": %s,\n "seed": %s,\n'
+    ' "continuation_marker": %s,\n "vocab": %s,\n "merges": %s,\n'
+    ' "token_logprob": %s,\n "gold_map": %s\n}\n'
+)
+_PAIR = "[\n   %s,\n   %s\n  ]"
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_array(items: Iterable[str], depth: int) -> str:
+    """A JSON array of rendered `items`, nested `depth` levels deep.
+
+    Laid out as ``json.dumps(..., indent=1)`` lays it out: one item a
+    line, indented one space deeper than the brackets.
+    """
+    inner = "\n" + " " * (depth + 1)
+    body = ("," + inner).join(items)
+    return f"[{inner}{body}\n{' ' * depth}]" if body else "[]"
+
+
+def json_floats(values: list[float]) -> list[str]:
+    """Each float as `json` writes it: its repr, or NaN, Infinity or -Infinity."""
+    texts = list(map(float.__repr__, values))
+    if not all(map(math.isfinite, values)):
+        texts = [_NON_FINITE.get(text, text) for text in texts]
+    return texts
+
+
+def json_typed(value: Any, kind: type) -> Any:
+    """`value`, read from JSON, if it has type `kind`; else a TypeError.
+
+    A bool is not an int and a string is not a number; an int is read as
+    a float where a float is wanted.
+    """
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise TypeError(f"{value!r} is not of type {kind.__name__}")
+    return value
+
+
 def model_to_json(model: TokenizerModel) -> str:
-    """Canonical JSON rendering; equal models serialize byte-identically."""
-    doc = {
-        "schema": MODEL_SCHEMA,
-        "kind": model.kind.value,
-        "vocab_size": model.vocab_size,
-        "seed": model.seed,
-        "continuation_marker": model.continuation_marker,
-        "vocab": sorted(model.vocab),
-        "merges": [[left, right] for left, right in model.merges],
-        "token_logprob": [
-            [token, model.token_logprob[token]]
-            for token in sorted(model.token_logprob)
-        ],
-        "gold_map": [
-            [form, model.gold_map[form]] for form in sorted(model.gold_map)
-        ],
-    }
-    return json.dumps(doc, ensure_ascii=False, indent=1) + "\n"
+    """Canonical JSON rendering; equal models serialize byte-identically.
+
+    The bytes are ``json.dumps(doc, ensure_ascii=False, indent=1) + "\\n"``
+    of the document in `_MODEL`, rendered by hand: the `json` module's
+    indented output runs in Python, not in its C encoder.
+    """
+    enc = encode_basestring
+    tokens = sorted(model.token_logprob)
+    logprobs = json_floats([model.token_logprob[token] for token in tokens])
+    segments = [json_array(map(enc, model.gold_map[form]), 3) for form in sorted(model.gold_map)]
+    return _MODEL % (
+        enc(MODEL_SCHEMA),
+        enc(model.kind.value),
+        int.__repr__(model.vocab_size),
+        int.__repr__(model.seed),
+        enc(model.continuation_marker),
+        json_array(map(enc, sorted(model.vocab)), 1),
+        json_array([_PAIR % (enc(left), enc(right)) for left, right in model.merges], 1),
+        json_array(map(_PAIR.__mod__, zip(map(enc, tokens), logprobs)), 1),
+        json_array(map(_PAIR.__mod__, zip(map(enc, sorted(model.gold_map)), segments)), 1),
+    )
 
 
 def save_model(model: TokenizerModel, path: str | Path) -> None:
@@ -792,6 +846,7 @@ def save_model(model: TokenizerModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TokenizerModel:
+    """Read a model file; a malformed one, or one its kind's check rejects, is a DataError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
@@ -802,19 +857,33 @@ def load_model(path: str | Path) -> TokenizerModel:
         kind = TokenizerKind(doc["kind"])
         model = TokenizerModel(
             kind=kind,
-            vocab=list(doc["vocab"]),
-            vocab_size=int(doc["vocab_size"]),
-            seed=int(doc["seed"]),
-            merges=[(left, right) for left, right in doc["merges"]],
-            token_logprob={t: float(lp) for t, lp in doc["token_logprob"]},
-            gold_map={form: list(segs) for form, segs in doc["gold_map"]},
-            continuation_marker=str(doc["continuation_marker"]),
+            vocab=[json_typed(token, str) for token in doc["vocab"]],
+            vocab_size=json_typed(doc["vocab_size"], int),
+            seed=json_typed(doc["seed"], int),
+            merges=[
+                (json_typed(left, str), json_typed(right, str)) for left, right in doc["merges"]
+            ],
+            token_logprob={
+                json_typed(t, str): json_typed(lp, float) for t, lp in doc["token_logprob"]
+            },
+            gold_map={
+                json_typed(form, str): [json_typed(seg, str) for seg in json_typed(segs, list)]
+                for form, segs in doc["gold_map"]
+            },
+            continuation_marker=json_typed(doc["continuation_marker"], str),
         )
-        check = KINDS[kind].check
-        if check is not None:
-            check(model, path)
+        if model.vocab_size < 0:
+            raise ValueError(f"vocab_size {model.vocab_size} is negative")
+        kept = {"vocab": model._vocab_set, "token_logprob": model.token_logprob,
+                "gold_map": model.gold_map}
+        for name, tokens in kept.items():
+            if len(tokens) < len(doc[name]):
+                raise ValueError(f"{name} lists a token twice")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"model file {path} is malformed: {exc}") from exc
+    check = KINDS[kind].check
+    if check is not None:
+        check(model, path)
     for token, lp in model.token_logprob.items():
         # Written this way round, the comparison also rejects NaN.
         if not -math.inf < lp <= 0.0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import operator
 from collections import Counter
@@ -17,10 +18,11 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from tokalign.errors import DataError, NumericalError
-from tokalign.ibm1 import NULL_TOKEN, ParallelPair, TranslationTable
+from tokalign.ibm1 import NULL_TOKEN, TABLE_SCHEMA, ParallelPair, TranslationTable
 from tokalign.ibm1 import PROB_FLOOR as IBM1_PROB_FLOOR
 from tokalign.metrics import _AGGREGATE, Aggregation, check_threshold
 from tokalign.tokenizers import (
+    MODEL_SCHEMA,
     PROB_FLOOR,
     TokenizerKind,
     TokenizerModel,
@@ -618,3 +620,34 @@ def train_ibm1_reference(
         probs = _maximization(counts)
     trajectory.append(corpus_loglik_reference(pairs, probs))
     return probs, trajectory
+
+
+def model_json_reference(model: TokenizerModel) -> str:
+    """The model file's text, as the `json` module renders its document."""
+    doc = {
+        "schema": MODEL_SCHEMA,
+        "kind": model.kind.value,
+        "vocab_size": model.vocab_size,
+        "seed": model.seed,
+        "continuation_marker": model.continuation_marker,
+        "vocab": sorted(model.vocab),
+        "merges": [list(pair) for pair in model.merges],
+        "token_logprob": [[t, model.token_logprob[t]] for t in sorted(model.token_logprob)],
+        "gold_map": [[form, model.gold_map[form]] for form in sorted(model.gold_map)],
+    }
+    return json.dumps(doc, ensure_ascii=False, indent=1) + "\n"
+
+
+def table_json_reference(table: TranslationTable) -> str:
+    """The table file's text, as the `json` module renders its document."""
+    doc = {
+        "schema": TABLE_SCHEMA,
+        "epochs_trained": table.epochs_trained,
+        "loglik_trajectory": table.loglik_trajectory,
+        "source_vocab": table.source_vocab,
+        "target_vocab": table.target_vocab,
+        "entries": [
+            [s, t, table.probs[s][t]] for s in sorted(table.probs) for t in sorted(table.probs[s])
+        ],
+    }
+    return json.dumps(doc, ensure_ascii=False, indent=1) + "\n"

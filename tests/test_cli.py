@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from concurrent.futures.process import BrokenProcessPool
@@ -16,7 +17,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from conftest import random_corpus
-from tokalign import cli, files, sweep, tokenizers
+from tokalign import cli, corpus, files, sweep, tokenizers
 from tokalign.corpus import CuratedDataset, WordEntry, write_curated
 from tokalign.files import Digests
 from tokalign.manifest import NAME
@@ -234,6 +235,45 @@ class TestTrainAndSegment:
             assert captured.out == ""
             assert captured.err == f"data error: model file {model}: {error}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, edit, error",
+        [
+            ("bpe", lambda doc: doc.update(vocab_size=-5), "vocab_size -5 is negative"),
+            ("bpe", lambda doc: doc.update(vocab_size=3.9), "3.9 is not of type int"),
+            ("bpe", lambda doc: doc.update(seed="7"), "'7' is not of type int"),
+            ("bpe", lambda doc: doc["vocab"].append(doc["vocab"][0]), "vocab lists a token twice"),
+            ("unigram", lambda doc: doc["token_logprob"][0].__setitem__(1, "-1.5"),
+             "'-1.5' is not of type float"),
+        ],
+        ids=["negative-size", "fractional-size", "string-seed", "repeated-token",
+             "string-logprob"],
+    )
+    def test_malformed_model_exits_2(self, tmp_path, capsys, kind, edit, error):
+        model = tmp_path / "model.json"
+        doc = json.loads(model_to_json(train({"abab": 3, "ab": 2, "ba": 1},
+                                             TrainConfig(TokenizerKind(kind), 3))))
+        edit(doc)
+        _write(model, json.dumps(doc))
+        assert cli.main(["segment", "--model", str(model), "abab"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"data error: model file {model} is malformed: {error}\n"
+
+    @pytest.mark.parametrize("drop", ["vocab", "token_logprob"])
+    def test_unigram_model_whose_vocab_is_not_its_logprob_tokens_exits_2(
+        self, tmp_path, capsys, drop
+    ):
+        model = tmp_path / "model.json"
+        doc = json.loads(model_to_json(train({"abab": 3, "ab": 2, "ba": 1},
+                                             TrainConfig(TokenizerKind.UNIGRAM, 4))))
+        doc[drop].pop()
+        _write(model, json.dumps(doc))
+        assert cli.main(["segment", "--model", str(model), "abab"]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: model file {model}: the vocabulary is not the set of tokens "
+            "with a log-probability\n"
+        )
 
     def test_segment_prints_word_and_pieces(self, tmp_path, capsys):
         corpus = _write(tmp_path / "corpus.txt", "abab abab\n")
@@ -1333,6 +1373,68 @@ class TestResumeKeys:
         assert evaluated == expected
         assert cli.main(argv + ["--output-dir", str(tmp_path / "fresh")]) == 0
         assert _tree(tmp_path / "out") == _tree(tmp_path / "fresh")
+
+
+class TestReadOnce:
+    """A sweep reads each input once per process, and only within that sweep."""
+
+    def test_jobs_1_sweep_reads_each_language_once(self, tmp_path, monkeypatch):
+        config_path = _sweep_setup(tmp_path)
+        shutil.copytree(tmp_path / "lang", tmp_path / "lang2")
+        toy = json.loads(config_path.read_text(encoding="utf-8"))["languages"]["toy"]
+        two = {key: path.replace("lang/", "lang2/") for key, path in toy.items()}
+        _edit_config(tmp_path, languages={"toy": toy, "two": two})
+        calls = Counter()
+        for module, name in ((corpus, "read_curated"), (tokenizers, "word_frequencies")):
+            def counted(*args, _read=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _read(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        assert cli.main(["sweep", "--config", str(config_path), "--jobs", "1"]) == 0
+        # Each language has six jobs, of which three train from the corpus.
+        assert calls == {"read_curated": 2, "word_frequencies": 2}
+        scores = (tmp_path / "out" / "scores.csv").read_text(encoding="utf-8")
+        rows = read_score_rows(scores.splitlines(True))
+        assert {row.language for row in rows} == {"toy", "two"}
+
+    def test_sweep_after_the_curated_file_changes_reads_it_again(self, tmp_path):
+        config_path = _sweep_setup(tmp_path)
+        lang = tmp_path / "lang"
+        curated = lang / "curated.tsv"
+        assert cli.main(["curate", "--features", str(lang / "features.tsv"),
+                         "--segmentations", str(lang / "segmentations.tsv"),
+                         "--out", str(curated), "--language", "toy"]) == 0
+        _edit_config(tmp_path, languages={
+            "toy": {"corpus": "lang/corpus.txt", "curated": "lang/curated.tsv"}})
+        argv = ["sweep", "--config", str(config_path), "--jobs", "1"]
+        scores = tmp_path / "out" / "scores.csv"
+        assert cli.main(argv) == 0
+        first = scores.read_bytes()
+        lines = curated.read_text(encoding="utf-8").splitlines(keepends=True)
+        _write(curated, "".join(lines[:1] + lines[1::2]))
+        assert cli.main(argv) == 0
+        second = scores.read_bytes()
+        assert second != first
+        # A fresh process has read nothing before.
+        shutil.rmtree(tmp_path / "out")
+        result = subprocess.run([sys.executable, "-m", "tokalign.cli", *argv],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert scores.read_bytes() == second
+
+    def test_train_tokenizer_twice_reads_the_edited_corpus(self, tmp_path):
+        corpus_path = _write(tmp_path / "corpus.txt", "abab abab\nabab ab\n")
+        out = tmp_path / "bpe.json"
+        argv = ["train-tokenizer", "--corpus", str(corpus_path), "--kind", "bpe",
+                "--vocab-size", "4", "--out", str(out)]
+        assert cli.main(argv) == 0
+        first = out.read_bytes()
+        _write(corpus_path, "cdcd cdcd\ncdcd cd\n")
+        assert cli.main(argv) == 0
+        assert out.read_bytes() != first
+        want = train({"cdcd": 3, "cd": 1}, TrainConfig(TokenizerKind.BPE, 4))
+        assert out.read_text(encoding="utf-8") == model_to_json(want)
 
 
 class TestReportCommand:

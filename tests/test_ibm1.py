@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import random
+import re
 
 import pytest
 
@@ -315,6 +316,36 @@ class TestTableFiles:
         path = tmp_path / "broken.json"
         path.write_text("[", encoding="utf-8")
         with pytest.raises(DataError):
+            load_table(path)
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda doc: doc["loglik_trajectory"].__setitem__(0, math.nan),
+             "log likelihood trajectory is not finite"),
+            (lambda doc: doc.update(loglik_trajectory=[]), "0 log likelihoods for 2 epochs"),
+            (lambda doc: doc.update(epochs_trained=3), "2 log likelihoods for 3 epochs"),
+            (lambda doc: doc.update(epochs_trained=-2), "2 log likelihoods for -2 epochs"),
+            (lambda doc: doc.update(epochs_trained=2.0), "2.0 is not of type int"),
+            (lambda doc: doc.update(epochs_trained=True), "True is not of type int"),
+            (lambda doc: doc["entries"][0].__setitem__(2, "0.5"), "'0.5' is not of type float"),
+            (lambda doc: doc["entries"][0].__setitem__(1, 7), "7 is not of type str"),
+            (lambda doc: doc["source_vocab"].append(None), "None is not of type str"),
+            (lambda doc: doc["entries"].append(doc["entries"][0]),
+             "entry ('a', 'X') is listed twice"),
+        ],
+        ids=["nan-loglik", "no-loglik", "epochs-above-trajectory", "negative-epochs",
+             "float-epochs", "bool-epochs", "string-probability", "number-token",
+             "null-token", "repeated-entry"],
+    )
+    def test_load_rejects_what_training_cannot_write(self, tmp_path, em_pairs, edit, error):
+        path = tmp_path / "table.json"
+        save_table(train_ibm1(em_pairs, epochs=2), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc["entries"][0][:2] == ["a", "X"]
+        edit(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(error)):
             load_table(path)
 
     @pytest.mark.parametrize(

@@ -12,7 +12,10 @@ must segment a training word into subwords that concatenate back to the
 word.  A chain of EM epochs keeps rows normalized and never loses
 likelihood, and rank correlation agrees with scipy on series with ties.
 WordPiece's integer pair key orders and ties pairs exactly as the
-cross-multiplied ratio it replaced.
+cross-multiplied ratio it replaced.  The model and table writers render
+byte for byte what `json.dumps(doc, ensure_ascii=False, indent=1)`
+renders, for any strings and floats, and a saved model or table loads
+back equal.
 """
 
 import pytest
@@ -26,19 +29,32 @@ from oracles import (
     corpus_loglik_reference,
     em_epoch_reference,
     em_reference,
+    model_json_reference,
     spearman_reference,
+    table_json_reference,
     train_ibm1_reference,
     unigram_reference,
 )
-from tokalign.corpus import CuratedDataset, WordEntry
+from tokalign.corpus import (
+    CuratedDataset,
+    FeatureMode,
+    WordEntry,
+    curate,
+    parse_feature_lexicon,
+    parse_segmentation_lexicon,
+)
 from tokalign.errors import DataError, NumericalError, TokalignError, UncoverableWord
 from tokalign.ibm1 import (
     NULL_TOKEN,
     ROW_SUM_TOLERANCE,
     ParallelPair,
     TranslationTable,
+    build_parallel_corpus,
     corpus_loglik,
     em_epoch,
+    load_table,
+    save_table,
+    table_to_json,
     train_ibm1,
     uniform_init,
 )
@@ -48,18 +64,24 @@ from tokalign.metrics import (
     alignment_score_from_pairs,
     alignment_scores,
 )
+from tokalign.choices import TRAINED_KINDS
 from tokalign.stats import MIN_POINTS, spearman
+from tokalign.synth import SynthConfig, build_language
 from tokalign.tokenizers import (
     TokenizerKind,
+    TokenizerModel,
     TrainConfig,
     build_gold_lookup,
     canonical_subwords,
+    load_model,
     model_to_json,
+    save_model,
     segment,
     train,
     _likelihood_key,
     train_character,
     train_unigram,
+    word_frequencies,
 )
 
 SUBWORDS = ("a", "b", "c", "d", "e")
@@ -436,3 +458,83 @@ def test_integer_likelihood_key_orders_and_ties_like_the_ratio(case):
     key = _likelihood_key(total)
     assert (key(*first) < key(*second)) == (Likelihood(*first) < Likelihood(*second))
     assert (key(*first) == key(*second)) == (Likelihood(*first) == Likelihood(*second))
+
+
+# Characters `json` escapes (quote, backslash, control characters) or
+# writes as they are (DEL, U+2028, non-ASCII), among any others, and the
+# empty string.
+json_text = st.text(
+    st.one_of(st.sampled_from('"\\\x00\n\x1f\x7f\u2028é語'), st.characters()), max_size=4
+)
+json_float = st.one_of(st.sampled_from((5e-324, 1e-12, 1.0, -0.0)), st.floats())
+
+
+@st.composite
+def any_models(draw):
+    """A model of any kind with any strings and floats, empty lists among them."""
+    return TokenizerModel(
+        kind=draw(st.sampled_from(TokenizerKind)),
+        vocab=draw(st.lists(json_text, max_size=5)),
+        vocab_size=draw(st.integers(min_value=0)),
+        seed=draw(st.integers()),
+        merges=draw(st.lists(st.tuples(json_text, json_text), max_size=3)),
+        token_logprob=draw(st.dictionaries(json_text, json_float, max_size=3)),
+        gold_map=draw(st.dictionaries(json_text, st.lists(json_text, max_size=3), max_size=3)),
+        continuation_marker=draw(json_text),
+    )
+
+
+@st.composite
+def any_tables(draw):
+    """A table with any strings and floats, empty rows and lists among them."""
+    row = st.dictionaries(json_text, json_float, max_size=3)
+    return TranslationTable(
+        probs=draw(st.dictionaries(json_text, row, max_size=3)),
+        source_vocab=draw(st.lists(json_text, max_size=3)),
+        target_vocab=draw(st.lists(json_text, max_size=3)),
+        epochs_trained=draw(st.integers(min_value=0)),
+        loglik_trajectory=draw(st.lists(json_float, max_size=3)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_models())
+def test_model_writer_renders_what_json_renders(model):
+    assert model_to_json(model) == model_json_reference(model)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_tables())
+def test_table_writer_renders_what_json_renders(table):
+    assert table_to_json(table) == table_json_reference(table)
+
+
+def _synth_models():
+    """A trained model of every kind on a small synthetic language, and its dataset."""
+    language = build_language(
+        SynthConfig(noun_stems=20, verb_stems=20, sentences=200, words_per_sentence=6)
+    )
+    features, _ = parse_feature_lexicon(
+        f"{stem}\t{form}\t{';'.join(bundle)}" for form, stem, _suffix, bundle in language.lexicon
+    )
+    segmentations, _ = parse_segmentation_lexicon(
+        f"{form}\t{stem}|{suffix}" for form, stem, suffix, _bundle in language.lexicon
+    )
+    dataset, _ = curate(segmentations, features, language="syn")
+    freqs = dict(word_frequencies(language.sentences))
+    models = [train(freqs, TrainConfig(kind, 60)) for kind in TRAINED_KINDS]
+    return models + [train_character(freqs), build_gold_lookup(dataset)], dataset
+
+
+def test_saved_models_and_tables_of_every_kind_render_and_load_back_equal(tmp_path):
+    models, dataset = _synth_models()
+    assert {model.kind for model in models} == set(TokenizerKind)
+    for model in models:
+        assert model_to_json(model) == model_json_reference(model), model.kind
+        save_model(model, tmp_path / "model.json")
+        assert load_model(tmp_path / "model.json") == model, model.kind
+        pairs, _ = build_parallel_corpus(dataset, model, FeatureMode.SPLIT)
+        table = train_ibm1(pairs, epochs=3)
+        assert table_to_json(table) == table_json_reference(table), model.kind
+        save_table(table, tmp_path / "table.json")
+        assert load_table(tmp_path / "table.json") == table, model.kind
