@@ -3,11 +3,14 @@
 Each subcommand checks its arguments, calls the stage routines of
 `tokalign.sweep` and prints what they did.  It imports the pipeline
 modules it runs only when it runs, so that a process loads no others.
-`tokalign.sweep` owns those routines, the sweep's jobs and process
-pool, and the layout of the output tree.  This module owns the
-arguments, the sweep config's JSON format (`load_sweep_config`;
-README.md has an example) and the exit codes: 0 success, 1 usage or
-configuration error, 2 data error, 3 numerical degeneracy.
+`tokalign.sweep` owns those routines and the sweep's jobs and process
+pool; `tokalign.layout` owns the checked sweep config, the layout of
+the output tree and the keys that decide what a rerun reuses, so that
+`tokalign sweep` can tell a finished sweep from them alone and exit
+before the pipeline loads.  This module owns the arguments, the sweep
+config's JSON format (`load_sweep_config`; README.md has an example)
+and the exit codes: 0 success, 1 usage or configuration error, 2 data
+error, 3 numerical degeneracy.
 """
 
 from __future__ import annotations
@@ -114,15 +117,16 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from . import metrics, sweep, tokenizers
+    from . import sweep, tokenizers
+    from .layout import check_threshold, check_values
 
     modes = _parse_list(args.mode, FeatureMode, "feature mode")
     if len(modes) != 1:
         raise ConfigError("evaluate takes exactly one feature mode")
     aggregations = _parse_list(args.aggregations, Aggregation, "aggregation")
-    sweep.check_values("aggregation list", aggregations)
+    check_values("aggregation list", aggregations)
     thresholds = _parse_list(args.thresholds, float, "threshold")
-    sweep.check_values("threshold list", thresholds, metrics.check_threshold)
+    check_values("threshold list", thresholds, check_threshold)
     if args.epochs < 1:
         raise ConfigError(f"epochs must be at least 1, got {args.epochs}")
     dataset = sweep.load_curated(Path(args.curated))
@@ -232,36 +236,20 @@ def _reject_unknown_keys(doc: dict, known, where: str) -> None:
         raise ConfigError(f"{where} has unknown keys: {', '.join(map(repr, unknown))}")
 
 
-def _read_config(path: Path) -> tuple[bytes, dict]:
-    """The sweep config file's bytes, and the JSON object they hold."""
+def load_sweep_config(path: Path) -> SweepConfig:
+    """Read and check the sweep config at `path`; its paths resolve against its directory."""
     import json
 
+    from .layout import LanguageSpec, SweepConfig
+
     try:
-        data = path.read_bytes()
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(path.read_bytes().decode("utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    return data, doc
-
-
-def _output_dir(path: Path, doc: dict) -> Path:
-    """The config's output directory; ValueError if it is not a path string."""
-    raw = doc.get("output_dir", _CONFIG_FIELDS["output_dir"][0])
-    return resolve_path(path.parent, _path_text(raw))
-
-
-def load_sweep_config(path: Path) -> SweepConfig:
-    return _sweep_config(path, _read_config(path)[1])
-
-
-def _sweep_config(path: Path, doc: dict) -> SweepConfig:
-    """Check the config `doc` read from `path`; its paths resolve against `path`'s directory."""
-    from .sweep import LanguageSpec, SweepConfig
-
     _reject_unknown_keys(doc, ["languages", *_CONFIG_FIELDS], "sweep config")
     languages = []
     lang_doc = doc.get("languages")
@@ -298,18 +286,8 @@ def _sweep_config(path: Path, doc: dict) -> SweepConfig:
             values[field_name] = parse(doc.get(field_name, default))
         except ValueError as exc:
             raise ConfigError(f"sweep config field {field_name}: {exc}") from exc
-    values["output_dir"] = _output_dir(path, doc)
+    values["output_dir"] = resolve_path(path.parent, values["output_dir"])
     return SweepConfig(languages=languages, **values)
-
-
-def _input_paths(doc: dict) -> list[str]:
-    """The path strings of the inputs the sweep reads, as the config gives them."""
-    return [
-        spec[key]
-        for spec in doc["languages"].values()
-        for key in _LANGUAGE_KEYS
-        if spec.get(key) is not None
-    ]
 
 
 def _sweep_summary(rows: int, cells: int, out: Path) -> str:
@@ -321,43 +299,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     if args.output_dir == "":
         raise ConfigError("--output-dir must be a non-empty path")
-    from . import manifest
+    from . import layout
     from .files import Digests
 
-    config_path = Path(args.config)
-    data, doc = _read_config(config_path)
-    try:
-        out = Path(args.output_dir) if args.output_dir else _output_dir(config_path, doc)
-    except ValueError:
-        out = None  # `_sweep_config` reports it
+    config = load_sweep_config(Path(args.config))
+    if args.output_dir:
+        config.output_dir = Path(args.output_dir)
     digests = Digests()
-    # Checked before the pipeline modules load, which a finished sweep
+    # Asked before the pipeline modules load, which a finished sweep
     # does not need.
-    finished = manifest.check(config_path, data, out, digests)
+    finished = layout.finished(config, digests)
     if finished:
-        print(_sweep_summary(*finished, out))
+        print(_sweep_summary(*finished, config.output_dir))
         return EXIT_OK
 
     from . import sweep
 
-    config = _sweep_config(config_path, doc)
-    config.output_dir = out  # the --output-dir override, if any
-    rows, failures, failures_path = sweep.run_sweep(config, args.jobs, digests)
+    rows, failures, key = sweep.run_sweep(config, args.jobs, digests)
     # Printed before the report, which fails if no point is left.
     if failures:
-        print(f"{len(failures)} grid points failed; see {failures_path}")
-    report = sweep.report_sweep(config, rows)
-    if not failures:
-        manifest.write(
-            config_path,
-            data,
-            _input_paths(doc),
-            digests,
-            config.output_dir,
-            sweep.rerun_files(config),
-            len(rows),
-            len(report.cells),
-        )
+        print(f"{len(failures)} grid points failed; see {config.output_dir / layout.FAILURES}")
+    report = sweep.report_sweep(config, rows, key)
     print(_sweep_summary(len(rows), len(report.cells), config.output_dir))
     return EXIT_OK
 

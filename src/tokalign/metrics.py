@@ -33,7 +33,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence, TextIO, get_type_hints
 
 # DEFAULT_THRESHOLDS is a public name of this module too, though unused here.
 from .choices import DEFAULT_THRESHOLDS, Aggregation, FeatureMode
-from .errors import ConfigError, DataError
+from .errors import DataError
+from .layout import check_threshold
 
 # Annotations only: reading and writing result CSVs, as a resumed sweep
 # and `tokalign report` do, loads none of these modules.
@@ -41,12 +42,6 @@ if TYPE_CHECKING:
     from .corpus import CuratedDataset
     from .ibm1 import ParallelPair, Segments, TranslationTable
     from .tokenizers import TokenizerModel
-
-
-def check_threshold(threshold: float) -> None:
-    """Raise ConfigError unless the threshold lies in [0, 1)."""
-    if not 0.0 <= threshold < 1.0:
-        raise ConfigError(f"threshold must be in [0, 1), got {threshold}")
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,16 @@
 `tokalign.cli` parses arguments and the sweep config and prints; this
 module does the work.  It owns each stage routine that a subcommand and
 the sweep both run (build a model, evaluate and write a point, write
-the report), the sweep's jobs and process pool, and the layout of the
-output tree, which no other module knows.  Curation is
+the report) and the sweep's jobs and process pool.  Curation is
 `tokalign.corpus.curate_files`, so that `tokalign curate` loads none of
 this module's imports.  Every stage reads and writes plain files, so a
-sweep is resumable: a curated dataset, model or grid point is reused
-only while its `<file>.key` holds the key of the inputs that make it
-(see `_keys`), and the combined CSVs are rebuilt from the points.  A
-sweep that finished with no failures is not run again at all:
-`tokalign.manifest` records the files listed by `rerun_files`, and a
-rerun that finds them, its config, its inputs and the program unchanged
-rewrites nothing.
+sweep is resumable by one rule, which `tokalign.layout` keeps with the
+config and the output tree: a curated dataset, model, grid point or
+combined CSV is reused only while its `<file>.key` holds the key of the
+inputs that make it (see `layout._keys`).  `scores.csv` and
+`correlations.csv` are rebuilt from the points, and keyed only by a run
+with no failures; a rerun whose every file is fresh never gets here
+(`layout.finished`).
 
 Within one sweep, each process reads a language's curated dataset and
 counts its corpus once, and all of its jobs share them (`_read_once`);
@@ -24,17 +23,18 @@ whose every point is fresh, and `tokalign report`, load none of them.
 
 from __future__ import annotations
 
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, TypeVar
 
 from . import metrics, stats
-from .choices import BASELINE_KINDS, CURATED_KINDS, MERGE_KINDS
-from .choices import Aggregation, FeatureMode, TokenizerKind
+from .choices import MERGE_KINDS, Aggregation, FeatureMode, TokenizerKind
 from .errors import ConfigError, DataError, TokalignError
-from .files import Digests, atomic_write, read_lines, sha256_hex, write_rendered
+from .files import Digests, read_lines, write_rendered
+from .layout import (
+    CORRELATIONS, FAILURES, SCORES, LanguageSpec, SweepConfig,
+    _dataset, _fresh, _key_path, _keys, _model_path, _point_paths, _write_keyed,
+)
 from .metrics import ScoreRow
 
 if TYPE_CHECKING:
@@ -77,75 +77,6 @@ def _read_once(load: Callable[[Path], T], path: Path) -> T:
     if key not in _READS:
         _READS[key] = load(path)
     return _READS[key]
-
-
-def check_values(label: str, values: Sequence, check: Callable | None = None) -> None:
-    """Reject an empty list of config values, a bad value, or a repeated one.
-
-    A repeated value would give two grid points, score rows or languages
-    one label.
-    """
-    if not values:
-        raise ConfigError(f"{label} is empty")
-    if check is not None:
-        for value in values:
-            check(value)
-    if len(set(values)) != len(values):
-        raise ConfigError(f"{label} repeats a value: {values}")
-
-
-def _check_size(size: int) -> None:
-    if size < 1:
-        raise ConfigError(f"vocab sizes must be positive, got {size}")
-
-
-def _check_language_name(name: str) -> None:
-    # A name is one directory of the output tree; anything else would put
-    # a language's files in the output root or outside it.
-    if name in ("", ".", "..") or "/" in name or os.sep in name:
-        raise ConfigError(f"language name {name!r} is not one plain path component")
-
-
-@dataclass
-class LanguageSpec:
-    name: str
-    corpus: Path
-    curated: Path | None = None
-    features: Path | None = None
-    segmentations: Path | None = None
-
-
-@dataclass
-class SweepConfig:
-    languages: list[LanguageSpec]
-    kinds: list[TokenizerKind]
-    vocab_sizes: list[int]
-    modes: list[FeatureMode]
-    aggregations: list[Aggregation]
-    thresholds: list[float]
-    epochs: int
-    seed: int
-    include_baselines: bool
-    include_null: bool
-    output_dir: Path
-
-    def __post_init__(self) -> None:
-        names = [spec.name for spec in self.languages]
-        check_values("sweep config languages", names, _check_language_name)
-        checks = {"vocab_sizes": _check_size, "thresholds": metrics.check_threshold}
-        for field_name in ("kinds", "vocab_sizes", "modes", "aggregations", "thresholds"):
-            label = f"sweep config field {field_name}"
-            check_values(label, getattr(self, field_name), checks.get(field_name))
-        if self.epochs < 1:
-            raise ConfigError("epochs must be at least 1")
-
-    @property
-    def grid(self) -> list[tuple[TokenizerKind, int]]:
-        """Every (kind, vocab size) the sweep builds; a baseline's size is 0."""
-        grid = [(kind, size) for kind in self.kinds for size in self.vocab_sizes]
-        if self.include_baselines:
-            grid.extend((kind, 0) for kind in BASELINE_KINDS)
-        return grid
 
 
 def build_model(
@@ -270,78 +201,6 @@ def write_report(rows: list[ScoreRow], path: Path, seed: int) -> stats.Correlati
     return report
 
 
-def _model_path(out: Path, lang: str, kind: TokenizerKind, size: int) -> Path:
-    return out / lang / "models" / f"{kind.value}-{size}.json"
-
-
-def _point_paths(
-    out: Path, lang: str, kind: TokenizerKind, size: int, mode: FeatureMode
-) -> tuple[Path, Path]:
-    stem = f"{kind.value}-{size}-{mode.value}"
-    return (
-        out / lang / "points" / f"{stem}.csv",
-        out / lang / "tables" / f"{stem}.json",
-    )
-
-
-def _lexicon_curated_path(out: Path, lang: str) -> Path:
-    return out / lang / "curated.tsv"
-
-
-def _key(*parts: object) -> str:
-    """The key of an artefact made from `parts`: the sha256 of their repr."""
-    return sha256_hex(repr(parts).encode("utf-8"))
-
-
-def _key_path(path: Path) -> Path:
-    return path.with_name(f"{path.name}.key")
-
-
-def _fresh(path: Path, key: str) -> bool:
-    """Whether `path` exists and the key recorded beside it is `key`."""
-    try:
-        return _key_path(path).read_bytes() == f"{key}\n".encode() and path.exists()
-    except OSError:
-        return False
-
-
-def _write_keyed(path: Path, key: str, write: Callable, *args) -> None:
-    """Run ``write(*args)``, which writes `path`, then record `key` beside it.
-
-    The earlier key goes first, so a crash in between leaves no key.
-    """
-    key_path = _key_path(path)
-    key_path.unlink(missing_ok=True)
-    write(*args)
-    atomic_write(key_path, f"{key}\n")
-
-
-def _keys(
-    config: SweepConfig, spec: LanguageSpec, curated_path: Path, digests: Digests
-) -> dict[Path, str]:
-    """The key of each model and point file of one language, by path.
-
-    A model's key covers the program, its kind, size and seed, and the
-    corpus (the dataset, for a kind built from it), so a merge kind's
-    cut has the key of the training at its size.  A point's key covers
-    its model's key, the dataset and every setting of its evaluation.
-    """
-    out = config.output_dir
-    dataset = digests[curated_path]
-    aggregations = tuple(aggregation.value for aggregation in config.aggregations)
-    evaluation = (spec.name, config.epochs, config.include_null, aggregations)
-    evaluation += (tuple(config.thresholds), config.seed)
-    keys = {}
-    for kind, size in config.grid:
-        source = dataset if kind in CURATED_KINDS else digests[spec.corpus]
-        model_key = _key(digests.program, kind.value, size, config.seed, source)
-        keys[_model_path(out, spec.name, kind, size)] = model_key
-        for mode in config.modes:
-            point_path = _point_paths(out, spec.name, kind, size, mode)[0]
-            keys[point_path] = _key(model_key, dataset, mode.value, *evaluation)
-    return keys
-
-
 def _failure(exc: BaseException) -> str:
     """A sweep step's failure text; an unexpected error also prints its traceback."""
     if not isinstance(exc, TokalignError):
@@ -356,7 +215,7 @@ class _ModelJob(NamedTuple):
 
     A merge kind's models to make share one training: the job for its
     largest such size also writes the models of `cuts`, the kind's other
-    such sizes, cut from its own.  `keys` are the language's (`_keys`).
+    such sizes, cut from its own.  `keys` are the sweep's (`layout._keys`).
     """
 
     language: str
@@ -507,15 +366,9 @@ def _run_jobs(
 
 
 def _curated_path(out: Path, spec: LanguageSpec, digests: Digests) -> Path:
-    """The language's curated dataset, curated from its lexicons unless fresh.
-
-    Its key covers the program, both lexicons and the language name.
-    """
-    if spec.curated is not None:
-        return spec.curated
-    curated_path = _lexicon_curated_path(out, spec.name)
-    key = _key(digests.program, digests[spec.features], digests[spec.segmentations], spec.name)
-    if not _fresh(curated_path, key):
+    """The language's curated dataset, curated from its lexicons unless fresh."""
+    curated_path, key = _dataset(out, spec, digests)
+    if key is not None and not _fresh(curated_path, key):
         from .corpus import curate_files
 
         _write_keyed(
@@ -527,19 +380,21 @@ def _curated_path(out: Path, spec: LanguageSpec, digests: Digests) -> Path:
 
 def _sweep(
     config: SweepConfig, jobs: int, digests: Digests
-) -> tuple[list[ScoreRow], list[tuple[str, str]]]:
+) -> tuple[list[ScoreRow], list[tuple[str, str]], dict[Path, str]]:
     """Make the models and grid points that are not fresh.
 
     Every language's jobs run on one executor (see `_run_jobs`).  What
     failed is read off the disk afterwards: a size without a fresh model
     failed to train, and a point not fresh failed to evaluate, whether
     its job returned an error, raised or lost its worker.  Returns the
-    score rows of every point file, in grid order, and the failures by
-    label: per language, training before evaluation, each in grid order.
+    score rows of every point file, in grid order, the failures by label
+    (per language, training before evaluation, each in grid order) and
+    the sweep's keys.
     """
     out = config.output_dir
     grid = config.grid
-    keys: dict[Path, str] = {}
+    curated_paths = [_curated_path(out, spec, digests) for spec in config.languages]
+    keys = _keys(config, curated_paths, digests)
 
     def fresh(path: Path) -> bool:
         return _fresh(path, keys[path])
@@ -552,11 +407,8 @@ def _sweep(
     first: list[_ModelJob] = []
     other: list[_ModelJob] = []
     rest: list[_ModelJob] = []
-    for spec in config.languages:
-        curated_path = _curated_path(out, spec, digests)
-        language_keys = _keys(config, spec, curated_path, digests)
-        keys.update(language_keys)
-        inputs = (spec.corpus, curated_path, language_keys)
+    for spec, curated_path in zip(config.languages, curated_paths):
+        inputs = (spec.corpus, curated_path, keys)
         untrained: dict[TokenizerKind, list[int]] = {}
         for kind, size in grid:
             model_path = _model_path(out, spec.name, kind, size)
@@ -606,69 +458,52 @@ def _sweep(
                     label = _point_label(spec.name, point_path)
                     eval_failures.append((label, errors[label]))
         failures.extend(eval_failures)
-    return rows, failures
+    return rows, failures, keys
 
 
 def run_sweep(
     config: SweepConfig, jobs: int, digests: Digests
-) -> tuple[list[ScoreRow], list[tuple[str, str]], Path]:
+) -> tuple[list[ScoreRow], list[tuple[str, str]], str | None]:
     """Run the sweep, and write its score rows and failures (see `_sweep`).
 
-    Also returns the failures' file; a run without failures removes it.
-    An output or language directory that exists as some other file is a
-    `ConfigError` before any job runs, and an earlier run's manifest is
-    removed before any file is written.  If the sweep raises, the
-    combined files of an earlier run are removed first, so that they
-    cannot pass for this run's results.
+    A run without failures removes `failures.csv` and keys `scores.csv`;
+    it also returns that key, for `report_sweep`, where a run with
+    failures returns None.  An output or language directory that exists
+    as some other file is a `ConfigError` before any job runs, and the
+    keys of an earlier run's combined CSVs are removed before any file
+    is written.  If the sweep raises, the combined files of an earlier
+    run are removed first, so that they cannot pass for this run's
+    results.
     """
-    from .manifest import NAME as MANIFEST
-
     out = config.output_dir
     # Checked first: a file in a directory's place fails every job alike.
     for path in (out, *(out / spec.name for spec in config.languages)):
         if path.exists() and not path.is_dir():
             raise ConfigError(f"output path {path} exists and is not a directory")
-    # The manifest vouches for a finished tree, which this run now rewrites.
-    (out / MANIFEST).unlink(missing_ok=True)
+    for name in (SCORES, CORRELATIONS):
+        _key_path(out / name).unlink(missing_ok=True)
     try:
-        rows, failures = _sweep(config, jobs, digests)
+        rows, failures, keys = _sweep(config, jobs, digests)
     except TokalignError:
-        for name in ("scores.csv", "failures.csv", "correlations.csv"):
+        for name in (SCORES, FAILURES, CORRELATIONS):
             (out / name).unlink(missing_ok=True)
         raise
-    write_rendered(out / "scores.csv", metrics.write_score_rows, rows, seed=config.seed)
-    failures_path = out / "failures.csv"
+    key = None if failures else keys[out / SCORES]
+    scores_path = out / SCORES
+    _write_keyed(
+        scores_path, key, write_rendered,
+        scores_path, metrics.write_score_rows, rows, seed=config.seed,
+    )
     if failures:
-        write_rendered(failures_path, metrics.write_csv, ("point", "error"), failures)
+        write_rendered(out / FAILURES, metrics.write_csv, ("point", "error"), failures)
     else:
-        failures_path.unlink(missing_ok=True)
-    return rows, failures, failures_path
+        (out / FAILURES).unlink(missing_ok=True)
+    return rows, failures, key
 
 
-def report_sweep(config: SweepConfig, rows: list[ScoreRow]) -> stats.CorrelationReport:
-    """Write the sweep's correlation report (see `write_report`)."""
-    return write_report(rows, config.output_dir / "correlations.csv", config.seed)
-
-
-def rerun_files(config: SweepConfig) -> tuple[list[str], list[str], list[str]]:
-    """The output files a rerun of this finished sweep depends on.
-
-    A rerun reads every point file and rewrites `scores.csv` and
-    `correlations.csv`, tests that each model file and each lexicon
-    language's curated dataset exist, reads their key files, and removes
-    `failures.csv`; it neither reads nor writes a table.  Returns the
-    files whose bytes count, those that exist and those that do not, as
-    POSIX paths relative to the output directory.
-    """
-    here = Path()
-    hashed = [Path("scores.csv"), Path("correlations.csv")]
-    present = []
-    for spec in config.languages:
-        made = [_model_path(here, spec.name, kind, size) for kind, size in config.grid]
-        if spec.curated is None:
-            made.append(_lexicon_curated_path(here, spec.name))
-        cells = [(kind, size, mode) for kind, size in config.grid for mode in config.modes]
-        points = [_point_paths(here, spec.name, *cell)[0] for cell in cells]
-        present += made
-        hashed += points + [_key_path(path) for path in made + points]
-    return [p.as_posix() for p in hashed], [p.as_posix() for p in present], ["failures.csv"]
+def report_sweep(
+    config: SweepConfig, rows: list[ScoreRow], key: str | None
+) -> stats.CorrelationReport:
+    """Write the sweep's correlation report (see `write_report`) under `key`, if any."""
+    path = config.output_dir / CORRELATIONS
+    return _write_keyed(path, key, write_report, rows, path, config.seed)

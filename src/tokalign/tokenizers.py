@@ -14,8 +14,11 @@ Five model kinds share a single serializable container:
 Only the trained kinds, the first three, take a vocabulary size.  All
 that differs between kinds is one row each of ``KINDS``: what the kind
 is built from, its build and segment functions, whether it takes a
-size, its cut (``truncate_merges`` for the merge kinds) and the check
-``load_model`` runs on its model files.
+size, its cut (``truncate_merges`` for the merge kinds), the check
+``load_model`` runs on its model files, and which of the fields that
+only some kinds use (merges, log-probabilities, the gold map and the
+continuation marker) its models set; ``load_model`` rejects the rest
+when they are not empty.
 
 BPE and WordPiece share one incremental merge loop, ``_train_merges``.
 It keeps pair counts, symbol counts, an index from each pair to the
@@ -724,18 +727,30 @@ class Kind(NamedTuple):
     curated: bool = False  # built from the curated dataset, not the corpus
     cut: Callable[[TokenizerModel, TrainConfig], TokenizerModel] | None = None
     check: Callable[[TokenizerModel, str | Path], None] | None = None  # on load
+    uses: tuple[str, ...] = ()  # the fields of `_KIND_FIELDS` its models set
+
+
+# The model fields that only some kinds use; `load_model` requires the
+# others to be empty, since `canonical_subwords` strips any marker.
+_KIND_FIELDS = ("merges", "token_logprob", "gold_map", "continuation_marker")
 
 
 # `choices` groups the same kinds for code that must not load this module.
 KINDS: dict[TokenizerKind, Kind] = {
-    TokenizerKind.BPE: Kind(train_bpe, _segment_bpe, cut=truncate_merges, check=_check_merges),
-    TokenizerKind.WORDPIECE: Kind(
-        train_wordpiece, _segment_wordpiece, cut=truncate_merges, check=_check_merges
+    TokenizerKind.BPE: Kind(
+        train_bpe, _segment_bpe, cut=truncate_merges, check=_check_merges, uses=("merges",)
     ),
-    TokenizerKind.UNIGRAM: Kind(train_unigram, _segment_unigram, check=_check_unigram),
+    TokenizerKind.WORDPIECE: Kind(
+        train_wordpiece, _segment_wordpiece, cut=truncate_merges, check=_check_merges,
+        uses=("merges", "continuation_marker"),
+    ),
+    TokenizerKind.UNIGRAM: Kind(
+        train_unigram, _segment_unigram, check=_check_unigram, uses=("token_logprob",)
+    ),
     TokenizerKind.CHARACTER: Kind(train_character, lambda model, word: list(word), sized=False),
     TokenizerKind.GOLD: Kind(
-        build_gold_lookup, _segment_gold, sized=False, curated=True, check=_check_gold
+        build_gold_lookup, _segment_gold, sized=False, curated=True, check=_check_gold,
+        uses=("gold_map",),
     ),
 }
 
@@ -874,6 +889,9 @@ def load_model(path: str | Path) -> TokenizerModel:
         )
         if model.vocab_size < 0:
             raise ValueError(f"vocab_size {model.vocab_size} is negative")
+        for name in _KIND_FIELDS:
+            if name not in KINDS[kind].uses and getattr(model, name):
+                raise ValueError(f"a {kind.value} model sets {name}, which it does not use")
         kept = {"vocab": model._vocab_set, "token_logprob": model.token_logprob,
                 "gold_map": model.gold_map}
         for name, tokens in kept.items():

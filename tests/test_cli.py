@@ -17,13 +17,13 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from conftest import random_corpus
-from tokalign import cli, corpus, files, sweep, tokenizers
+from tokalign import cli, corpus, files, layout, sweep, tokenizers
 from tokalign.corpus import CuratedDataset, WordEntry, write_curated
 from tokalign.files import Digests
-from tokalign.manifest import NAME
 from tokalign.ibm1 import load_table
 from tokalign.metrics import read_score_rows, write_score_rows, ScoreRow
 from tokalign.stats import read_report
+from tokalign.choices import TRAINED_KINDS
 from tokalign.synth import SynthConfig, build_language, write_language
 from tokalign.tokenizers import (
     TokenizerKind,
@@ -245,14 +245,40 @@ class TestTrainAndSegment:
             ("bpe", lambda doc: doc["vocab"].append(doc["vocab"][0]), "vocab lists a token twice"),
             ("unigram", lambda doc: doc["token_logprob"][0].__setitem__(1, "-1.5"),
              "'-1.5' is not of type float"),
+            # A field its kind does not use; a marker would be stripped from
+            # the word-internal tokens, so "k am it" would read as "k am t".
+            ("bpe", lambda doc: doc.update(continuation_marker="i"),
+             "a bpe model sets continuation_marker, which it does not use"),
+            ("unigram", lambda doc: doc.update(continuation_marker="##"),
+             "a unigram model sets continuation_marker, which it does not use"),
+            ("character", lambda doc: doc.update(continuation_marker="##"),
+             "a character model sets continuation_marker, which it does not use"),
+            ("bpe", lambda doc: doc.update(token_logprob=[["a", -0.5]]),
+             "a bpe model sets token_logprob, which it does not use"),
+            ("wordpiece", lambda doc: doc.update(token_logprob=[["a", -0.5]]),
+             "a wordpiece model sets token_logprob, which it does not use"),
+            ("unigram", lambda doc: doc.update(merges=[["a", "b"]]),
+             "a unigram model sets merges, which it does not use"),
+            ("character", lambda doc: doc.update(merges=[["a", "b"]]),
+             "a character model sets merges, which it does not use"),
+            ("bpe", lambda doc: doc.update(gold_map=[["ab", ["a", "b"]]]),
+             "a bpe model sets gold_map, which it does not use"),
         ],
         ids=["negative-size", "fractional-size", "string-seed", "repeated-token",
-             "string-logprob"],
+             "string-logprob", "bpe-marker", "unigram-marker", "character-marker",
+             "bpe-logprob", "wordpiece-logprob", "unigram-merges", "character-merges",
+             "bpe-gold-map"],
     )
     def test_malformed_model_exits_2(self, tmp_path, capsys, kind, edit, error):
         model = tmp_path / "model.json"
-        doc = json.loads(model_to_json(train({"abab": 3, "ab": 2, "ba": 1},
-                                             TrainConfig(TokenizerKind(kind), 3))))
+        corpus = {"abab": 3, "ab": 2, "ba": 1}
+        kind = TokenizerKind(kind)
+        built = (
+            train(corpus, TrainConfig(kind, 3))
+            if kind in TRAINED_KINDS
+            else tokenizers.KINDS[kind].build(corpus)
+        )
+        doc = json.loads(model_to_json(built))
         edit(doc)
         _write(model, json.dumps(doc))
         assert cli.main(["segment", "--model", str(model), "abab"]) == 2
@@ -728,7 +754,7 @@ class TestSweep:
         config = cli.load_sweep_config(config_path)
         spec = config.languages[0]
         curated = out / "curated.tsv"
-        keys = sweep._keys(config, spec, curated, Digests())
+        keys = layout._keys(config, [curated], Digests())
         job = sweep._ModelJob("toy", TokenizerKind.BPE, 60, spec.corpus, curated, keys)
         trained = _record_trainings(monkeypatch)
         assert sweep._model_job(job, config) == {}
@@ -1162,25 +1188,37 @@ def _append(path, text):
 # Each edit to a finished tree, its config or its inputs after which a
 # rerun must run the full sweep.
 _MISSES = {
-    "config-byte": lambda tmp_path, out: _append(tmp_path / "sweep.json", "\n"),
     "input": lambda tmp_path, out: _append(tmp_path / "lang" / "corpus.txt", "kamit\n"),
-    "point-edited": _edit_point,
     "point-deleted": lambda tmp_path, out: (
         out / "toy" / "points" / "bpe-60-split.csv"
     ).unlink(),
     "model-deleted": lambda tmp_path, out: (out / "toy" / "models" / "bpe-60.json").unlink(),
-    "scores-edited": lambda tmp_path, out: _append(out / "scores.csv", "\n"),
     "correlations-deleted": lambda tmp_path, out: (out / "correlations.csv").unlink(),
     "failures-present": lambda tmp_path, out: _write(out / "failures.csv", "point,error\n"),
-    "manifest-malformed": lambda tmp_path, out: _write(out / "manifest.json", "{"),
     "key-deleted": lambda tmp_path, out: (
         out / "toy" / "points" / "bpe-60-split.csv.key"
     ).unlink(),
 }
+# Each edit that no key covers, after which a rerun does nothing: a
+# reformatted config means the same sweep, and a key vouches for the
+# inputs a file was made from, not for the bytes an editor left in it.
+_HITS = {
+    "config-byte": lambda tmp_path, out: _append(tmp_path / "sweep.json", "\n"),
+    "point-edited": _edit_point,
+    "scores-edited": lambda tmp_path, out: _append(out / "scores.csv", "\n"),
+}
+
+
+def _combined_keys(out):
+    return [layout._key_path(out / name) for name in ("scores.csv", "correlations.csv")]
+
+
+def _no_sweep(*args):
+    raise AssertionError("a finished sweep ran again")
 
 
 class TestFinishedSweep:
-    """A sweep that finished with no failures writes a manifest; a rerun checks it."""
+    """A sweep that finished with no failures keys its combined CSVs; a rerun checks every key."""
 
     def test_rerun_prints_the_summary_and_writes_nothing(
         self, tmp_path, capsys, monkeypatch
@@ -1190,13 +1228,9 @@ class TestFinishedSweep:
         assert cli.main(argv) == 0
         first = capsys.readouterr()
         out = tmp_path / "out"
-        assert (out / "manifest.json").exists()
+        assert all(path.exists() for path in _combined_keys(out))
         before = _mtimes(out)
-
-        def no_sweep(*args):
-            raise AssertionError("a finished sweep ran again")
-
-        monkeypatch.setattr(sweep, "run_sweep", no_sweep)
+        monkeypatch.setattr(sweep, "run_sweep", _no_sweep)
         assert cli.main(argv + ["--jobs", "2"]) == 0
         again = capsys.readouterr()
         assert again.out == first.out
@@ -1206,36 +1240,48 @@ class TestFinishedSweep:
     @pytest.mark.parametrize("edit", [*_MISSES, "program"])
     def test_any_change_runs_the_full_sweep(self, tmp_path, capsys, monkeypatch, edit):
         config_path = _sweep_setup(tmp_path)
-        checked, plain = tmp_path / "checked", tmp_path / "plain"
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
         argv = ["sweep", "--config", str(config_path), "--output-dir"]
-        assert cli.main(argv + [str(checked)]) == 0
+        assert cli.main(argv + [str(out)]) == 0
         if edit == "program":
             monkeypatch.setattr(files, "_program_digest", lambda: "0" * 64)
         else:
-            _MISSES[edit](tmp_path, checked)
-        # The same tree with no manifest takes the full sweep, as the
-        # program did before manifests.
-        shutil.copytree(checked, plain)
-        (plain / "manifest.json").unlink()
+            _MISSES[edit](tmp_path, out)
         capsys.readouterr()
         runs = []
         run_sweep = sweep.run_sweep
         monkeypatch.setattr(sweep, "run_sweep", lambda *a: runs.append(1) or run_sweep(*a))
-        assert cli.main(argv + [str(checked)]) == 0
-        checked_out = capsys.readouterr().out
-        assert cli.main(argv + [str(plain)]) == 0
-        assert capsys.readouterr().out == checked_out.replace(str(checked), str(plain))
+        assert cli.main(argv + [str(out)]) == 0
+        rerun_out = capsys.readouterr().out
+        # A sweep from nothing, after the same edit, is what the rerun must match.
+        assert cli.main(argv + [str(fresh)]) == 0
+        assert capsys.readouterr().out == rerun_out.replace(str(out), str(fresh))
         assert runs == [1, 1]
-        assert _tree(checked) == _tree(plain)
+        assert _tree(out) == _tree(fresh)
 
-    def test_manifest_bytes_do_not_depend_on_jobs_or_output_dir(self, tmp_path, capsys):
+    @pytest.mark.parametrize("edit", _HITS)
+    def test_edit_that_no_key_covers_reruns_nothing(self, tmp_path, capsys, monkeypatch, edit):
+        config_path = _sweep_setup(tmp_path)
+        argv = ["sweep", "--config", str(config_path)]
+        assert cli.main(argv) == 0
+        first = capsys.readouterr().out
+        out = tmp_path / "out"
+        _HITS[edit](tmp_path, out)
+        before = _mtimes(out)
+        monkeypatch.setattr(sweep, "run_sweep", _no_sweep)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert _mtimes(out) == before
+
+    def test_combined_key_bytes_do_not_depend_on_jobs_or_output_dir(self, tmp_path, capsys):
         config_path = _sweep_setup(tmp_path)
         argv = ["sweep", "--config", str(config_path), "--output-dir"]
         for name, jobs in (("a", "1"), ("b", "2")):
             assert cli.main(argv + [str(tmp_path / name), "--jobs", jobs]) == 0
-        manifest_bytes = (tmp_path / "a" / "manifest.json").read_bytes()
-        assert (tmp_path / "b" / "manifest.json").read_bytes() == manifest_bytes
-        assert str(tmp_path).encode() not in manifest_bytes
+        key_bytes = [path.read_bytes() for path in _combined_keys(tmp_path / "a")]
+        assert [path.read_bytes() for path in _combined_keys(tmp_path / "b")] == key_bytes
+        assert key_bytes[0] == key_bytes[1]
+        assert str(tmp_path).encode() not in key_bytes[0]
         assert _tree(tmp_path / "a") == _tree(tmp_path / "b")
         capsys.readouterr()
         # The summary names the output directory as given.
@@ -1249,15 +1295,16 @@ class TestFinishedSweep:
         [((2, 60), True, 0), ((2,), False, 2)],
         ids=["failures", "no-report"],
     )
-    def test_run_with_failures_leaves_no_manifest(
+    def test_run_with_failures_leaves_no_combined_key(
         self, tmp_path, vocab_sizes, include_baselines, code
     ):
         config_path = _sweep_setup(tmp_path)
         assert cli.main(["sweep", "--config", str(config_path)]) == 0
-        assert (tmp_path / "out" / "manifest.json").exists()
+        keys = _combined_keys(tmp_path / "out")
+        assert all(path.exists() for path in keys)
         config_path = _sweep_setup(tmp_path, vocab_sizes, include_baselines=include_baselines)
         assert cli.main(["sweep", "--config", str(config_path)]) == code
-        assert not (tmp_path / "out" / "manifest.json").exists()
+        assert not any(path.exists() for path in keys)
 
     def test_resume_after_deleting_a_point_does_not_warn(self, tmp_path, capsys):
         config_path = _sweep_setup(tmp_path)
@@ -1288,10 +1335,11 @@ class TestFinishedSweep:
 _BUG_2 = {"thresholds": [0.01, 0.3], "epochs": 1}
 
 
-def _bug_2_without_manifest(tmp_path):
-    # As after a run with failures, which writes no manifest.
+def _bug_2_without_combined_keys(tmp_path):
+    # As after a run with failures, which keys neither combined CSV.
     _edit_config(tmp_path, **_BUG_2)
-    (tmp_path / "out" / NAME).unlink()
+    for path in _combined_keys(tmp_path / "out"):
+        path.unlink()
 
 
 def _bug_2_undone(tmp_path, crash=False):
@@ -1307,13 +1355,13 @@ def _bug_2_undone(tmp_path, crash=False):
     class Crash(BaseException):
         pass
 
-    def write(path, text, atomic_write=sweep.atomic_write):
+    def write(path, text, atomic_write=layout.atomic_write):
         if crash and path.name.endswith(".csv.key"):
             raise Crash
         atomic_write(path, text)
 
     with pytest.MonkeyPatch.context() as patch, pytest.raises(Crash) if crash else nullcontext():
-        patch.setattr(sweep, "atomic_write", write)
+        patch.setattr(layout, "atomic_write", write)
         assert cli.main(["sweep", "--config", str(tmp_path / "sweep.json")]) == 0
     (tmp_path / "sweep.json").write_bytes(original)
 
@@ -1335,7 +1383,7 @@ _EDITS = {
     "include-null": ({"include_null": True}, _GRID),
     "seed": ({"seed": 1}, _GRID),
     "vocab-size-added": ({"vocab_sizes": [60, 80, 100]}, {("bpe", 100), ("unigram", 100)}),
-    "config-no-manifest": (_bug_2_without_manifest, _GRID),
+    "config-no-combined-key": (_bug_2_without_combined_keys, _GRID),
     "config-undone": (_bug_2_undone, _GRID),
     # The crashed run's point has no key, so it alone is made again.
     "crash-at-a-key": (lambda tmp_path: _bug_2_undone(tmp_path, crash=True), {("bpe", 60)}),

@@ -22,10 +22,10 @@ PIPELINE = ("tokalign.sweep", "tokalign.tokenizers", "tokalign.ibm1",
             "tokalign.metrics", "tokalign.stats")
 # What reading score rows and writing the report needs, and no more.
 RESULT_PATH = {f"tokalign.{name}" for name in
-               ("choices", "cli", "errors", "files", "metrics", "stats", "sweep")}
-# What checking a finished sweep's manifest needs, and no more.
+               ("choices", "cli", "errors", "files", "layout", "metrics", "stats", "sweep")}
+# What telling a finished sweep by its keys needs, and no more.
 FINISHED_RERUN = {f"tokalign.{name}" for name in
-                  ("choices", "cli", "errors", "files", "manifest")}
+                  ("choices", "cli", "errors", "files", "layout")}
 
 
 def _modules_after(code):
@@ -104,16 +104,17 @@ def test_finished_sweep_rerun_loads_only_the_result_path(tmp_path):
     assert "dataclasses" not in modules
 
 
-def test_rerun_without_a_manifest_loads_only_the_result_path_and_manifest(tmp_path):
+def test_rerun_without_a_combined_key_loads_only_the_result_path(tmp_path):
     config_path = _sweep_setup(tmp_path)
     argv = ["sweep", "--config", str(config_path), "--jobs", "2"]
     assert cli.main(argv[:-1] + ["1"]) == 0
-    (tmp_path / "out" / "manifest.json").unlink()
-    # Every point is on disk, so the full sweep runs no job.
+    key = tmp_path / "out" / "correlations.csv.key"
+    key.unlink()
+    # Every point is fresh, so the full sweep runs no job.
     modules = _modules_after(f"from tokalign import cli\nassert cli.main({argv!r}) == 0")
-    assert _package_modules(modules) == RESULT_PATH | {"tokalign.manifest"}
+    assert _package_modules(modules) == RESULT_PATH
     assert "concurrent.futures.process" not in modules
-    assert (tmp_path / "out" / "manifest.json").exists()
+    assert key.exists()
 
 
 def test_finished_sweep_rerun_never_loads_hashlib(tmp_path):

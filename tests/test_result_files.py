@@ -12,7 +12,7 @@ from tokalign.corpus import FeatureMode
 from tokalign.files import Digests
 from tokalign.metrics import Aggregation, ScoreRow, write_score_rows
 from tokalign.stats import CorrelationCell, CorrelationReport, write_report
-from tokalign.sweep import LanguageSpec, SweepConfig
+from tokalign.layout import LanguageSpec, SweepConfig
 from tokalign.tokenizers import TokenizerKind
 
 ROWS = [
@@ -59,7 +59,7 @@ def test_failures_csv_bytes(tmp_path, monkeypatch):
         ("toy/bpe-2/train", "ConfigError: vocab size 2 is below the alphabet"),
         ("toy/bpe-60-split", 'ValueError: bad "cell", twice'),
     ]
-    monkeypatch.setattr(sweep, "_sweep", lambda config, jobs, digests: (ROWS, failures))
+    monkeypatch.setattr(sweep, "_sweep", lambda config, jobs, digests: (ROWS, failures, {}))
     config = SweepConfig(
         languages=[LanguageSpec("toy", tmp_path / "corpus.txt")],
         kinds=[TokenizerKind.BPE],
