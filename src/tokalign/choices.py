@@ -18,7 +18,6 @@ class TokenizerKind(Enum):
 
 
 TRAINED_KINDS = (TokenizerKind.BPE, TokenizerKind.WORDPIECE, TokenizerKind.UNIGRAM)
-MERGE_KINDS = (TokenizerKind.BPE, TokenizerKind.WORDPIECE)
 BASELINE_KINDS = (TokenizerKind.CHARACTER, TokenizerKind.GOLD)
 CURATED_KINDS = (TokenizerKind.GOLD,)  # built from the curated dataset, not the corpus
 

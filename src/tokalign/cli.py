@@ -1,16 +1,20 @@
 """Command line entry point: parse the arguments and the sweep config, run, print.
 
 Each subcommand checks its arguments, calls the stage routines of
-`tokalign.sweep` and prints what they did.  It imports the pipeline
-modules it runs only when it runs, so that a process loads no others.
-`tokalign.sweep` owns those routines and the sweep's jobs and process
-pool; `tokalign.layout` owns the checked sweep config, the layout of
-the output tree and the keys that decide what a rerun reuses, so that
-`tokalign sweep` can tell a finished sweep from them alone and exit
-before the pipeline loads.  This module owns the arguments, the sweep
-config's JSON format (`load_sweep_config`; README.md has an example)
-and the exit codes: 0 success, 1 usage or configuration error, 2 data
-error, 3 numerical degeneracy.
+`tokalign.sweep` and prints what they did.  This is the one module of
+the package that puts off its imports of the others: each subcommand
+imports the modules it runs when it runs, so that `tokalign curate`
+loads `tokalign.corpus` and no other pipeline module, and a finished
+`tokalign sweep` rerun loads `tokalign.layout` and none.  Every other
+module imports what it uses at its top.  `tokalign.sweep` owns those
+routines and the sweep's jobs and process pool; `tokalign.layout` owns
+the checked sweep config, the layout of the output tree and the keys
+that decide what a rerun reuses, so that `tokalign sweep` can tell a
+finished sweep from them alone and exit before the pipeline loads.
+This module owns the arguments, the sweep config's JSON format
+(`load_sweep_config`; README.md has an example) and the exit codes: 0
+success, 1 usage or configuration error, 2 data error, 3 numerical
+degeneracy.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from .corpus import CuratedDataset, FeatureMode, feature_tokens
 from .errors import ConfigError, DataError, NumericalError, UncoverableWord
 from .files import atomic_write
 from .tokenizers import TokenizerModel, canonical_subwords, segment
-from .tokenizers import json_array, json_floats, json_typed
+from .tokenizers import json_array, json_arrays, json_floats, json_typed
 
 NULL_TOKEN = "<null>"
 PROB_FLOOR = 1e-12
@@ -429,17 +429,19 @@ def load_table(path: str | Path) -> TranslationTable:
         raise DataError(f"table file {path} has an unrecognized schema")
     try:
         probs: Probs = {}
-        for s, t, p in doc["entries"]:
+        for s, t, p in json_arrays(doc["entries"]):
             row = probs.setdefault(json_typed(s, str), {})
             if json_typed(t, str) in row:
                 raise ValueError(f"entry ({s!r}, {t!r}) is listed twice")
             row[t] = json_typed(p, float)
         table = TranslationTable(
             probs=probs,
-            source_vocab=[json_typed(s, str) for s in doc["source_vocab"]],
-            target_vocab=[json_typed(t, str) for t in doc["target_vocab"]],
+            source_vocab=[json_typed(s, str) for s in json_typed(doc["source_vocab"], list)],
+            target_vocab=[json_typed(t, str) for t in json_typed(doc["target_vocab"], list)],
             epochs_trained=json_typed(doc["epochs_trained"], int),
-            loglik_trajectory=[json_typed(x, float) for x in doc["loglik_trajectory"]],
+            loglik_trajectory=[
+                json_typed(x, float) for x in json_typed(doc["loglik_trajectory"], list)
+            ],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"table file {path} is malformed: {exc}") from exc

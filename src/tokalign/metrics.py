@@ -29,19 +29,15 @@ from dataclasses import dataclass, fields
 from functools import cache, reduce
 from itertools import repeat
 from operator import add, truediv
-from typing import TYPE_CHECKING, Iterable, Sequence, TextIO, get_type_hints
+from typing import Iterable, Sequence, TextIO, get_type_hints
 
-# DEFAULT_THRESHOLDS is a public name of this module too, though unused here.
-from .choices import DEFAULT_THRESHOLDS, Aggregation, FeatureMode
+from .choices import Aggregation, FeatureMode
+from .corpus import CuratedDataset
 from .errors import DataError
+from .ibm1 import NULL_TOKEN, ParallelPair, Segments, TranslationTable
+from .ibm1 import build_parallel_corpus, segment_entries
 from .layout import check_threshold
-
-# Annotations only: reading and writing result CSVs, as a resumed sweep
-# and `tokalign report` do, loads none of these modules.
-if TYPE_CHECKING:
-    from .corpus import CuratedDataset
-    from .ibm1 import ParallelPair, Segments, TranslationTable
-    from .tokenizers import TokenizerModel
+from .tokenizers import TokenizerModel
 
 
 @dataclass(frozen=True)
@@ -155,9 +151,6 @@ def alignment_scores(
     0.0, copying a vector equals adding it to 0.0, and ``x / 1 == x``.
     Those identities hold because no score or sum here is ever -0.0.
     """
-    # Scoring follows EM, so this module is loaded by then.
-    from .ibm1 import NULL_TOKEN
-
     if not pairs:
         raise DataError("no scorable entries")
     for threshold in thresholds:
@@ -285,8 +278,6 @@ def alignment_score(
     Entries the tokenizer cannot cover are excluded, matching the
     exclusion applied when the table's training corpus was built.
     """
-    from .ibm1 import build_parallel_corpus
-
     pairs, _ = build_parallel_corpus(dataset, model, config.mode)
     return alignment_score_from_pairs(table, pairs, config)
 
@@ -313,8 +304,6 @@ def boundary_prf(
     dataset: CuratedDataset, model: TokenizerModel
 ) -> tuple[float, float, float, BoundaryCounts]:
     """Micro-averaged boundary precision, recall, and F1."""
-    from .ibm1 import segment_entries
-
     return boundary_prf_from_segments(dataset, segment_entries(dataset, model))
 
 

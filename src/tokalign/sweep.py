@@ -4,57 +4,50 @@
 module does the work.  It owns each stage routine that a subcommand and
 the sweep both run (build a model, evaluate and write a point, write
 the report) and the sweep's jobs and process pool.  Curation is
-`tokalign.corpus.curate_files`, so that `tokalign curate` loads none of
-this module's imports.  Every stage reads and writes plain files, so a
-sweep is resumable by one rule, which `tokalign.layout` keeps with the
-config and the output tree: a curated dataset, model, grid point or
-combined CSV is reused only while its `<file>.key` holds the key of the
-inputs that make it (see `layout._keys`).  `scores.csv` and
-`correlations.csv` are rebuilt from the points, and keyed only by a run
-with no failures; a rerun whose every file is fresh never gets here
-(`layout.finished`).
+`tokalign.corpus.curate_files`, so that `tokalign curate` does not load
+this module.  Every stage reads and writes plain files, so a sweep is
+resumable by one rule, which `tokalign.layout` keeps with the config
+and the output tree: a curated dataset, model, grid point or combined
+CSV is reused only while its `<file>.key` holds the key of the inputs
+that make it (see `layout._keys`).  `scores.csv` and `correlations.csv`
+are rebuilt from the points, and keyed only by a run with no failures;
+a rerun whose every file is fresh never gets here (`layout.finished`).
 
 Within one sweep, each process reads a language's curated dataset and
 counts its corpus once, and all of its jobs share them (`_read_once`);
-nothing read outlives the sweep's jobs.  The lexicon, tokenizer and
-aligner modules are imported by the routines that run them, so a sweep
-whose every point is fresh, and `tokalign report`, load none of them.
+nothing read outlives the sweep's jobs.  Every pipeline module is
+imported here at the top, so a pool's forked workers inherit them all;
+only `tokalign.cli` puts off loading this module.
 """
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
-from . import metrics, stats
-from .choices import MERGE_KINDS, Aggregation, FeatureMode, TokenizerKind
+from . import corpus, ibm1, metrics, stats, tokenizers
+from .choices import CURATED_KINDS, TRAINED_KINDS, Aggregation, FeatureMode, TokenizerKind
+from .corpus import CuratedDataset
 from .errors import ConfigError, DataError, TokalignError
 from .files import Digests, read_lines, write_rendered
+from .ibm1 import Segments, TranslationTable
 from .layout import (
     CORRELATIONS, FAILURES, SCORES, LanguageSpec, SweepConfig,
     _dataset, _fresh, _key_path, _keys, _model_path, _point_paths, _write_keyed,
 )
 from .metrics import ScoreRow
-
-if TYPE_CHECKING:
-    from .corpus import CuratedDataset
-    from .ibm1 import Segments, TranslationTable
-    from .tokenizers import TokenizerModel
+from .tokenizers import TokenizerModel
 
 T = TypeVar("T")
 
 
 def load_curated(path: Path) -> CuratedDataset:
-    from . import corpus
-
     return corpus.read_curated(read_lines(path))
 
 
 def load_corpus(path: Path) -> dict[str, int]:
     """The word counts of a training corpus file, which must hold a word."""
-    from . import tokenizers
-
     counts = dict(tokenizers.word_frequencies(read_lines(path)))
     if not counts:
         raise DataError(f"corpus {path} contains no words")
@@ -93,29 +86,24 @@ def build_model(
     `load_corpus`), so that a caller decides when each is read: the
     sweep reads each once per process for all its jobs.
     """
-    from . import tokenizers
-
-    row = tokenizers.KINDS[kind]
-    if row.curated:
+    build = tokenizers.KINDS[kind].build
+    if kind in CURATED_KINDS:
         if curated is None:
             raise ConfigError(f"{kind.value} tokenizer needs a curated dataset (--curated)")
-        return row.build(curated())
+        return build(curated())
     if corpus is None:
         raise ConfigError(f"{kind.value} tokenizer needs a training corpus (--corpus)")
-    if not row.sized:
-        return row.build(corpus())
+    if kind not in TRAINED_KINDS:
+        return build(corpus())
     return tokenizers.train(corpus(), tokenizers.TrainConfig(kind, vocab_size, seed=seed))
 
 
-# A string, so that naming `Segments` loads no module.
-Segmented = tuple["Segments", tuple[float, float, float]]
+Segmented = tuple[Segments, tuple[float, float, float]]
 
 
 def segment_dataset(dataset: CuratedDataset, model: TokenizerModel) -> Segmented:
     """Each entry's subwords, plus the boundary precision, recall and F1."""
-    from .ibm1 import segment_entries
-
-    segments = segment_entries(dataset, model)
+    segments = ibm1.segment_entries(dataset, model)
     precision, recall, f1, _counts = metrics.boundary_prf_from_segments(
         dataset, segments
     )
@@ -141,8 +129,6 @@ def run_evaluation(
     mode), so it is trained once, and one pass over the pairs scores
     every aggregation and threshold combination.
     """
-    from . import ibm1
-
     segments, (precision, recall, f1) = segmented
     pairs, excluded = ibm1.pairs_from_segments(
         dataset, segments, mode, include_null=include_null
@@ -177,11 +163,9 @@ def evaluate_point(
     The score rows go last, as a sweep takes their file for the mark of
     a finished point.
     """
-    from .ibm1 import save_table
-
     rows, table = run_evaluation(*evaluation)
     if table_path is not None:
-        save_table(table, table_path)
+        ibm1.save_table(table, table_path)
     write_rendered(point_path, metrics.write_score_rows, rows, seed=seed)
     return rows, table
 
@@ -245,8 +229,6 @@ def _model_job(job: _ModelJob, config: SweepConfig) -> dict[str, str]:
     to disk, so the job can run in a worker process.  Returns the failure
     text of the model or each point it could not write, by label.
     """
-    from . import tokenizers
-
     out = config.output_dir
     errors: dict[str, str] = {}
 
@@ -347,12 +329,6 @@ def _run_jobs(
             except Exception as exc:
                 done.append((job, exc))
         return done
-    # Loaded before the workers fork, so that they inherit these modules
-    # instead of each compiling them again.  Loaded after `multiprocessing`
-    # instead, they raised the parent's peak memory, which every worker
-    # inherits, by about 1 MB.
-    from . import corpus, ibm1, tokenizers  # noqa: F401
-
     # Imported here, so that a sweep with nothing to run in parallel
     # never loads `multiprocessing`.
     from concurrent.futures import ProcessPoolExecutor
@@ -369,10 +345,8 @@ def _curated_path(out: Path, spec: LanguageSpec, digests: Digests) -> Path:
     """The language's curated dataset, curated from its lexicons unless fresh."""
     curated_path, key = _dataset(out, spec, digests)
     if key is not None and not _fresh(curated_path, key):
-        from .corpus import curate_files
-
         _write_keyed(
-            curated_path, key, curate_files,
+            curated_path, key, corpus.curate_files,
             spec.features, spec.segmentations, spec.name, curated_path,
         )
     return curated_path
@@ -412,7 +386,7 @@ def _sweep(
         untrained: dict[TokenizerKind, list[int]] = {}
         for kind, size in grid:
             model_path = _model_path(out, spec.name, kind, size)
-            if kind in MERGE_KINDS and not fresh(model_path):
+            if tokenizers.KINDS[kind].cut is not None and not fresh(model_path):
                 untrained.setdefault(kind, []).append(size)
             elif not all(fresh(p) for p in (model_path, *points(spec.name, kind, size))):
                 other.append(_ModelJob(spec.name, kind, size, *inputs))

@@ -11,10 +11,11 @@ Five model kinds share a single serializable container:
 * ``character``: split into single characters.
 * ``gold``: look up the curated gold segmentation.
 
-Only the trained kinds, the first three, take a vocabulary size.  All
-that differs between kinds is one row each of ``KINDS``: what the kind
-is built from, its build and segment functions, whether it takes a
-size, its cut (``truncate_merges`` for the merge kinds), the check
+Only the trained kinds, the first three, take a vocabulary size, and
+only ``gold`` is built from the curated dataset instead of a corpus
+(the groups of ``tokalign.choices``).  All else that differs between
+kinds is one row each of ``KINDS``: its build and segment functions,
+its cut (``truncate_merges`` for the merge kinds), the check
 ``load_model`` runs on its model files, and which of the fields that
 only some kinds use (merges, log-probabilities, the gold map and the
 continuation marker) its models set; ``load_model`` rejects the rest
@@ -59,7 +60,7 @@ from operator import add
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
-from .choices import TokenizerKind
+from .choices import TRAINED_KINDS, TokenizerKind
 from .corpus import CuratedDataset, normalize
 from .errors import ConfigError, DataError, NumericalError, UncoverableWord
 from .files import atomic_write
@@ -71,6 +72,10 @@ MAX_SEED_TOKEN_LEN = 20
 OOV_CHAR_LOGPROB = -100.0
 PROB_FLOOR = 1e-12
 MODEL_SCHEMA = "subword-model/1"
+# The unigram seed vocabulary holds at most this many times the budget,
+# and a pruning round keeps at most 1 - this share of the tokens.
+UNIGRAM_SEED_VOCAB_FACTOR = 4
+UNIGRAM_PRUNE_FRACTION = 0.25
 
 
 @dataclass
@@ -78,22 +83,10 @@ class TrainConfig:
     kind: TokenizerKind
     vocab_size: int
     seed: int = 0
-    unigram_seed_vocab_factor: int = 4
-    unigram_prune_fraction: float = 0.25
 
     def __post_init__(self) -> None:
         if self.vocab_size < 1:
             raise ConfigError(f"vocab_size must be positive, got {self.vocab_size}")
-        if self.unigram_seed_vocab_factor < 1:
-            raise ConfigError("unigram_seed_vocab_factor must be at least 1")
-        if not 0.0 < self.unigram_prune_fraction < 1.0:
-            raise ConfigError("unigram_prune_fraction must be in (0, 1)")
-        if 1.0 - self.unigram_prune_fraction == 1.0:
-            # A pruning round would keep every token, and training never ends.
-            raise ConfigError(
-                f"unigram_prune_fraction {self.unigram_prune_fraction!r} is too "
-                "small: 1 - fraction rounds to 1"
-            )
 
 
 @dataclass
@@ -403,7 +396,7 @@ def _unigram_seed(
 
     Substring candidates up to MAX_SEED_TOKEN_LEN characters are ranked
     by frequency times length and capped so the seed vocabulary holds at
-    most unigram_seed_vocab_factor * vocab_size items.  Scores are
+    most UNIGRAM_SEED_VOCAB_FACTOR * vocab_size items.  Scores are
     normalized into the starting unigram distribution.
     """
     char_counts: Counter = Counter()
@@ -418,7 +411,7 @@ def _unigram_seed(
                 substr_counts[word[i:j]] += freq
     chars = sorted(char_counts)
     _check_alphabet_budget(len(chars), config.vocab_size)
-    budget = config.unigram_seed_vocab_factor * config.vocab_size - len(chars)
+    budget = UNIGRAM_SEED_VOCAB_FACTOR * config.vocab_size - len(chars)
     ranked = sorted(
         substr_counts.items(), key=lambda kv: (-kv[1] * len(kv[0]), kv[0])
     )
@@ -564,7 +557,7 @@ def train_unigram(corpus: Mapping[str, int], config: TrainConfig) -> TokenizerMo
     Each round re-estimates probabilities with two hard EM iterations,
     then removes the multi-character tokens whose removal would increase
     the Viterbi corpus loss the least, keeping at least
-    vocab_size and at most (1 - prune_fraction) of the current
+    vocab_size and at most (1 - UNIGRAM_PRUNE_FRACTION) of the current
     vocabulary.  Single characters are never pruned, so segmentation
     stays total over the training alphabet.
 
@@ -604,7 +597,7 @@ def train_unigram(corpus: Mapping[str, int], config: TrainConfig) -> TokenizerMo
                     utility[token_id] += freq * (lp - alt)
         target = max(
             config.vocab_size,
-            int(len(tokens) * (1.0 - config.unigram_prune_fraction)),
+            int(len(tokens) * (1.0 - UNIGRAM_PRUNE_FRACTION)),
         )
         keep = target - len(chars)
         # Ids follow sorted token order, so they break ties like tokens.
@@ -719,12 +712,10 @@ def _check_gold(model: TokenizerModel, path: str | Path) -> None:
 
 
 class Kind(NamedTuple):
-    """One row of ``KINDS``: all that differs between tokenizer kinds."""
+    """One row of ``KINDS``: what differs between tokenizer kinds beyond their groups."""
 
     build: Callable[..., TokenizerModel]  # (corpus or curated dataset[, TrainConfig])
     segment: Callable[[TokenizerModel, str], list[str]]
-    sized: bool = True  # build takes a TrainConfig, and so a vocabulary size
-    curated: bool = False  # built from the curated dataset, not the corpus
     cut: Callable[[TokenizerModel, TrainConfig], TokenizerModel] | None = None
     check: Callable[[TokenizerModel, str | Path], None] | None = None  # on load
     uses: tuple[str, ...] = ()  # the fields of `_KIND_FIELDS` its models set
@@ -735,7 +726,6 @@ class Kind(NamedTuple):
 _KIND_FIELDS = ("merges", "token_logprob", "gold_map", "continuation_marker")
 
 
-# `choices` groups the same kinds for code that must not load this module.
 KINDS: dict[TokenizerKind, Kind] = {
     TokenizerKind.BPE: Kind(
         train_bpe, _segment_bpe, cut=truncate_merges, check=_check_merges, uses=("merges",)
@@ -747,20 +737,18 @@ KINDS: dict[TokenizerKind, Kind] = {
     TokenizerKind.UNIGRAM: Kind(
         train_unigram, _segment_unigram, check=_check_unigram, uses=("token_logprob",)
     ),
-    TokenizerKind.CHARACTER: Kind(train_character, lambda model, word: list(word), sized=False),
+    TokenizerKind.CHARACTER: Kind(train_character, lambda model, word: list(word)),
     TokenizerKind.GOLD: Kind(
-        build_gold_lookup, _segment_gold, sized=False, curated=True, check=_check_gold,
-        uses=("gold_map",),
+        build_gold_lookup, _segment_gold, check=_check_gold, uses=("gold_map",)
     ),
 }
 
 
 def train(corpus: Mapping[str, int], config: TrainConfig) -> TokenizerModel:
-    """Train config.kind's model on the corpus; only a sized kind trains."""
-    row = KINDS[config.kind]
-    if not row.sized:
+    """Train config.kind's model on the corpus; only a trained kind trains."""
+    if config.kind not in TRAINED_KINDS:
         raise ConfigError(f"kind {config.kind.value!r} is not trainable from a corpus")
-    return row.build(corpus, config)
+    return KINDS[config.kind].build(corpus, config)
 
 
 def segment(model: TokenizerModel, word: str) -> list[str]:
@@ -832,6 +820,15 @@ def json_typed(value: Any, kind: type) -> Any:
     return value
 
 
+def json_arrays(value: Any) -> list[list]:
+    """`value`, read from JSON, if it is an array of arrays; else a TypeError.
+
+    Unpacking an item then checks its length, where a string or an object
+    would unpack as its characters or its keys.
+    """
+    return [json_typed(item, list) for item in json_typed(value, list)]
+
+
 def model_to_json(model: TokenizerModel) -> str:
     """Canonical JSON rendering; equal models serialize byte-identically.
 
@@ -872,18 +869,20 @@ def load_model(path: str | Path) -> TokenizerModel:
         kind = TokenizerKind(doc["kind"])
         model = TokenizerModel(
             kind=kind,
-            vocab=[json_typed(token, str) for token in doc["vocab"]],
+            vocab=[json_typed(token, str) for token in json_typed(doc["vocab"], list)],
             vocab_size=json_typed(doc["vocab_size"], int),
             seed=json_typed(doc["seed"], int),
             merges=[
-                (json_typed(left, str), json_typed(right, str)) for left, right in doc["merges"]
+                (json_typed(left, str), json_typed(right, str))
+                for left, right in json_arrays(doc["merges"])
             ],
             token_logprob={
-                json_typed(t, str): json_typed(lp, float) for t, lp in doc["token_logprob"]
+                json_typed(t, str): json_typed(lp, float)
+                for t, lp in json_arrays(doc["token_logprob"])
             },
             gold_map={
                 json_typed(form, str): [json_typed(seg, str) for seg in json_typed(segs, list)]
-                for form, segs in doc["gold_map"]
+                for form, segs in json_arrays(doc["gold_map"])
             },
             continuation_marker=json_typed(doc["continuation_marker"], str),
         )

@@ -17,6 +17,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from tokalign import tokenizers
 from tokalign.errors import DataError, NumericalError
 from tokalign.ibm1 import NULL_TOKEN, TABLE_SCHEMA, ParallelPair, TranslationTable
 from tokalign.ibm1 import PROB_FLOOR as IBM1_PROB_FLOOR
@@ -454,7 +455,7 @@ def unigram_reference(corpus: Mapping[str, int], config: TrainConfig) -> Tokeniz
     Each round re-estimates probabilities with two hard EM iterations,
     then removes the multi-character tokens whose removal would increase
     the Viterbi corpus loss the least, keeping at least
-    vocab_size and at most (1 - prune_fraction) of the current
+    vocab_size and at most (1 - UNIGRAM_PRUNE_FRACTION) of the current
     vocabulary.  Single characters are never pruned, so segmentation
     stays total over the training alphabet.
     """
@@ -482,7 +483,8 @@ def unigram_reference(corpus: Mapping[str, int], config: TrainConfig) -> Tokeniz
                     utility[token] += freq * (lp - alt[1])
         target = max(
             config.vocab_size,
-            int(len(vocab) * (1.0 - config.unigram_prune_fraction)),
+            # Read when called, so that a test can patch it.
+            int(len(vocab) * (1.0 - tokenizers.UNIGRAM_PRUNE_FRACTION)),
         )
         keep = target - len(char_set)
         survivors = sorted(utility, key=lambda t: (-utility[t], t))[: max(keep, 0)]

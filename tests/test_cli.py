@@ -263,11 +263,21 @@ class TestTrainAndSegment:
              "a character model sets merges, which it does not use"),
             ("bpe", lambda doc: doc.update(gold_map=[["ab", ["a", "b"]]]),
              "a bpe model sets gold_map, which it does not use"),
+            # An object or a string would read as its keys or characters.
+            ("bpe", lambda doc: doc.update(merges=["ab"]), "'ab' is not of type list"),
+            ("bpe", lambda doc: doc.update(vocab={"a": 0, "b": 1}),
+             "{'a': 0, 'b': 1} is not of type list"),
+            ("character", lambda doc: doc.update(vocab="ab"), "'ab' is not of type list"),
+            ("unigram", lambda doc: doc.update(token_logprob={"ab": -0.5}),
+             "{'ab': -0.5} is not of type list"),
+            ("unigram", lambda doc: doc["token_logprob"].__setitem__(0, "a"),
+             "'a' is not of type list"),
         ],
         ids=["negative-size", "fractional-size", "string-seed", "repeated-token",
              "string-logprob", "bpe-marker", "unigram-marker", "character-marker",
              "bpe-logprob", "wordpiece-logprob", "unigram-merges", "character-merges",
-             "bpe-gold-map"],
+             "bpe-gold-map", "string-merge", "object-vocab", "string-vocab",
+             "object-logprobs", "string-logprob-pair"],
     )
     def test_malformed_model_exits_2(self, tmp_path, capsys, kind, edit, error):
         model = tmp_path / "model.json"

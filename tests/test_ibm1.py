@@ -333,10 +333,17 @@ class TestTableFiles:
             (lambda doc: doc["source_vocab"].append(None), "None is not of type str"),
             (lambda doc: doc["entries"].append(doc["entries"][0]),
              "entry ('a', 'X') is listed twice"),
+            # An object or a string would read as its keys or characters.
+            (lambda doc: doc.update(source_vocab={"a": 0, "b": 1}),
+             "{'a': 0, 'b': 1} is not of type list"),
+            (lambda doc: doc.update(target_vocab="XY"), "'XY' is not of type list"),
+            (lambda doc: doc.update(entries={"aX": 1.0}), "{'aX': 1.0} is not of type list"),
+            (lambda doc: doc["entries"].__setitem__(0, "aX"), "'aX' is not of type list"),
         ],
         ids=["nan-loglik", "no-loglik", "epochs-above-trajectory", "negative-epochs",
              "float-epochs", "bool-epochs", "string-probability", "number-token",
-             "null-token", "repeated-entry"],
+             "null-token", "repeated-entry", "object-vocab", "string-vocab",
+             "object-entries", "string-entry"],
     )
     def test_load_rejects_what_training_cannot_write(self, tmp_path, em_pairs, edit, error):
         path = tmp_path / "table.json"

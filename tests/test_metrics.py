@@ -9,6 +9,7 @@ import pytest
 
 from oracles import AGGREGATIONS, alignment_reference, alignment_scores_reference
 from tokalign import metrics
+from tokalign.choices import DEFAULT_THRESHOLDS
 from tokalign.corpus import (
     CuratedDataset,
     FeatureMode,
@@ -22,7 +23,6 @@ from tokalign.errors import ConfigError, DataError
 from tokalign.metrics import (
     Aggregation,
     BoundaryCounts,
-    DEFAULT_THRESHOLDS,
     ScoreConfig,
     ScoreRow,
     alignment_score,

@@ -18,6 +18,8 @@ renders, for any strings and floats, and a saved model or table loads
 back equal.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +66,7 @@ from tokalign.metrics import (
     alignment_score_from_pairs,
     alignment_scores,
 )
+from tokalign import tokenizers
 from tokalign.choices import TRAINED_KINDS
 from tokalign.stats import MIN_POINTS, spearman
 from tokalign.synth import SynthConfig, build_language
@@ -363,23 +366,26 @@ def unigram_cases(draw):
     alphabet = len({ch for word in corpus for ch in word})
     # From one below the alphabet, which both trainers reject.
     budget = alphabet - 1 + draw(st.integers(min_value=0, max_value=30))
-    config = TrainConfig(
-        kind=TokenizerKind.UNIGRAM,
-        vocab_size=max(1, budget),
-        unigram_seed_vocab_factor=draw(st.integers(min_value=1, max_value=6)),
-        # Bounded away from 0: where 1 - fraction rounds to 1, a round
-        # removes no token and training never ends.
-        unigram_prune_fraction=draw(st.floats(min_value=0.01, max_value=0.99)),
-    )
-    return corpus, config
+    config = TrainConfig(kind=TokenizerKind.UNIGRAM, vocab_size=max(1, budget))
+    factor = draw(st.integers(min_value=1, max_value=6))
+    # Bounded away from 0: where 1 - fraction rounds to 1, a round
+    # removes no token and training never ends.
+    fraction = draw(st.floats(min_value=0.01, max_value=0.99))
+    return corpus, config, factor, fraction
 
 
 @settings(max_examples=200, deadline=None)
 @given(unigram_cases())
 def test_lattice_unigram_training_equals_per_call_viterbi(case):
-    corpus, config = case
-    got = _unigram_outcome(train_unigram, corpus, config)
-    assert got == _unigram_outcome(unigram_reference, corpus, config)
+    corpus, config, factor, fraction = case
+    # Patched here: hypothesis runs every example in one test call, so a
+    # function-scoped fixture could not vary them.
+    with (
+        mock.patch.object(tokenizers, "UNIGRAM_SEED_VOCAB_FACTOR", factor),
+        mock.patch.object(tokenizers, "UNIGRAM_PRUNE_FRACTION", fraction),
+    ):
+        got = _unigram_outcome(train_unigram, corpus, config)
+        assert got == _unigram_outcome(unigram_reference, corpus, config)
 
 
 @st.composite
