@@ -8,10 +8,10 @@ loads `tokalign.corpus` and no other pipeline module, and a finished
 `tokalign sweep` rerun loads `tokalign.layout` and none.  Every other
 module imports what it uses at its top.  `tokalign.sweep` owns those
 routines and the sweep's jobs and process pool; `tokalign.layout` owns
-the checked sweep config, the layout of the output tree and the keys
-that decide what a rerun reuses, so that `tokalign sweep` can tell a
-finished sweep from them alone and exit before the pipeline loads.
-This module owns the arguments, the sweep config's JSON format
+the sweep config's fields (`FIELDS`), the layout of the output tree and
+the keys that decide what a rerun reuses, so that `tokalign sweep` can
+tell a finished sweep from them alone and exit before the pipeline
+loads.  This module owns the arguments, the reading of a config file
 (`load_sweep_config`; README.md has an example) and the exit codes: 0
 success, 1 usage or configuration error, 2 data error, 3 numerical
 degeneracy.
@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .choices import (
-    BASELINE_KINDS,
+    BASELINE_KINDS,  # noqa: F401  (bench/replay.py reads `cli.BASELINE_KINDS`)
     DEFAULT_EPOCHS,
     DEFAULT_THRESHOLDS,
     TRAINED_KINDS,
@@ -33,12 +33,7 @@ from .choices import (
     TokenizerKind,
 )
 from .errors import ConfigError, DataError, NumericalError
-from .files import read_lines, resolve_path
-
-DEFAULT_VOCAB_SIZES = (
-    2000, 4000, 8000, 16000, 24000, 32000,
-    40000, 48000, 56000, 64000, 72000, 80000,
-)
+from .files import Digests, read_lines
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -54,12 +49,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _parse_list(text: str, parse, label: str) -> list:
-    """Parse a comma-separated flag value."""
-    try:
+def _comma_list(parse=str):
+    # An argument type; argparse names it in the error for a bad value.
+    def comma_list(text: str) -> list:
         return [parse(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise ConfigError(f"bad {label} list {text!r}") from exc
+
+    return comma_list
 
 
 def cmd_curate(args: argparse.Namespace) -> int:
@@ -122,17 +117,12 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from . import sweep, tokenizers
-    from .layout import check_threshold, check_values
+    from .layout import parse_field
 
-    modes = _parse_list(args.mode, FeatureMode, "feature mode")
-    if len(modes) != 1:
-        raise ConfigError("evaluate takes exactly one feature mode")
-    aggregations = _parse_list(args.aggregations, Aggregation, "aggregation")
-    check_values("aggregation list", aggregations)
-    thresholds = _parse_list(args.thresholds, float, "threshold")
-    check_values("threshold list", thresholds, check_threshold)
-    if args.epochs < 1:
-        raise ConfigError(f"epochs must be at least 1, got {args.epochs}")
+    aggregations, thresholds, epochs = (
+        parse_field(name, getattr(args, name), f"--{name}")
+        for name in ("aggregations", "thresholds", "epochs")
+    )
     dataset = sweep.load_curated(Path(args.curated))
     model = tokenizers.load_model(Path(args.model))
     rows, table = sweep.evaluate_point(
@@ -142,10 +132,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         dataset,
         model,
         sweep.segment_dataset(dataset, model),
-        modes[0],
+        FeatureMode(args.mode),
         aggregations,
         thresholds,
-        args.epochs,
+        epochs,
         args.include_null,
         args.language or dataset.language,
     )
@@ -174,65 +164,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _integer(value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{value!r} is not an integer")
-    return value
-
-
-def _number(value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{value!r} is not a number")
-    return float(value)
-
-
-def _boolean(value: object) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{value!r} is not true or false")
-    return value
-
-
-def _path_text(value: object) -> str:
-    # An empty path would resolve to the config's own directory.
-    if not isinstance(value, str) or not value:
-        raise ValueError(f"{value!r} is not a non-empty path string")
-    return value
-
-
-def _trained_kind(value: object) -> TokenizerKind:
-    kind = TokenizerKind(value)
-    # A baseline has no vocabulary size: listed here, it would run once
-    # per size under as many labels.
-    if kind in BASELINE_KINDS:
-        raise ValueError(f"{kind.value!r} is a baseline, which include_baselines adds")
-    return kind
-
-
-def _list_of(parse):
-    def parse_list(value: object) -> list:
-        if not isinstance(value, list):
-            raise ValueError(f"{value!r} is not a list")
-        return [parse(item) for item in value]
-
-    return parse_list
-
-
-# Each sweep config field but "languages": its default and its parser.
-_CONFIG_FIELDS = {
-    "kinds": (["bpe", "wordpiece", "unigram"], _list_of(_trained_kind)),
-    "vocab_sizes": (list(DEFAULT_VOCAB_SIZES), _list_of(_integer)),
-    "modes": (["joint", "split"], _list_of(FeatureMode)),
-    "aggregations": ([a.value for a in Aggregation], _list_of(Aggregation)),
-    "thresholds": (list(DEFAULT_THRESHOLDS), _list_of(_number)),
-    "epochs": (DEFAULT_EPOCHS, _integer),
-    "seed": (0, _integer),
-    "include_baselines": (True, _boolean),
-    "include_null": (False, _boolean),
-    "output_dir": ("out", _path_text),
-}
-_LANGUAGE_KEYS = ("corpus", "curated", "features", "segmentations")
-
-
 def _reject_unknown_keys(doc: dict, known, where: str) -> None:
     # A misspelt key would otherwise leave its field at the default.
     unknown = sorted(set(doc) - set(known))
@@ -244,7 +175,7 @@ def load_sweep_config(path: Path) -> SweepConfig:
     """Read and check the sweep config at `path`; its paths resolve against its directory."""
     import json
 
-    from .layout import LanguageSpec, SweepConfig
+    from .layout import FIELDS, LANGUAGE_PATHS, LanguageSpec, SweepConfig, _path
 
     try:
         doc = json.loads(path.read_bytes().decode("utf-8"))
@@ -254,28 +185,29 @@ def load_sweep_config(path: Path) -> SweepConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")
-    _reject_unknown_keys(doc, ["languages", *_CONFIG_FIELDS], "sweep config")
+    _reject_unknown_keys(doc, ["languages", *FIELDS], "sweep config")
     languages = []
-    lang_doc = doc.get("languages")
+    lang_doc = doc.pop("languages", None)
     if not isinstance(lang_doc, dict) or not lang_doc:
         raise ConfigError("config must map language names to their input paths")
     for name in sorted(lang_doc):
         spec = lang_doc[name]
         if not isinstance(spec, dict) or spec.get("corpus") is None:
             raise ConfigError(f"language {name!r} needs at least a corpus path")
-        _reject_unknown_keys(spec, _LANGUAGE_KEYS, f"language {name!r}")
+        _reject_unknown_keys(spec, LANGUAGE_PATHS, f"language {name!r}")
         # One source for the dataset: a curated file given with lexicons
         # would leave the lexicons unread.
-        sources = {key for key in _LANGUAGE_KEYS[1:] if spec.get(key) is not None}
+        sources = {key for key in LANGUAGE_PATHS[1:] if spec.get(key) is not None}
         if sources not in ({"curated"}, {"features", "segmentations"}):
             raise ConfigError(
                 f"language {name!r} needs either a curated path or both "
                 "feature and segmentation lexicons, and not both"
             )
         try:
+            # An absolute path stays as given; `/` joins a relative one.
             paths = {
-                key: resolve_path(path.parent, _path_text(spec[key]))
-                for key in _LANGUAGE_KEYS
+                key: path.parent / _path(spec[key])
+                for key in LANGUAGE_PATHS
                 if spec.get(key) is not None
             }
         except ValueError as exc:
@@ -283,15 +215,10 @@ def load_sweep_config(path: Path) -> SweepConfig:
         for p in paths.values():
             if not p.exists():
                 raise ConfigError(f"input path does not exist: {p}")
-        languages.append(LanguageSpec(name=name, **paths))
-    values = {}
-    for field_name, (default, parse) in _CONFIG_FIELDS.items():
-        try:
-            values[field_name] = parse(doc.get(field_name, default))
-        except ValueError as exc:
-            raise ConfigError(f"sweep config field {field_name}: {exc}") from exc
-    values["output_dir"] = resolve_path(path.parent, values["output_dir"])
-    return SweepConfig(languages=languages, **values)
+        languages.append(LanguageSpec(name, **paths))
+    config = SweepConfig(languages, **doc)
+    config.output_dir = path.parent / config.output_dir
+    return config
 
 
 def _sweep_summary(rows: int, cells: int, out: Path) -> str:
@@ -304,7 +231,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.output_dir == "":
         raise ConfigError("--output-dir must be a non-empty path")
     from . import layout
-    from .files import Digests
 
     config = load_sweep_config(Path(args.config))
     if args.output_dir:
@@ -360,10 +286,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="score one model over a curated dataset")
     p.add_argument("--curated", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--mode", default="split", help="joint or split")
-    p.add_argument("--aggregations",
+    p.add_argument("--mode", default="split", choices=[m.value for m in FeatureMode])
+    p.add_argument("--aggregations", type=_comma_list(),
                    default=",".join(a.value for a in Aggregation))
-    p.add_argument("--thresholds",
+    p.add_argument("--thresholds", type=_comma_list(float),
                    default=",".join(str(t) for t in DEFAULT_THRESHOLDS))
     p.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
     p.add_argument("--include-null", action="store_true",

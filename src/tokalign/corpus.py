@@ -16,7 +16,7 @@ file.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -62,11 +62,10 @@ class WordEntry:
 
 @dataclass
 class CuratedDataset:
-    """Entries in input order, plus the language code and free-form metadata."""
+    """Entries in input order, plus the language code."""
 
     entries: list[WordEntry]
     language: str = "und"
-    meta: dict[str, str] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -206,8 +205,6 @@ def feature_tokens(entry: WordEntry, mode: FeatureMode) -> list[str]:
 def write_curated(dataset: CuratedDataset, stream: TextIO) -> None:
     """Serialize a curated dataset as a commented three-column TSV."""
     stream.write(f"# {LANGUAGE_META_KEY}: {dataset.language}\n")
-    for key in sorted(dataset.meta):
-        stream.write(f"# {key}: {dataset.meta[key]}\n")
     for entry in dataset.entries:
         segs = SEGMENT_SEP.join(entry.gold_segments)
         feats = FEATURE_SEP.join(entry.features)
@@ -222,21 +219,14 @@ def read_curated(stream: Iterable[str]) -> CuratedDataset:
     """
     entries: list[WordEntry] = []
     language = "und"
-    meta: dict[str, str] = {}
     for lineno, raw in enumerate(stream, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip():
             continue
         if line.lstrip().startswith(COMMENT_PREFIX):
-            body = line.lstrip()[len(COMMENT_PREFIX):].strip()
-            if ":" in body:
-                key, _, value = body.partition(":")
-                key = key.strip()
-                value = value.strip()
-                if key == LANGUAGE_META_KEY:
-                    language = value
-                elif key:
-                    meta[key] = value
+            key, colon, value = line.lstrip()[len(COMMENT_PREFIX):].partition(":")
+            if colon and key.strip() == LANGUAGE_META_KEY:
+                language = value.strip()
             continue
         cols = line.split("\t")
         if len(cols) != 3:
@@ -247,7 +237,7 @@ def read_curated(stream: Iterable[str]) -> CuratedDataset:
         entries.append(WordEntry(form, segments, atoms))
     if not entries:
         raise DataError("curated file contains no entries")
-    return CuratedDataset(entries, language=language, meta=meta)
+    return CuratedDataset(entries, language=language)
 
 
 def curate_files(

@@ -33,12 +33,6 @@ def write_rendered(path: Path, render: Callable[..., None], *args, **kwargs) -> 
     atomic_write(path, buffer.getvalue())
 
 
-def resolve_path(base: Path, raw: str) -> Path:
-    """A config's path string: absolute as given, or relative to `base`."""
-    path = Path(raw)
-    return path if path.is_absolute() else base / path
-
-
 def read_lines(path: Path) -> list[str]:
     try:
         with path.open("r", encoding="utf-8") as handle:

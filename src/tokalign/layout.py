@@ -1,5 +1,9 @@
 """The sweep's configuration, the layout of its output tree, and the keys that decide reuse.
 
+`FIELDS` is the one table of the sweep config's fields: each field's
+JSON default, its parser, and whether a point's key covers it, so that
+a new field is one new row.
+
 A sweep reuses a file only while the `<file>.key` beside it holds the key
 of the inputs that would make it now (`_keys`, `_fresh`, `_write_keyed`).
 That covers each lexicon-built curated dataset, model and point, and the
@@ -20,13 +24,20 @@ import os
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .choices import BASELINE_KINDS, CURATED_KINDS
+from .choices import BASELINE_KINDS, CURATED_KINDS, DEFAULT_EPOCHS, DEFAULT_THRESHOLDS
 from .choices import Aggregation, FeatureMode, TokenizerKind
 from .errors import ConfigError
 from .files import Digests, atomic_write, sha256_hex
 
 # The combined files of a sweep, in its output directory.
 SCORES, CORRELATIONS, FAILURES = "scores.csv", "correlations.csv", "failures.csv"
+_ROOT_FILES = {SCORES, CORRELATIONS, FAILURES}
+_ROOT_FILES |= {f"{name}.key" for name in _ROOT_FILES}
+
+DEFAULT_VOCAB_SIZES = (
+    2000, 4000, 8000, 16000, 24000, 32000,
+    40000, 48000, 56000, 64000, 72000, 80000,
+)
 
 
 def check_threshold(threshold: float) -> None:
@@ -35,92 +46,131 @@ def check_threshold(threshold: float) -> None:
         raise ConfigError(f"threshold must be in [0, 1), got {threshold}")
 
 
-def check_values(label: str, values: Sequence, check: Callable | None = None) -> None:
-    """Reject an empty list of config values, a bad value, or a repeated one.
-
-    A repeated value would give two grid points, score rows or languages
-    one label.
-    """
-    if not values:
-        raise ConfigError(f"{label} is empty")
-    if check is not None:
-        for value in values:
-            check(value)
-    if len(set(values)) != len(values):
-        raise ConfigError(f"{label} repeats a value: {values}")
+def _integer(value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{value!r} is not an integer")
+    return value
 
 
-def _check_size(size: int) -> None:
-    if size < 1:
-        raise ConfigError(f"vocab sizes must be positive, got {size}")
+def _positive(value: object) -> int:
+    if _integer(value) < 1:
+        raise ValueError(f"{value} is below 1")
+    return value
 
 
-def _check_language_name(name: str) -> None:
-    # A name is one directory of the output tree; anything else would put
-    # a language's files in the output root or outside it.
-    if name in ("", ".", "..") or "/" in name or os.sep in name:
-        raise ConfigError(f"language name {name!r} is not one plain path component")
+def _number(value: object) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _threshold(value: object) -> float:
+    threshold = _number(value)
+    try:
+        check_threshold(threshold)
+    except ConfigError as exc:
+        raise ValueError(exc) from None
+    return threshold
+
+
+def _boolean(value: object) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
+    return value
+
+
+def _path(value: object) -> Path:
+    # An empty path would resolve to the config's own directory.
+    if not isinstance(value, str) or not value or "\0" in value:
+        raise ValueError(f"{value!r} is not a non-empty path string without NUL")
+    return Path(value)
+
+
+def _trained_kind(value: object) -> TokenizerKind:
+    kind = TokenizerKind(value)
+    # A baseline has no vocabulary size: listed here, it would run once
+    # per size under as many labels.
+    if kind in BASELINE_KINDS:
+        raise ValueError(f"{kind.value!r} is a baseline, which include_baselines adds")
+    return kind
+
+
+def _list_of(parse: Callable) -> Callable:
+    # A repeated value would give two grid points or score rows one label.
+    def parse_list(value: object) -> list:
+        if not isinstance(value, list):
+            raise ValueError(f"{value!r} is not a list")
+        items = [parse(item) for item in value]
+        if not items:
+            raise ValueError("the list is empty")
+        if len(set(items)) != len(items):
+            raise ValueError(f"{value!r} repeats a value")
+        return items
+
+    return parse_list
+
+
+# One row per sweep config field but `languages`: its JSON default, its
+# parser, which returns the value checked and converted or raises
+# ValueError, and whether a point's key covers it.  The fields a key does
+# not cover choose which points there are, or (`output_dir`) where they go.
+FIELDS = {
+    "kinds": (["bpe", "wordpiece", "unigram"], _list_of(_trained_kind), False),
+    "vocab_sizes": (list(DEFAULT_VOCAB_SIZES), _list_of(_positive), False),
+    "modes": (["joint", "split"], _list_of(FeatureMode), False),
+    "aggregations": ([a.value for a in Aggregation], _list_of(Aggregation), True),
+    "thresholds": (list(DEFAULT_THRESHOLDS), _list_of(_threshold), True),
+    "epochs": (DEFAULT_EPOCHS, _positive, True),
+    "seed": (0, _integer, True),
+    "include_baselines": (True, _boolean, False),
+    "include_null": (False, _boolean, True),
+    "output_dir": ("out", _path, False),
+}
+
+
+def parse_field(name: str, value: object, label: str | None = None) -> object:
+    """`value` checked and converted by field `name`'s row; a ConfigError names `label`."""
+    try:
+        return FIELDS[name][1](value)
+    except ValueError as exc:
+        raise ConfigError(f"{label or f'sweep config field {name}'}: {exc}") from None
+
+
+# The input paths a language may give; each language needs a corpus, and
+# a curated dataset or the lexicons to curate.
+LANGUAGE_PATHS = ("corpus", "curated", "features", "segmentations")
 
 
 # Plain classes: a dataclass or a `NamedTuple` costs a finished rerun
 # start-up time, and `--output-dir` sets `SweepConfig.output_dir`.
 class LanguageSpec:
-    """One language's input paths: a corpus, and a curated dataset or the lexicons to curate."""
+    """One language's name, and one attribute per `LANGUAGE_PATHS` entry, None if not given."""
 
-    def __init__(
-        self,
-        name: str,
-        corpus: Path,
-        curated: Path | None = None,
-        features: Path | None = None,
-        segmentations: Path | None = None,
-    ) -> None:
+    def __init__(self, name: str, **paths: Path) -> None:
         self.name = name
-        self.corpus = corpus
-        self.curated = curated
-        self.features = features
-        self.segmentations = segmentations
+        for key in LANGUAGE_PATHS:
+            setattr(self, key, paths.get(key))
 
 
 class SweepConfig:
-    """A checked sweep config; `tokalign.cli.load_sweep_config` reads one from JSON."""
+    """A checked sweep config: its languages, and one attribute per row of `FIELDS`.
 
-    def __init__(
-        self,
-        languages: list[LanguageSpec],
-        kinds: list[TokenizerKind],
-        vocab_sizes: list[int],
-        modes: list[FeatureMode],
-        aggregations: list[Aggregation],
-        thresholds: list[float],
-        epochs: int,
-        seed: int,
-        include_baselines: bool,
-        include_null: bool,
-        output_dir: Path,
-    ) -> None:
-        check_values("sweep config languages", [s.name for s in languages], _check_language_name)
-        for field_name, values, check in (
-            ("kinds", kinds, None),
-            ("vocab_sizes", vocab_sizes, _check_size),
-            ("modes", modes, None),
-            ("aggregations", aggregations, None),
-            ("thresholds", thresholds, check_threshold),
-        ):
-            check_values(f"sweep config field {field_name}", values, check)
-        if epochs < 1:
-            raise ConfigError("epochs must be at least 1")
+    `fields` are JSON values, and a field left out takes its row's
+    default.  `tokalign.cli.load_sweep_config` reads one from a file.
+    """
+
+    def __init__(self, languages: list[LanguageSpec], **fields: object) -> None:
+        # A name is one directory of the output tree; anything else would
+        # put a language's files in the output root, outside it, or in
+        # the place of one of the root's own files.
+        for name in (spec.name for spec in languages):
+            if name in ("", ".", "..") or "/" in name or os.sep in name or "\0" in name:
+                raise ConfigError(f"language name {name!r} is not one plain path component")
+            if name in _ROOT_FILES:
+                raise ConfigError(f"language name {name!r} names a file of the output root")
         self.languages = languages
-        self.kinds = kinds
-        self.vocab_sizes = vocab_sizes
-        self.modes = modes
-        self.aggregations = aggregations
-        self.thresholds = thresholds
-        self.epochs = epochs
-        self.seed = seed
-        self.include_baselines = include_baselines
-        self.include_null = include_null
-        self.output_dir = output_dir
+        for name, (default, _, _) in FIELDS.items():
+            setattr(self, name, parse_field(name, fields.get(name, default)))
 
     @property
     def grid(self) -> list[tuple[TokenizerKind, int]]:
@@ -202,14 +252,13 @@ def _keys(
     model's key covers the program, its kind, size and seed, and the
     corpus (the dataset, for a kind built from it), so a merge kind's
     cut has the key of the training at its size.  A point's key covers
-    its model's key, the dataset and every setting of its evaluation.
-    `scores.csv` and `correlations.csv` share one key: that of every
-    point in grid order, and the seed.
+    its model's key, the dataset, its mode and language, and each field
+    whose `FIELDS` row is marked covered, in table order.  `scores.csv`
+    and `correlations.csv` share one key: that of every point in grid
+    order, and the seed.
     """
     out = config.output_dir
-    aggregations = tuple(aggregation.value for aggregation in config.aggregations)
-    evaluation = (config.epochs, config.include_null, aggregations)
-    evaluation += (tuple(config.thresholds), config.seed)
+    evaluation = [getattr(config, name) for name, (_, _, keyed) in FIELDS.items() if keyed]
     keys = {}
     point_keys = []
     for spec, curated_path in zip(config.languages, curated_paths):
@@ -253,7 +302,9 @@ def finished(config: SweepConfig, digests: Digests) -> tuple[int, int] | None:
     # A quoted cell may hold a line break; the full sweep counts its cells.
     if b'"' in report:
         return None
-    comments = report.startswith(b"#") + report.count(b"\n#")
-    cells = report.count(b"\n") - comments - 1  # less the header
+    # Comment lines come only above the header: a cell may start with "#".
+    while report.startswith(b"#"):
+        report = report.partition(b"\n")[2]
+    cells = report.count(b"\n") - 1  # less the header
     points = len(config.languages) * len(config.grid) * len(config.modes)
     return points * len(config.aggregations) * len(config.thresholds), cells

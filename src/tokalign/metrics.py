@@ -437,12 +437,15 @@ def read_csv(
 ) -> list:
     """Parse a CSV written by :func:`write_csv` into one `record` dataclass per row.
 
-    Comment lines are skipped and each cell is parsed by its field's type.
-    Malformed input, a non-finite float included, raises DataError.
+    The comment lines above the header are skipped; below it, a line
+    that starts with ``#`` is a row.  Each cell is parsed by its field's
+    type.  Malformed input, a non-finite float included, raises DataError.
     """
     parsers = _parsers(record)
-    reader = csv.reader(line for line in stream if not line.startswith("#"))
-    if tuple(next(reader, ())) != tuple(columns):
+    lines = iter(stream)
+    header = next((line for line in lines if not line.startswith("#")), "")
+    reader = csv.reader(lines)
+    if tuple(next(csv.reader([header]), ())) != tuple(columns):
         raise DataError(f"{what} header does not match the expected columns")
     records = []
     for cells in reader:

@@ -483,7 +483,7 @@ class TestEvaluate:
             ]
         )
         assert code == 1
-        assert "aggregation list is empty" in capsys.readouterr().err
+        assert "--aggregations: the list is empty" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_aggregation_exits_1(self, tmp_path):
@@ -514,7 +514,7 @@ class TestEvaluate:
             ]
         )
         assert code == 1
-        assert "epochs must be at least 1, got 0" in capsys.readouterr().err
+        assert "--epochs: 0 is below 1" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -597,6 +597,11 @@ def _record_trainings(monkeypatch):
 
     monkeypatch.setattr(tokenizers, "train", counting)
     return trained
+
+
+# The output root's own files, which no language directory may replace.
+_ROOT_FILES = [f"{name}{suffix}" for name in ("scores.csv", "correlations.csv", "failures.csv")
+               for suffix in ("", ".key")]
 
 
 class TestSweep:
@@ -990,6 +995,29 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(config_path)]) == 0
         assert not (tmp_path / "out" / "failures.csv").exists()
 
+    def test_language_whose_name_starts_with_a_hash_is_in_every_result(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # "#" opens a comment line only above a CSV's header.
+        config_path = _sweep_setup(tmp_path)
+        toy = json.loads(config_path.read_text(encoding="utf-8"))["languages"]["toy"]
+        _edit_config(tmp_path, languages={"#x": toy, "y": toy})
+        argv = ["sweep", "--config", str(config_path)]
+        assert cli.main(argv) == 0
+        first = capsys.readouterr().out
+        out = tmp_path / "out"
+        assert first == f"sweep complete: 48 score rows, 24 report cells under {out}\n"
+        rows = read_score_rows((out / "scores.csv").read_text(encoding="utf-8").splitlines(True))
+        assert Counter(row.language for row in rows) == {"#x": 24, "y": 24}
+        report = read_report(
+            (out / "correlations.csv").read_text(encoding="utf-8").splitlines(True)
+        )
+        assert Counter(cell.language for cell in report.cells) == {"#x": 12, "y": 12}
+        # The finished rerun counts the same rows and cells.
+        monkeypatch.setattr(sweep, "run_sweep", _no_sweep)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == first
+
     @pytest.mark.parametrize("trial", range(3))
     def test_models_cut_from_one_training_equal_direct_training(self, tmp_path, trial):
         # The sweep trains each merge kind once, at its largest size, and
@@ -1047,6 +1075,10 @@ class TestSweep:
             ("thresholds", [0.01, 1.5]),
             ("thresholds", [-0.1, 0.3]),
             ("epochs", "x"),
+            ("epochs", 0),
+            ("vocab_sizes", [60, 0]),
+            ("modes", []),
+            ("output_dir", "out\0"),
             ("thresholds", 0.3),
             # A baseline in kinds would train once per size, under as
             # many labels of one model.
@@ -1060,6 +1092,10 @@ class TestSweep:
             "threshold-above-range",
             "threshold-below-range",
             "epochs-not-integer",
+            "epochs-below-one",
+            "vocab-size-below-one",
+            "modes-empty",
+            "output-dir-with-nul",
             "thresholds-not-list",
             "baseline-kind",
             "baseline-among-kinds",
@@ -1070,7 +1106,7 @@ class TestSweep:
     ):
         config_path = _sweep_setup(tmp_path, **{field: value})
         assert cli.main(["sweep", "--config", str(config_path)]) == 1
-        assert "config error" in capsys.readouterr().err
+        assert f"config error: sweep config field {field}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("where", ["top", "language"])
@@ -1090,17 +1126,20 @@ class TestSweep:
         assert f"unknown keys: {key!r}" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
 
-    @pytest.mark.parametrize("name", ["", ".", "..", "../escape", "a/b"])
+    @pytest.mark.parametrize("name", ["", ".", "..", "../escape", "a/b", "a\0b", *_ROOT_FILES])
     def test_language_name_not_one_path_component_exits_1(self, tmp_path, capsys, name):
         # The name is a directory under output_dir; these would share the
-        # output root or write outside it.
+        # output root, write outside it, take the place of a combined file,
+        # or be no path at all.
         config_path = _sweep_setup(tmp_path)
         doc = json.loads(config_path.read_text(encoding="utf-8"))
         doc["languages"] = {name: doc["languages"]["toy"]}
         config_path.write_text(json.dumps(doc), encoding="utf-8")
         before = sorted(tmp_path.rglob("*"))
         assert cli.main(["sweep", "--config", str(config_path)]) == 1
-        assert "not one plain path component" in capsys.readouterr().err
+        reason = ("names a file of the output root" if name in _ROOT_FILES
+                  else "is not one plain path component")
+        assert f"language name {name!r} {reason}" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize(
@@ -1381,25 +1420,37 @@ def _halve(path):
     _write(path, "".join(lines[: len(lines) // 2]))
 
 
-_GRID = {(kind, size) for kind in ("bpe", "unigram") for size in (60, 80)}
-_GRID |= {("character", 0), ("gold", 0)}
+_GRID = {(kind, size, "split") for kind in ("bpe", "unigram") for size in (60, 80)}
+_GRID |= {("character", 0, "split"), ("gold", 0, "split")}
 # Each edit to a swept tree or its inputs (config fields, or a function of
-# the test directory), and the (kind, size) of every point that a rerun
-# must evaluate again.
+# the test directory), and the (kind, size, mode) of every point that a
+# rerun must evaluate again.
 _EDITS = {
-    "epochs": ({"epochs": 1}, _GRID),
-    "thresholds": ({"thresholds": [0.01, 0.3]}, _GRID),
+    "kind-added": (
+        {"kinds": ["bpe", "unigram", "wordpiece"]},
+        {("wordpiece", 60, "split"), ("wordpiece", 80, "split")},
+    ),
+    "vocab-size-added": (
+        {"vocab_sizes": [60, 80, 100]}, {("bpe", 100, "split"), ("unigram", 100, "split")}
+    ),
+    "mode-added": (
+        {"modes": ["split", "joint"]}, {(kind, size, "joint") for kind, size, _ in _GRID}
+    ),
     "aggregation-order": ({"aggregations": ["max", "mean"]}, _GRID),
-    "include-null": ({"include_null": True}, _GRID),
+    "thresholds": ({"thresholds": [0.01, 0.3]}, _GRID),
+    "epochs": ({"epochs": 1}, _GRID),
     "seed": ({"seed": 1}, _GRID),
-    "vocab-size-added": ({"vocab_sizes": [60, 80, 100]}, {("bpe", 100), ("unigram", 100)}),
+    "baselines-dropped": ({"include_baselines": False}, set()),
+    "include-null": ({"include_null": True}, _GRID),
     "config-no-combined-key": (_bug_2_without_combined_keys, _GRID),
     "config-undone": (_bug_2_undone, _GRID),
     # The crashed run's point has no key, so it alone is made again.
-    "crash-at-a-key": (lambda tmp_path: _bug_2_undone(tmp_path, crash=True), {("bpe", 60)}),
+    "crash-at-a-key": (
+        lambda tmp_path: _bug_2_undone(tmp_path, crash=True), {("bpe", 60, "split")}
+    ),
     "corpus": (
         lambda tmp_path: _append(tmp_path / "lang" / "corpus.txt", "kamit kamol\n" * 50),
-        _GRID - {("gold", 0)},
+        _GRID - {("gold", 0, "split")},
     ),
     "lexicon": (lambda tmp_path: _halve(tmp_path / "lang" / "features.tsv"), _GRID),
 }
@@ -1422,15 +1473,27 @@ class TestResumeKeys:
         evaluated = set()
         evaluate = sweep.run_evaluation
 
-        def recording(dataset, model, *args):
-            evaluated.add((model.kind.value, model.vocab_size))
-            return evaluate(dataset, model, *args)
+        def recording(dataset, model, segmented, mode, *args):
+            evaluated.add((model.kind.value, model.vocab_size, mode.value))
+            return evaluate(dataset, model, segmented, mode, *args)
 
         monkeypatch.setattr(sweep, "run_evaluation", recording)
         assert cli.main(argv) == 0
         assert evaluated == expected
         assert cli.main(argv + ["--output-dir", str(tmp_path / "fresh")]) == 0
-        assert _tree(tmp_path / "out") == _tree(tmp_path / "fresh")
+        # A dropped baseline's files stay behind, in no combined CSV.
+        left = ("/character-0", "/gold-0") if edit == "baselines-dropped" else ()
+        out = {path: data for path, data in _tree(tmp_path / "out").items()
+               if not any(stem in path for stem in left)}
+        assert out == _tree(tmp_path / "fresh")
+
+    def test_every_config_field_has_an_edit(self):
+        # A field that no edit changes could be left out of the point keys
+        # unseen.  `output_dir` places the tree and makes none of its
+        # contents: the combined-key test runs one sweep into two of them.
+        edited = {field for change, _ in _EDITS.values()
+                  if isinstance(change, dict) for field in change}
+        assert edited == set(layout.FIELDS) - {"output_dir"}
 
 
 class TestReadOnce:
@@ -1510,6 +1573,19 @@ class TestReportCommand:
         assert "report cells" in capsys.readouterr().out
         report = read_report(out.read_text(encoding="utf-8").splitlines(True))
         assert len(report.cells) == 6
+
+    def test_reads_the_scores_of_a_language_that_starts_with_a_hash(self, tmp_path, capsys):
+        # Only the lines above a CSV's header are comments.
+        curated, dataset = _curated_file(tmp_path)
+        model = tmp_path / "gold.json"
+        save_model(build_gold_lookup(dataset), model)
+        scores, out = tmp_path / "scores.csv", tmp_path / "correlations.csv"
+        assert cli.main(["evaluate", "--curated", str(curated), "--model", str(model),
+                         "--language", "#z", "--out", str(scores)]) == 0
+        assert cli.main(["report", "--scores", str(scores), "--out", str(out)]) == 0
+        assert "wrote 165 report cells" in capsys.readouterr().out
+        report = read_report(out.read_text(encoding="utf-8").splitlines(True))
+        assert {cell.language for cell in report.cells} == {"#z"}
 
     def test_failed_report_removes_earlier_output(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"

@@ -10,8 +10,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import tokalign
 from test_cli import _sweep_setup
 from tokalign import cli
@@ -53,11 +51,6 @@ def test_curate_loads_no_pipeline_module_and_no_process_pool(tmp_path):
 def test_bare_import_loads_no_module_of_the_package():
     modules = _modules_after("import tokalign")
     assert {m for m in modules if m.startswith("tokalign")} == {"tokalign"}
-
-
-def test_unknown_attribute_raises_attribute_error():
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-        tokalign.no_such_name  # noqa: B018
 
 
 def _package_modules(modules):

@@ -8,12 +8,10 @@ shows here first.
 import io
 
 from tokalign import sweep
-from tokalign.corpus import FeatureMode
 from tokalign.files import Digests
-from tokalign.metrics import Aggregation, ScoreRow, write_score_rows
+from tokalign.metrics import ScoreRow, write_score_rows
 from tokalign.stats import CorrelationCell, CorrelationReport, write_report
 from tokalign.layout import LanguageSpec, SweepConfig
-from tokalign.tokenizers import TokenizerKind
 
 ROWS = [
     ScoreRow("toy", "bpe", 200, "split", "mean", 0.1 + 0.2, 1 / 3, 0.5, 1.0, 2 / 3, 0),
@@ -60,18 +58,19 @@ def test_failures_csv_bytes(tmp_path, monkeypatch):
         ("toy/bpe-60-split", 'ValueError: bad "cell", twice'),
     ]
     monkeypatch.setattr(sweep, "_sweep", lambda config, jobs, digests: (ROWS, failures, {}))
+    # Fields take the sweep config's JSON values.
     config = SweepConfig(
-        languages=[LanguageSpec("toy", tmp_path / "corpus.txt")],
-        kinds=[TokenizerKind.BPE],
+        [LanguageSpec("toy", corpus=tmp_path / "corpus.txt")],
+        kinds=["bpe"],
         vocab_sizes=[2, 60],
-        modes=[FeatureMode.SPLIT],
-        aggregations=[Aggregation.MEAN],
+        modes=["split"],
+        aggregations=["mean"],
         thresholds=[0.01],
         epochs=1,
         seed=7,
         include_baselines=False,
         include_null=False,
-        output_dir=tmp_path / "out",
+        output_dir=str(tmp_path / "out"),
     )
     sweep.run_sweep(config, 1, Digests())
     out = tmp_path / "out"
