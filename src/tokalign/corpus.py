@@ -36,6 +36,30 @@ def normalize(text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
 
+def _language(comment: str) -> str | None:
+    """The value of a ``# language:`` comment line, or None for another comment."""
+    key, colon, value = comment.lstrip()[len(COMMENT_PREFIX):].partition(":")
+    return value.strip() if colon and key.strip() == LANGUAGE_META_KEY else None
+
+
+def _lines(stream: Iterable[str]) -> Iterator[tuple[int, str, bool]]:
+    """Each non-blank line, numbered from 1, without its line break, and
+    whether it is a comment.
+
+    The comments are the ``#`` lines at the top, down to the first row
+    or the first ``# language:`` line, which :func:`write_curated` writes
+    above its rows.  Below them, a line that starts with ``#`` is a row,
+    such as one of the form ``#ab``.
+    """
+    header = True
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.rstrip("\r\n")
+        if line.strip():
+            comment = header and line.lstrip().startswith(COMMENT_PREFIX)
+            header = comment and _language(line) is None
+            yield lineno, line, comment
+
+
 @dataclass(frozen=True)
 class WordEntry:
     """One curated word: surface form, gold segmentation, feature atoms."""
@@ -102,16 +126,16 @@ def parse_feature_lexicon(
 ) -> tuple[list[tuple[str, str]], ParseStats]:
     """Read (form, bundle) pairs from lemma/form/features rows.
 
-    Blank lines and ``#`` comments are ignored.  Lines with fewer than
-    three columns, or with an empty form or bundle, are skipped and
-    counted.  Extra columns beyond the third are ignored.  Order and
-    duplicates are preserved: one output pair per usable input row.
+    Blank lines and the ``#`` comments at the top (see ``_lines``) are
+    ignored.  Lines with fewer than three columns, or with an empty form
+    or bundle, are skipped and counted.  Extra columns beyond the third
+    are ignored.  Order and duplicates are preserved: one output pair per
+    usable input row.
     """
     pairs: list[tuple[str, str]] = []
     stats = ParseStats()
-    for raw in stream:
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.lstrip().startswith(COMMENT_PREFIX):
+    for _, line, comment in _lines(stream):
+        if comment:
             continue
         stats.read += 1
         cols = line.split("\t")
@@ -140,9 +164,8 @@ def parse_segmentation_lexicon(
     """
     seg_map: dict[str, list[str]] = {}
     stats = ParseStats()
-    for raw in stream:
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.lstrip().startswith(COMMENT_PREFIX):
+    for _, line, comment in _lines(stream):
+        if comment:
             continue
         stats.read += 1
         cols = line.split("\t")
@@ -219,14 +242,10 @@ def read_curated(stream: Iterable[str]) -> CuratedDataset:
     """
     entries: list[WordEntry] = []
     language = "und"
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        if line.lstrip().startswith(COMMENT_PREFIX):
-            key, colon, value = line.lstrip()[len(COMMENT_PREFIX):].partition(":")
-            if colon and key.strip() == LANGUAGE_META_KEY:
-                language = value.strip()
+    for lineno, line, comment in _lines(stream):
+        if comment:
+            value = _language(line)
+            language = language if value is None else value
             continue
         cols = line.split("\t")
         if len(cols) != 3:

@@ -32,13 +32,12 @@ from the larger, which lets a sweep train each merge kind once.
 
 Each pruning round of the unigram trainer makes two hard EM passes over
 the corpus, then one Viterbi pass per word for each multi-character
-token on the word's best path.  Within a round a word's in-vocabulary
-substrings never change, so the trainer interns the vocabulary to ids
-and slices and looks up each word's substrings once, into a span
-lattice: one flat ``array('i')`` of ``(end, start, id)`` triples in the
-order the segmenter, ``_segment_unigram``, visits them.  Every pass of
-the round walks that array with list-indexed log-probabilities, and
-pruning renumbers the ids in place and drops the pruned spans, so later
+token on the word's best path.  The trainer slices and looks up each
+word's substrings once, into a span lattice: a tuple of ``(end, start,
+id)`` triples in the order the segmenter, ``_segment_unigram``, visits
+them, with one object per distinct triple across the corpus.  Every
+pass walks those tuples with list-indexed log-probabilities.  Token ids
+stay fixed, and pruning only drops the removed ids' spans, so later
 rounds never slice again.
 
 All training is deterministic: corpora are handled in sorted order and
@@ -51,7 +50,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import reduce
@@ -390,111 +388,39 @@ def _segment_unigram(model: TokenizerModel, word: str) -> list[str]:
 
 
 def _unigram_seed(
-    words: list[tuple[str, int]], config: TrainConfig
+    words: list[tuple[str, int]],
+    spans: dict[int, list[tuple[int, int]]],
+    config: TrainConfig,
 ) -> tuple[list[str], dict[str, float]]:
     """Initial vocabulary: all characters plus top-scoring substrings.
 
-    Substring candidates up to MAX_SEED_TOKEN_LEN characters are ranked
-    by frequency times length and capped so the seed vocabulary holds at
-    most UNIGRAM_SEED_VOCAB_FACTOR * vocab_size items.  Scores are
-    normalized into the starting unigram distribution.
+    ``spans`` holds each word length's ``(end, start)`` spans up to
+    MAX_SEED_TOKEN_LEN characters.  The substring candidates, those of
+    two characters or more, are ranked by frequency times length, ties
+    by token, and capped so the seed vocabulary holds at most
+    UNIGRAM_SEED_VOCAB_FACTOR * vocab_size items.  Scores are normalized
+    into the starting unigram distribution.
     """
-    char_counts: Counter = Counter()
-    substr_counts: Counter = Counter()
+    counts: defaultdict[str, int] = defaultdict(int)
     for word, freq in words:
-        for ch in word:
-            char_counts[ch] += freq
-        n = len(word)
-        for i in range(n):
-            top = min(n, i + MAX_SEED_TOKEN_LEN)
-            for j in range(i + 2, top + 1):
-                substr_counts[word[i:j]] += freq
-    chars = sorted(char_counts)
+        for end, start in spans[len(word)]:
+            counts[word[start:end]] += freq
+    chars = sorted(t for t in counts if len(t) == 1)
     _check_alphabet_budget(len(chars), config.vocab_size)
     budget = UNIGRAM_SEED_VOCAB_FACTOR * config.vocab_size - len(chars)
-    ranked = sorted(
-        substr_counts.items(), key=lambda kv: (-kv[1] * len(kv[0]), kv[0])
-    )
-    seeds = [token for token, _ in ranked[: max(budget, 0)]]
-    scores: dict[str, float] = {}
-    for ch in chars:
-        scores[ch] = float(char_counts[ch])
-    for token in seeds:
-        scores[token] = float(substr_counts[token] * len(token))
+    score = {t: c * len(t) for t, c in counts.items()}
+    ranked = sorted(t for t in counts if len(t) > 1)
+    # Stable, so equal scores keep token order.
+    ranked.sort(key=score.__getitem__, reverse=True)
+    scores = {t: float(score[t]) for t in chars + ranked[: max(budget, 0)]}
     # Left to right: the builtin `sum` of floats compensates from Python 3.12.
     total = reduce(add, scores.values(), 0.0)
-    logprob = {t: math.log(scores[t] / total) for t in sorted(scores)}
-    return chars, logprob
-
-
-def _span_lattices(words: list[tuple[str, int]], tokens: list[str]) -> list[array]:
-    """Each word's in-vocabulary spans as a flat ``(end, start, id)`` array.
-
-    ``id`` indexes ``tokens``.  Spans come in the order
-    ``_segment_unigram`` visits them, end ascending and then start
-    ascending, so a walk over the array compares the same candidates in
-    the same order.
-    """
-    ids = {token: i for i, token in enumerate(tokens)}
-    max_len = max(len(t) for t in tokens)
-    lattices = []
-    for word, _ in words:
-        spans = array("i")
-        for end in range(1, len(word) + 1):
-            for start in range(max(0, end - max_len), end):
-                token_id = ids.get(word[start:end])
-                if token_id is not None:
-                    spans.extend((end, start, token_id))
-        lattices.append(spans)
-    return lattices
-
-
-def _lattice_best(spans: array, n: int, logprob: list[float]) -> float:
-    """Viterbi score of a word of length n over its span lattice.
-
-    -inf marks an unreached position: -inf plus a finite log-probability
-    stays -inf and never wins the strict ``>``, so an unreached start or
-    a span whose log-probability is set to -inf is skipped exactly as
-    ``_segment_unigram`` skips it.  Returns -inf when no path covers the
-    word.
-    """
-    best = [-math.inf] * (n + 1)
-    best[0] = 0.0
-    it = iter(spans)
-    for end, start, token_id in zip(it, it, it):
-        cand = best[start] + logprob[token_id]
-        if cand > best[end]:
-            best[end] = cand
-    return best[n]
-
-
-def _lattice_path(
-    spans: array, n: int, logprob: list[float]
-) -> tuple[list[int], float]:
-    """``_lattice_best`` that also returns the best path's token ids."""
-    best = [-math.inf] * (n + 1)
-    best[0] = 0.0
-    back_start = [0] * (n + 1)
-    back_id = [0] * (n + 1)
-    it = iter(spans)
-    for end, start, token_id in zip(it, it, it):
-        cand = best[start] + logprob[token_id]
-        if cand > best[end]:
-            best[end] = cand
-            back_start[end] = start
-            back_id[end] = token_id
-    path: list[int] = []
-    pos = n
-    if best[n] > -math.inf:
-        while pos > 0:
-            path.append(back_id[pos])
-            pos = back_start[pos]
-    return path, best[n]
+    return chars, {t: math.log(scores[t] / total) for t in sorted(scores)}
 
 
 def _unigram_em_round(
     words: list[tuple[str, int]],
-    lattices: list[array],
+    lattices: list[tuple[tuple[int, int, int], ...]],
     logprob: list[float],
     iterations: int = 2,
 ) -> tuple[list[float], list[tuple[list[int], float]]]:
@@ -515,14 +441,29 @@ def _unigram_em_round(
         counts = [0] * len(logprob)
         nll = 0.0
         paths = []
-        for (word, freq), spans in zip(words, lattices):
-            path, lp = _lattice_path(spans, len(word), logprob)
+        for (word, freq), lattice in zip(words, lattices):
+            n = len(word)
+            # -inf marks an unreached position: it never wins the strict
+            # `>`, so the walk skips what `_segment_unigram` skips.
+            best = [-math.inf] * (n + 1)
+            best[0] = 0.0
+            back: list[Any] = [None] * (n + 1)
+            for span in lattice:
+                end, start, token_id = span
+                cand = best[start] + logprob[token_id]
+                if cand > best[end]:
+                    best[end] = cand
+                    back[end] = span
+            lp = best[n]
             if lp == -math.inf:
                 raise NumericalError(f"vocabulary no longer covers {word!r}")
+            path = []
+            while n:
+                _, n, token_id = back[n]
+                path.append(token_id)
+                counts[token_id] += freq
             paths.append((path, lp))
             nll -= freq * lp
-            for token_id in path:
-                counts[token_id] += freq
         if prev_nll is not None and nll > prev_nll + 1e-9 * max(1.0, abs(prev_nll)):
             raise NumericalError(
                 f"unigram EM loss increased from {prev_nll} to {nll}"
@@ -535,22 +476,6 @@ def _unigram_em_round(
     return logprob, paths
 
 
-def _prune_lattices(lattices: list[array], new_ids: list[int]) -> None:
-    """Renumber every span's token in place; drop spans whose id maps to -1."""
-    for spans in lattices:
-        kept = 0
-        it = iter(spans)
-        # Writes trail reads, so no span is overwritten before it is read.
-        for end, start, token_id in zip(it, it, it):
-            new_id = new_ids[token_id]
-            if new_id >= 0:
-                spans[kept] = end
-                spans[kept + 1] = start
-                spans[kept + 2] = new_id
-                kept += 3
-        del spans[kept:]
-
-
 def train_unigram(corpus: Mapping[str, int], config: TrainConfig) -> TokenizerModel:
     """Fit a unigram language model and prune it to the budget.
 
@@ -561,62 +486,85 @@ def train_unigram(corpus: Mapping[str, int], config: TrainConfig) -> TokenizerMo
     vocabulary.  Single characters are never pruned, so segmentation
     stays total over the training alphabet.
 
-    The vocabulary is interned once: token ids follow sorted token
-    order, and each word's in-vocabulary spans are sliced and looked up
-    once into a flat ``array('i')`` of ``(end, start, id)`` triples (see
-    ``_span_lattices``).  Both EM iterations and every removal re-run
-    walk those arrays with list-indexed log-probabilities; a removal
-    re-run sets the banned token's log-probability to -inf for the
-    walk.  Pruning renumbers the surviving ids in place and drops the
-    pruned spans, so no later round slices a word again.  The
-    candidates, their order and the strict ``>`` tie rule are those of
-    ``_segment_unigram``, so the models are the ones a per-call Viterbi
-    gives.
+    Spans up to MAX_SEED_TOKEN_LEN characters are enumerated once per
+    word length, end ascending and then start ascending as
+    ``_segment_unigram`` visits them.  The seed counts its substrings
+    over them, and each word's lattice keeps the in-vocabulary ones as
+    interned ``(end, start, id)`` triples.  Ids follow sorted seed-token
+    order and stay fixed: a removal re-run sets the banned token's
+    log-probability to -inf for its walk, and pruning drops the removed
+    ids' spans from each lattice.  The candidates, their order and the
+    strict ``>`` tie rule are those of ``_segment_unigram``, so the
+    models are the ones a per-call Viterbi gives.
     """
     words = _sorted_corpus(corpus)
-    chars, seed_logprob = _unigram_seed(words, config)
+    spans: dict[int, list[tuple[int, int]]] = {}
+    for word, _ in words:
+        n = len(word)
+        if n not in spans:
+            spans[n] = [
+                (end, start)
+                for end in range(1, n + 1)
+                for start in range(max(0, end - MAX_SEED_TOKEN_LEN), end)
+            ]
+    chars, seed_logprob = _unigram_seed(words, spans, config)
     tokens = sorted(seed_logprob)
     logprob = [seed_logprob[t] for t in tokens]
-    lattices = _span_lattices(words, tokens)
-    while len(tokens) > config.vocab_size:
+    ids = {token: i for i, token in enumerate(tokens)}
+    interned: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+    lattices = []
+    for word, _ in words:
+        lattice = []
+        for end, start in spans[len(word)]:
+            token_id = ids.get(word[start:end])
+            if token_id is not None:
+                span = (end, start, token_id)
+                lattice.append(interned.setdefault(span, span))
+        lattices.append(tuple(lattice))
+    live = list(range(len(tokens)))
+    while len(live) > config.vocab_size:
         logprob, paths = _unigram_em_round(words, lattices, logprob)
         # Only multi-character tokens compete; characters always stay.
-        utility = {i: 0.0 for i, token in enumerate(tokens) if len(token) > 1}
-        for (word, freq), spans, (path, lp) in zip(words, lattices, paths):
-            for token_id in set(path):
-                if token_id not in utility:
+        utility = {i: 0.0 for i in live if len(tokens[i]) > 1}
+        for (word, freq), lattice, (path, lp) in zip(words, lattices, paths):
+            for banned in set(path):
+                if banned not in utility:
                     continue
-                saved = logprob[token_id]
-                logprob[token_id] = -math.inf
-                alt = _lattice_best(spans, len(word), logprob)
-                logprob[token_id] = saved
-                if alt == -math.inf:
+                saved = logprob[banned]
+                logprob[banned] = -math.inf
+                best = [-math.inf] * (len(word) + 1)
+                best[0] = 0.0
+                for end, start, token_id in lattice:
+                    cand = best[start] + logprob[token_id]
+                    if cand > best[end]:
+                        best[end] = cand
+                logprob[banned] = saved
+                if best[-1] == -math.inf:
                     # Only this token covers some stretch of the word.
-                    utility[token_id] = math.inf
+                    utility[banned] = math.inf
                 else:
-                    utility[token_id] += freq * (lp - alt)
+                    utility[banned] += freq * (lp - best[-1])
         target = max(
             config.vocab_size,
-            int(len(tokens) * (1.0 - UNIGRAM_PRUNE_FRACTION)),
+            int(len(live) * (1.0 - UNIGRAM_PRUNE_FRACTION)),
         )
         keep = target - len(chars)
-        # Ids follow sorted token order, so they break ties like tokens.
-        ranked = sorted(utility, key=lambda i: (-utility[i], i))
+        # Ids ascend in `utility` and follow sorted token order, and the
+        # sort is stable, so ties break like tokens.
+        ranked = sorted(utility, key=utility.__getitem__, reverse=True)
         pruned = set(ranked[max(keep, 0):])
-        kept_ids = [i for i in range(len(tokens)) if i not in pruned]
-        new_ids = [-1] * len(tokens)
-        for new_id, old_id in enumerate(kept_ids):
-            new_ids[old_id] = new_id
-        _prune_lattices(lattices, new_ids)
-        tokens = [tokens[i] for i in kept_ids]
-        logprob = [logprob[i] for i in kept_ids]
+        live = [i for i in live if i not in pruned]
+        lattices = [
+            tuple([span for span in lattice if span[2] not in pruned])
+            for lattice in lattices
+        ]
     logprob, _ = _unigram_em_round(words, lattices, logprob)
     return TokenizerModel(
         kind=TokenizerKind.UNIGRAM,
-        vocab=list(tokens),
+        vocab=[tokens[i] for i in live],
         vocab_size=config.vocab_size,
         seed=config.seed,
-        token_logprob=dict(zip(tokens, logprob)),
+        token_logprob={tokens[i]: logprob[i] for i in live},
     )
 
 

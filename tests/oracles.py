@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from tokalign import tokenizers
-from tokalign.errors import DataError, NumericalError
+from tokalign.errors import ConfigError, DataError, NumericalError
 from tokalign.ibm1 import NULL_TOKEN, TABLE_SCHEMA, ParallelPair, TranslationTable
 from tokalign.ibm1 import PROB_FLOOR as IBM1_PROB_FLOOR
 from tokalign.metrics import _AGGREGATE, Aggregation, check_threshold
@@ -29,7 +29,6 @@ from tokalign.tokenizers import (
     TokenizerModel,
     TrainConfig,
     _sorted_corpus,
-    _unigram_seed,
 )
 
 
@@ -403,6 +402,45 @@ def _viterbi(
         pos = start
     tokens.reverse()
     return tokens, best_score[n]
+
+
+def _unigram_seed(
+    words: list[tuple[str, int]], config: TrainConfig
+) -> tuple[list[str], dict[str, float]]:
+    """Initial vocabulary: all characters plus top-scoring substrings.
+
+    Substring candidates up to MAX_SEED_TOKEN_LEN characters are ranked
+    by frequency times length and capped so the seed vocabulary holds at
+    most UNIGRAM_SEED_VOCAB_FACTOR * vocab_size items.  Scores are
+    normalized into the starting unigram distribution.  Both constants
+    are read when called, so that a test can patch them.
+    """
+    max_len = tokenizers.MAX_SEED_TOKEN_LEN
+    char_counts: Counter = Counter()
+    substr_counts: Counter = Counter()
+    for word, freq in words:
+        for ch in word:
+            char_counts[ch] += freq
+        n = len(word)
+        for i in range(n):
+            for j in range(i + 2, min(n, i + max_len) + 1):
+                substr_counts[word[i:j]] += freq
+    chars = sorted(char_counts)
+    if config.vocab_size < len(chars):
+        raise ConfigError(
+            f"vocab_size {config.vocab_size} is below the initial symbol count "
+            f"{len(chars)}"
+        )
+    budget = tokenizers.UNIGRAM_SEED_VOCAB_FACTOR * config.vocab_size - len(chars)
+    ranked = sorted(
+        substr_counts.items(), key=lambda kv: (-kv[1] * len(kv[0]), kv[0])
+    )
+    scores: dict[str, float] = {ch: float(char_counts[ch]) for ch in chars}
+    for token, count in ranked[: max(budget, 0)]:
+        scores[token] = float(count * len(token))
+    # Left to right, as the package adds: Python 3.12's `sum` compensates.
+    total = functools.reduce(operator.add, scores.values(), 0.0)
+    return chars, {t: math.log(scores[t] / total) for t in sorted(scores)}
 
 
 def _unigram_em_round(

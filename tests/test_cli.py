@@ -88,6 +88,25 @@ class TestCurate:
         assert "# language: toy" in text
         assert "kamit\tkam|it\tN;ACC" in text
 
+    def test_keeps_forms_that_start_with_a_hash(self, tmp_path, capsys):
+        features = _write(tmp_path / "features.tsv", FEATURES + "#a\t#ab\tN\n")
+        segments = _write(tmp_path / "segments.tsv", SEGMENTS + "#ab\t#a|b\n")
+        out = tmp_path / "curated.tsv"
+        code = cli.main(
+            [
+                "curate",
+                "--features", str(features),
+                "--segmentations", str(segments),
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "segmentation rows: 3 kept, 0 skipped" in printed
+        assert "matched: 3 dropped: 1" in printed
+        dataset = corpus.read_curated(out.read_text(encoding="utf-8").splitlines())
+        assert [e.form for e in dataset] == ["kamit", "kamol", "#ab"]
+
     def test_empty_join_exits_with_data_error(self, tmp_path, capsys):
         features = _write(tmp_path / "features.tsv", FEATURES)
         segments = _write(tmp_path / "segments.tsv", "zzz\tz|zz\n")

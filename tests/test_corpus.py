@@ -138,6 +138,33 @@ def test_curated_round_trip(czech_dataset):
     assert again.getvalue() == buffer.getvalue()
 
 
+def test_forms_that_start_with_a_hash_are_rows_below_the_comments():
+    features = "# features\nl\tcd\tV\n#a\t#ab\tN\n"
+    segments = "# segments\n\ncd\tc|d\n#ab\t#a|b\n"
+    pairs, feature_stats = parse_feature_lexicon(io.StringIO(features))
+    seg_map, seg_stats = parse_segmentation_lexicon(io.StringIO(segments))
+    assert pairs == [("cd", "V"), ("#ab", "N")]
+    assert seg_map == {"cd": ["c", "d"], "#ab": ["#a", "b"]}
+    assert (feature_stats.read, seg_stats.read) == (2, 2)
+
+
+def test_curated_round_trip_keeps_forms_that_start_with_a_hash():
+    # The first row too: the language line ends the comments.
+    dataset = CuratedDataset(
+        [
+            WordEntry("#ab", ("#a", "b"), ("N",)),
+            WordEntry("cd", ("c", "d"), ("V",)),
+            WordEntry("#", ("#",), ("X",)),
+        ],
+        language="xx",
+    )
+    buffer = io.StringIO()
+    write_curated(dataset, buffer)
+    assert read_curated(io.StringIO(buffer.getvalue())) == dataset
+    loaded = read_curated(io.StringIO("# note\n\n# language: yy\n#ab\t#a|b\tN\n"))
+    assert (loaded.language, [e.form for e in loaded]) == ("yy", ["#ab"])
+
+
 def test_read_curated_rejects_malformed_rows():
     with pytest.raises(DataError):
         read_curated(io.StringIO("only two\tcolumns\n"))

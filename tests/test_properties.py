@@ -358,7 +358,8 @@ def _unigram_outcome(trainer, corpus, config):
 def unigram_cases(draw):
     corpus = draw(
         st.dictionaries(
-            st.text(alphabet="abcd", min_size=1, max_size=9),
+            # Longer than the smallest caps drawn below, so the cap binds.
+            st.text(alphabet="abcd", min_size=1, max_size=12),
             st.integers(min_value=1, max_value=9),
             max_size=20,
         )
@@ -371,18 +372,23 @@ def unigram_cases(draw):
     # Bounded away from 0: where 1 - fraction rounds to 1, a round
     # removes no token and training never ends.
     fraction = draw(st.floats(min_value=0.01, max_value=0.99))
-    return corpus, config, factor, fraction
+    max_len = draw(
+        st.integers(min_value=2, max_value=6)
+        | st.just(tokenizers.MAX_SEED_TOKEN_LEN)
+    )
+    return corpus, config, factor, fraction, max_len
 
 
 @settings(max_examples=200, deadline=None)
 @given(unigram_cases())
 def test_lattice_unigram_training_equals_per_call_viterbi(case):
-    corpus, config, factor, fraction = case
+    corpus, config, factor, fraction, max_len = case
     # Patched here: hypothesis runs every example in one test call, so a
     # function-scoped fixture could not vary them.
     with (
         mock.patch.object(tokenizers, "UNIGRAM_SEED_VOCAB_FACTOR", factor),
         mock.patch.object(tokenizers, "UNIGRAM_PRUNE_FRACTION", fraction),
+        mock.patch.object(tokenizers, "MAX_SEED_TOKEN_LEN", max_len),
     ):
         got = _unigram_outcome(train_unigram, corpus, config)
         assert got == _unigram_outcome(unigram_reference, corpus, config)
