@@ -116,6 +116,9 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    # The score rows are written after the table and would replace it.
+    if args.table_out and Path(args.table_out).resolve() == Path(args.out).resolve():
+        raise ConfigError(f"--table-out names the same file as --out: {args.table_out}")
     from . import sweep, tokenizers
     from .layout import parse_field
 
@@ -297,7 +300,8 @@ def build_parser() -> _Parser:
     p.add_argument("--language", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="score CSV to write")
-    p.add_argument("--table-out", default=None, help="translation table JSON")
+    p.add_argument("--table-out", default=None,
+                   help="translation table JSON to write, not the --out file")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="run the full evaluation grid from a config")

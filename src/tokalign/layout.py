@@ -185,14 +185,8 @@ def _model_path(out: Path, lang: str, kind: TokenizerKind, size: int) -> Path:
     return out / lang / "models" / f"{kind.value}-{size}.json"
 
 
-def _point_paths(
-    out: Path, lang: str, kind: TokenizerKind, size: int, mode: FeatureMode
-) -> tuple[Path, Path]:
-    stem = f"{kind.value}-{size}-{mode.value}"
-    return (
-        out / lang / "points" / f"{stem}.csv",
-        out / lang / "tables" / f"{stem}.json",
-    )
+def _point_path(out: Path, lang: str, kind: TokenizerKind, size: int, mode: FeatureMode) -> Path:
+    return out / lang / "points" / f"{kind.value}-{size}-{mode.value}.csv"
 
 
 def _lexicon_curated_path(out: Path, lang: str) -> Path:
@@ -268,7 +262,7 @@ def _keys(
             model_key = _key(digests.program, kind.value, size, config.seed, source)
             keys[_model_path(out, spec.name, kind, size)] = model_key
             for mode in config.modes:
-                point_path = _point_paths(out, spec.name, kind, size, mode)[0]
+                point_path = _point_path(out, spec.name, kind, size, mode)
                 point_key = _key(model_key, dataset, mode.value, spec.name, *evaluation)
                 keys[point_path] = point_key
                 point_keys.append(point_key)

@@ -34,7 +34,7 @@ from .files import Digests, read_lines, write_rendered
 from .ibm1 import Segments, TranslationTable
 from .layout import (
     CORRELATIONS, FAILURES, SCORES, LanguageSpec, SweepConfig,
-    _dataset, _fresh, _key_path, _keys, _model_path, _point_paths, _write_keyed,
+    _dataset, _fresh, _key_path, _keys, _model_path, _point_path, _write_keyed,
 )
 from .metrics import ScoreRow
 from .tokenizers import TokenizerModel
@@ -160,8 +160,10 @@ def evaluate_point(
 ) -> tuple[list[ScoreRow], TranslationTable]:
     """Run ``run_evaluation(*evaluation)`` and write the table, if asked, then the rows.
 
-    The score rows go last, as a sweep takes their file for the mark of
-    a finished point.
+    Only `tokalign evaluate --table-out` asks for the table; a sweep
+    scores each point in memory and writes its rows alone.  The score
+    rows go last, as a sweep takes their file for the mark of a finished
+    point.
     """
     rows, table = run_evaluation(*evaluation)
     if table_path is not None:
@@ -199,7 +201,9 @@ class _ModelJob(NamedTuple):
 
     A merge kind's models to make share one training: the job for its
     largest such size also writes the models of `cuts`, the kind's other
-    such sizes, cut from its own.  `keys` are the sweep's (`layout._keys`).
+    such sizes, cut from its own, and each of them has a job of its own
+    that runs after it (`_cut_jobs`).  `keys` are the sweep's
+    (`layout._keys`).
     """
 
     language: str
@@ -264,9 +268,7 @@ def _model_job(job: _ModelJob, config: SweepConfig) -> dict[str, str]:
             _write_keyed(cut_path, job.keys[cut_path], tokenizers.save_model, cut, cut_path)
     segmented: Segmented | None = None
     for mode in config.modes:
-        point_path, table_path = _point_paths(
-            out, job.language, job.kind, job.size, mode
-        )
+        point_path = _point_path(out, job.language, job.kind, job.size, mode)
         if fresh(point_path):
             continue
         try:
@@ -280,7 +282,7 @@ def _model_job(job: _ModelJob, config: SweepConfig) -> dict[str, str]:
                 job.keys[point_path],
                 evaluate_point,
                 point_path,
-                table_path,
+                None,
                 config.seed,
                 curated(),
                 model,
@@ -309,21 +311,32 @@ def _submit(executor: ProcessPoolExecutor, fn, *args) -> Future:
         return future
 
 
+def _cut_jobs(job: _ModelJob) -> list[_ModelJob]:
+    """The jobs of the sizes `job` cuts, each to find its model on disk."""
+    return [job._replace(size=size, cuts=()) for size in job.cuts]
+
+
 def _run_jobs(
     model_jobs: list[_ModelJob], config: SweepConfig, jobs: int
 ) -> list[tuple[_ModelJob, dict[str, str] | BaseException]]:
-    """Run every job; returns each with its errors by label, or what it raised.
+    """Run every job, then the jobs of the sizes each job cuts (`_cut_jobs`).
 
-    No job waits on another, so the jobs go in list order to a pool of
-    `jobs` worker processes, which starts them in that order; with one
-    worker or one job they run in this process and no worker starts.  A
-    worker that dies fails its job, and those the broken pool still
-    held, with `BrokenProcessPool`.
+    Returns each job with its errors by label, or what it raised: the
+    listed jobs in list order, then the cut sizes' jobs.  With one worker
+    or one job in all, they run in this process in that order and no
+    worker starts.  Otherwise the listed jobs go in list order to a pool
+    of `jobs` worker processes, which starts them in that order, and
+    this process waits for each job with cuts, in list order, before it
+    submits its cut sizes' jobs.  So a cut size's job finds its model on
+    disk, and a merge kind trains once at any `jobs`.  A worker that dies
+    fails its job, and those the broken pool still held or is given
+    later, with `BrokenProcessPool`.
     """
-    workers = min(jobs, len(model_jobs))
+    cut_jobs = [cut for job in model_jobs for cut in _cut_jobs(job)]
+    workers = min(jobs, len(model_jobs) + len(cut_jobs))
     if workers <= 1:
         done: list[tuple[_ModelJob, dict[str, str] | BaseException]] = []
-        for job in model_jobs:
+        for job in model_jobs + cut_jobs:
             try:
                 done.append((job, _model_job(job, config)))
             except Exception as exc:
@@ -331,12 +344,19 @@ def _run_jobs(
         return done
     # Imported here, so that a sweep with nothing to run in parallel
     # never loads `multiprocessing`.
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor, wait
 
     pool = ProcessPoolExecutor(workers)
     try:
         futures = [_submit(pool, _model_job, job, config) for job in model_jobs]
-        return [(job, f.exception() or f.result()) for f, job in zip(futures, model_jobs)]
+        for job, future in zip(model_jobs, futures[:]):
+            if job.cuts:
+                wait((future,))
+                futures.extend(_submit(pool, _model_job, cut, config) for cut in _cut_jobs(job))
+        return [
+            (job, f.exception() or f.result())
+            for f, job in zip(futures, model_jobs + cut_jobs)
+        ]
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -374,13 +394,12 @@ def _sweep(
         return _fresh(path, keys[path])
 
     def points(lang: str, kind: TokenizerKind, size: int) -> list[Path]:
-        return [_point_paths(out, lang, kind, size, mode)[0] for mode in config.modes]
+        return [_point_path(out, lang, kind, size, mode) for mode in config.modes]
 
     # A merge kind's first job trains its largest size to make and cuts
-    # the others, whose own jobs go last, to find their models on disk.
+    # the others, whose own jobs `_run_jobs` adds after it.
     first: list[_ModelJob] = []
     other: list[_ModelJob] = []
-    rest: list[_ModelJob] = []
     for spec, curated_path in zip(config.languages, curated_paths):
         inputs = (spec.corpus, curated_path, keys)
         untrained: dict[TokenizerKind, list[int]] = {}
@@ -392,15 +411,13 @@ def _sweep(
                 other.append(_ModelJob(spec.name, kind, size, *inputs))
         for kind, sizes in untrained.items():
             largest, *cuts = sorted(sizes, reverse=True)
-            job = _ModelJob(spec.name, kind, largest, *inputs)
-            first.append(job._replace(cuts=tuple(cuts)))
-            rest.extend(job._replace(size=size) for size in cuts)
+            first.append(_ModelJob(spec.name, kind, largest, *inputs, cuts=tuple(cuts)))
 
     # The reads of one sweep's jobs are not kept for the next, nor for any
     # other command that this process runs.
     _READS.clear()
     try:
-        done = _run_jobs(first + other + rest, config, jobs)
+        done = _run_jobs(first + other, config, jobs)
     finally:
         _READS.clear()
     errors: dict[str, str] = {}

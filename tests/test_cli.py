@@ -107,6 +107,31 @@ class TestCurate:
         dataset = corpus.read_curated(out.read_text(encoding="utf-8").splitlines())
         assert [e.form for e in dataset] == ["kamit", "kamol", "#ab"]
 
+    @pytest.mark.parametrize("escaped", [False, True])
+    def test_first_row_that_starts_with_a_hash_needs_a_language_line_above(
+        self, tmp_path, capsys, escaped
+    ):
+        # A `#` line above the first row is a comment, unless a
+        # `# language:` line has already ended the comments.
+        top = "# language: toy\n" if escaped else ""
+        features = _write(tmp_path / "features.tsv", top + "#a\t#ab\tN\n" + FEATURES)
+        segments = _write(tmp_path / "segments.tsv", top + "#ab\t#a|b\n" + SEGMENTS)
+        out = tmp_path / "curated.tsv"
+        code = cli.main(
+            [
+                "curate",
+                "--features", str(features),
+                "--segmentations", str(segments),
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        kept = 3 if escaped else 2
+        assert f"segmentation rows: {kept} kept, 0 skipped" in capsys.readouterr().out
+        dataset = corpus.read_curated(out.read_text(encoding="utf-8").splitlines())
+        forms = [e.form for e in dataset]
+        assert forms == (["#ab", "kamit", "kamol"] if escaped else ["kamit", "kamol"])
+
     def test_empty_join_exits_with_data_error(self, tmp_path, capsys):
         features = _write(tmp_path / "features.tsv", FEATURES)
         segments = _write(tmp_path / "segments.tsv", "zzz\tz|zz\n")
@@ -520,6 +545,50 @@ class TestEvaluate:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("table_name", ["scores.csv", "sub/../scores.csv"])
+    def test_table_out_naming_the_out_file_exits_1_before_reading_inputs(
+        self, tmp_path, capsys, table_name
+    ):
+        out = tmp_path / "scores.csv"
+        code = cli.main(
+            [
+                "evaluate",
+                # Neither input exists: the check of the outputs comes first.
+                "--curated", str(tmp_path / "missing.tsv"),
+                "--model", str(tmp_path / "missing.json"),
+                "--out", str(out),
+                "--table-out", str(tmp_path / table_name),
+            ]
+        )
+        assert code == 1
+        assert "--table-out names the same file as --out" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reproduces_a_sweep_point_and_writes_its_table(self, tmp_path):
+        config_path = _sweep_setup(tmp_path)
+        assert cli.main(["sweep", "--config", str(config_path)]) == 0
+        lang = tmp_path / "out" / "toy"
+        out = tmp_path / "scores.csv"
+        table_out = tmp_path / "table.json"
+        # The sweep config's settings (see `_sweep_setup`).
+        code = cli.main(
+            [
+                "evaluate",
+                "--curated", str(lang / "curated.tsv"),
+                "--model", str(lang / "models" / "bpe-60.json"),
+                "--mode", "split",
+                "--aggregations", "mean,max",
+                "--thresholds", "0.01,0.3",
+                "--epochs", "2",
+                "--seed", "0",
+                "--out", str(out),
+                "--table-out", str(table_out),
+            ]
+        )
+        assert code == 0
+        assert out.read_bytes() == (lang / "points" / "bpe-60-split.csv").read_bytes()
+        assert len(load_table(table_out).loglik_trajectory) == 2
+
     def test_epochs_below_one_exits_1_before_reading_inputs(self, tmp_path, capsys):
         out = tmp_path / "scores.csv"
         code = cli.main(
@@ -655,6 +724,15 @@ class TestSweep:
         char_rows = [r for r in rows if r.kind == "character"]
         assert all(r.recall == 1.0 for r in char_rows)
 
+    def test_tree_holds_no_tables(self, tmp_path):
+        config_path = _sweep_setup(tmp_path)
+        assert cli.main(["sweep", "--config", str(config_path), "--jobs", "2"]) == 0
+        lang = tmp_path / "out" / "toy"
+        assert sorted(path.name for path in lang.iterdir()) == [
+            "curated.tsv", "curated.tsv.key", "models", "points",
+        ]
+        assert not list(tmp_path.glob("out/**/tables"))
+
     def test_two_runs_are_byte_identical(self, tmp_path):
         config_path = _sweep_setup(tmp_path)
         assert cli.main(["sweep", "--config", str(config_path)]) == 0
@@ -776,6 +854,33 @@ class TestSweep:
         assert trained == [("bpe", 80), ("wordpiece", 80)]
         # Three sizes of two merge kinds, plus both baselines.
         assert len(list((tmp_path / "out" / "toy" / "models").glob("*.json"))) == 8
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the counting trainer reaches workers only through fork",
+    )
+    @pytest.mark.parametrize("jobs", ["2", "3"])
+    def test_pool_sweep_trains_each_merge_kind_once(self, tmp_path, monkeypatch, jobs):
+        sizes = [50, 55, 60, 70, 80, 90]
+        config_path = _sweep_setup(
+            tmp_path, vocab_sizes=sizes, kinds=["bpe"], include_baselines=False
+        )
+        log = tmp_path / "trainings.log"
+        train = tokenizers.train
+
+        def logging_train(corpus, config):
+            # Appended from whichever process trains, worker or not.
+            with log.open("a", encoding="utf-8") as handle:
+                handle.write(f"{config.kind.value}-{config.vocab_size}\n")
+            return train(corpus, config)
+
+        monkeypatch.setattr(tokenizers, "train", logging_train)
+        assert cli.main(["sweep", "--config", str(config_path), "--jobs", jobs]) == 0
+        assert log.read_text(encoding="utf-8") == "bpe-90\n"
+        models = tmp_path / "out" / "toy" / "models"
+        assert sorted(path.name for path in models.glob("*.json")) == sorted(
+            f"bpe-{size}.json" for size in sizes
+        )
 
     def test_cut_size_job_alone_trains_the_bytes_of_its_cut(self, tmp_path, monkeypatch):
         config_path = _sweep_setup(tmp_path)
