@@ -17,7 +17,6 @@ id.  The tables that come back are dict rows, one per subword.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -31,13 +30,10 @@ from .corpus import CuratedDataset, FeatureMode, feature_tokens
 from .errors import ConfigError, DataError, NumericalError, UncoverableWord
 from .files import atomic_write
 from .tokenizers import TokenizerModel, canonical_subwords, segment
-from .tokenizers import json_array, json_arrays, json_floats, json_typed
+from .tokenizers import json_array, json_floats
 
 NULL_TOKEN = "<null>"
 PROB_FLOOR = 1e-12
-# Rows lose at most the sub-floor entries maximization drops, far below
-# this, so a larger gap means the file was not written by training.
-ROW_SUM_TOLERANCE = 1e-6
 TABLE_SCHEMA = "translation-table/1"
 
 Probs = dict[str, dict[str, float]]
@@ -70,13 +66,6 @@ class TranslationTable:
         if not self.loglik_trajectory:
             raise DataError("table has no recorded training trajectory")
         return self.loglik_trajectory[-1]
-
-    def lookup(self, source: str, target: str) -> float:
-        """Stored probability, 0.0 for any pair that never co-occurred."""
-        row = self.probs.get(source)
-        if row is None:
-            return 0.0
-        return row.get(target, 0.0)
 
 
 Segments = list[list[str] | None]
@@ -180,32 +169,10 @@ class _LinkCorpus:
                 probs[i] = p
         return probs
 
-    def live_rows(self, probs: list[float]) -> dict[str, list[int]]:
-        """Each source's links of positive probability; sources with none are left out."""
-        rows = {}
-        for s, row in self.rows.items():
-            live = [i for i in row if probs[i] > 0.0]
-            if live:
-                rows[s] = live
-        return rows
-
-    def flatten(self, probs: Probs) -> list[float]:
-        """The table's probability of every link, 0.0 where it has none."""
-        empty: dict[str, float] = {}
-        return [probs.get(s, empty).get(t, 0.0) for s, t in self.links]
-
     def table(self, probs: list[float], rows: dict[str, list[int]]) -> Probs:
         """Dict rows of the given links, in row order."""
         links = self.links
         return {s: {links[i][1]: probs[i] for i in row} for s, row in rows.items()}
-
-
-def uniform_init(pairs: Sequence[ParallelPair]) -> Probs:
-    """Uniform rows over each source token's co-occurring target tokens."""
-    if not pairs:
-        raise DataError("cannot initialize from an empty parallel corpus")
-    corpus = _LinkCorpus(pairs)
-    return corpus.table(corpus.uniform(), corpus.rows)
 
 
 def _expectation(
@@ -215,8 +182,8 @@ def _expectation(
 
     Each target token's count is distributed over the source tokens of
     its pair in proportion to the current probabilities.  The
-    normalizing denominators are exactly the masses :func:`corpus_loglik`
-    sums, in the same order, so with ``with_loglik`` the log likelihood
+    normalizing denominators are exactly the masses :func:`_loglik` sums,
+    in the same order, so with ``with_loglik`` the log likelihood
     of the incoming table comes out of the same pass, bit for bit.  Only
     the counts of links with positive probability are meaningful; the
     maximization step reads no other.
@@ -241,55 +208,37 @@ def _expectation(
 
 
 def _maximization(
-    corpus: _LinkCorpus,
-    probs: list[float],
-    rows: dict[str, list[int]],
-    counts: list[float],
+    rows: dict[str, list[int]], counts: list[float]
 ) -> tuple[list[float], dict[str, list[int]]]:
     """Renormalize counts per source token, dropping sub-floor entries.
 
-    ``rows`` are the live rows of ``probs`` (see ``_LinkCorpus.live_rows``), and
-    the live rows of the new table come back with it.  A row adds its
-    counts left to right in first-seen order, which is the order the
-    E-step first adds to them; the builtin ``sum`` of floats would
-    compensate rounding error from Python 3.12 on.  Dropped links keep
-    probability 0.0.
+    ``rows`` hold each source token's links of positive probability, and
+    those of the new table come back with it.  A row adds its counts left
+    to right in first-seen order, which is the order the E-step first
+    adds to them; the builtin ``sum`` of floats would compensate rounding
+    error from Python 3.12 on.  Dropped links keep probability 0.0.  The
+    first row, in row order, that keeps no probability raises.
     """
-    new_probs = [0.0] * len(probs)
+    new_probs = [0.0] * len(counts)
     new_rows: dict[str, list[int]] = {}
-    failures: dict[str, str] = {}
     for s, row in rows.items():
         total = reduce(add, [counts[i] for i in row], 0.0)
         if total <= 0.0:
-            failures[s] = f"source token {s!r} collected no counts"
-            continue
+            raise NumericalError(f"source token {s!r} collected no counts")
         kept = []
         for i in row:
             p = counts[i] / total
             if p >= PROB_FLOOR:
                 new_probs[i] = p
                 kept.append(i)
-        if kept:
-            new_rows[s] = kept
-        else:
-            failures[s] = f"source token {s!r} lost all probability mass"
-    if failures:
-        # Name the row the E-step counted for first.  It visits pair by
-        # pair, then target by target, which is not first-seen order.
-        links = corpus.links
-        first = next(
-            links[i][0]
-            for _, columns in corpus.pairs
-            for column in columns
-            for i in column
-            if links[i][0] in failures and probs[i] > 0.0
-        )
-        raise NumericalError(failures[first])
+        if not kept:
+            raise NumericalError(f"source token {s!r} lost all probability mass")
+        new_rows[s] = kept
     return new_probs, new_rows
 
 
 def _loglik(corpus: _LinkCorpus, probs: list[float]) -> float:
-    """:func:`corpus_loglik` over a link corpus."""
+    """Sum over target tokens of the log of their mean source probability."""
     total = 0.0
     for inv_len, columns in corpus.pairs:
         for column in columns:
@@ -311,30 +260,6 @@ def _loglik(corpus: _LinkCorpus, probs: list[float]) -> float:
     return total
 
 
-def em_epoch(
-    pairs: Sequence[ParallelPair], probs: Probs
-) -> tuple[Probs, float]:
-    """One expectation-maximization step.
-
-    Expectation distributes each target token's count over the source
-    tokens of its pair in proportion to the current probabilities.
-    Maximization renormalizes the counts per source token, dropping
-    entries below the probability floor.  The returned log likelihood
-    is computed under the updated table.
-    """
-    corpus = _LinkCorpus(pairs)
-    flat = corpus.flatten(probs)
-    counts, _ = _expectation(corpus, flat, with_loglik=False)
-    new_probs, rows = _maximization(corpus, flat, corpus.live_rows(flat), counts)
-    return corpus.table(new_probs, rows), _loglik(corpus, new_probs)
-
-
-def corpus_loglik(pairs: Sequence[ParallelPair], probs: Probs) -> float:
-    """Sum over target tokens of log of their mean source probability."""
-    corpus = _LinkCorpus(pairs)
-    return _loglik(corpus, corpus.flatten(probs))
-
-
 def train_ibm1(
     pairs: Sequence[ParallelPair], epochs: int = DEFAULT_EPOCHS
 ) -> TranslationTable:
@@ -343,11 +268,11 @@ def train_ibm1(
     The pairs are interned into link ids once (see ``_LinkCorpus``): each
     pair becomes one tuple of link ids per target token, one id per
     source position.  The probabilities and the expected counts are flat
-    lists indexed by link id, and the table comes back as dict rows.  The
-    result equals a chain of :func:`em_epoch` calls, but each epoch's log
-    likelihood is folded into the next epoch's expectation pass, and only
-    the last one takes a pass of its own: ``epochs + 1`` passes over the
-    pairs instead of ``2 * epochs``.
+    lists indexed by link id, and the table comes back as dict rows.
+    Each epoch's log likelihood, under the table that epoch made, is
+    folded into the next epoch's expectation pass, and only the last one
+    takes a pass of its own: ``epochs + 1`` passes over the pairs
+    instead of ``2 * epochs``.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be at least 1, got {epochs}")
@@ -361,7 +286,7 @@ def train_ibm1(
         counts, loglik = _expectation(corpus, probs, with_loglik=epoch > 0)
         if epoch > 0:
             trajectory.append(loglik)
-        probs, rows = _maximization(corpus, probs, rows, counts)
+        probs, rows = _maximization(rows, counts)
     trajectory.append(_loglik(corpus, probs))
     return TranslationTable(
         probs=corpus.table(probs, rows),
@@ -412,66 +337,3 @@ def table_to_json(table: TranslationTable) -> str:
 def save_table(table: TranslationTable, path: str | Path) -> None:
     atomic_write(Path(path), table_to_json(table))
 
-
-def load_table(path: str | Path) -> TranslationTable:
-    """Read a table file; a malformed one is a DataError.
-
-    Besides the schema, types and probabilities, every (source, target)
-    entry must be listed once, the trajectory must be finite and hold one
-    log likelihood per epoch trained, as `train_ibm1` writes it, and
-    each row must sum to 1.
-    """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise DataError(f"table file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != TABLE_SCHEMA:
-        raise DataError(f"table file {path} has an unrecognized schema")
-    try:
-        probs: Probs = {}
-        for s, t, p in json_arrays(doc["entries"]):
-            row = probs.setdefault(json_typed(s, str), {})
-            if json_typed(t, str) in row:
-                raise ValueError(f"entry ({s!r}, {t!r}) is listed twice")
-            row[t] = json_typed(p, float)
-        table = TranslationTable(
-            probs=probs,
-            source_vocab=[json_typed(s, str) for s in json_typed(doc["source_vocab"], list)],
-            target_vocab=[json_typed(t, str) for t in json_typed(doc["target_vocab"], list)],
-            epochs_trained=json_typed(doc["epochs_trained"], int),
-            loglik_trajectory=[
-                json_typed(x, float) for x in json_typed(doc["loglik_trajectory"], list)
-            ],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"table file {path} is malformed: {exc}") from exc
-    trajectory = table.loglik_trajectory
-    if not trajectory or len(trajectory) != table.epochs_trained:
-        raise DataError(
-            f"table file {path}: {len(trajectory)} log likelihoods for "
-            f"{table.epochs_trained!r} epochs trained"
-        )
-    if not all(map(math.isfinite, trajectory)):
-        raise DataError(f"table file {path}: log likelihood trajectory is not finite")
-    for s, row in probs.items():
-        for t, p in row.items():
-            # Written this way round, the comparison also rejects NaN.
-            if not 0.0 <= p <= 1.0:
-                raise DataError(
-                    f"table file {path}: P({t!r} | {s!r}) = {p!r} is not a probability"
-                )
-    for s, total in row_sums(table).items():
-        if abs(total - 1.0) > ROW_SUM_TOLERANCE:
-            raise DataError(
-                f"table file {path}: row {s!r} sums to {total!r}, not 1"
-            )
-    return table
-
-
-def row_sums(table: TranslationTable) -> dict[str, float]:
-    """Per-source probability sums, summed left to right in sorted target order."""
-    sums: dict[str, float] = {}
-    for s in sorted(table.probs):
-        row = table.probs[s]
-        sums[s] = reduce(add, [row[t] for t in sorted(row)], 0.0)
-    return sums

@@ -35,7 +35,7 @@ from .choices import Aggregation, FeatureMode
 from .corpus import CuratedDataset
 from .errors import DataError
 from .ibm1 import NULL_TOKEN, ParallelPair, Segments, TranslationTable
-from .ibm1 import build_parallel_corpus, segment_entries
+from .ibm1 import segment_entries
 from .layout import check_threshold
 from .tokenizers import TokenizerModel
 
@@ -219,44 +219,6 @@ def alignment_scores(
     }
 
 
-def subword_score(
-    table: TranslationTable,
-    subword: str,
-    features: Sequence[str],
-    config: ScoreConfig,
-) -> float:
-    """Aggregate the surviving probabilities for one subword.
-
-    The surviving values are the subword's probabilities for the
-    features that exceed the threshold.  They keep multiplicity: a
-    feature token listed twice contributes twice.  An empty surviving
-    set scores 0.0 under every aggregation, including the log
-    aggregation.
-    """
-    row = table.probs.get(subword)
-    if row is None:
-        return 0.0
-    vector = _score_vector(
-        row, features, [config.threshold], [_AGGREGATE[config.aggregation]]
-    )
-    return vector[0] if vector else 0.0
-
-
-def word_score(
-    table: TranslationTable,
-    subwords: Sequence[str],
-    features: Sequence[str],
-    config: ScoreConfig,
-) -> float:
-    """Mean subword score over one word's subwords."""
-    if not subwords:
-        raise DataError("word with no subwords")
-    total = 0.0
-    for subword in subwords:
-        total += subword_score(table, subword, features, config)
-    return total / len(subwords)
-
-
 def alignment_score_from_pairs(
     table: TranslationTable,
     pairs: Sequence[ParallelPair],
@@ -265,21 +227,6 @@ def alignment_score_from_pairs(
     """Mean word score over prepared parallel pairs, for one configuration."""
     key = (config.aggregation, config.threshold)
     return alignment_scores(table, pairs, [key[0]], [key[1]])[key]
-
-
-def alignment_score(
-    table: TranslationTable,
-    dataset: CuratedDataset,
-    model: TokenizerModel,
-    config: ScoreConfig,
-) -> float:
-    """Dataset-level plausibility score for one tokenizer.
-
-    Entries the tokenizer cannot cover are excluded, matching the
-    exclusion applied when the table's training corpus was built.
-    """
-    pairs, _ = build_parallel_corpus(dataset, model, config.mode)
-    return alignment_score_from_pairs(table, pairs, config)
 
 
 def boundary_positions(segments: Sequence[str]) -> set[int]:

@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 from .errors import DataError
-from .metrics import ScoreRow, read_csv, write_csv
+from .metrics import ScoreRow, write_csv
 
 MIN_POINTS = 3
 TARGET_METRICS = ("precision", "recall", "f1")
@@ -99,27 +99,6 @@ class CorrelationReport:
 
     def ok_cells(self) -> list[CorrelationCell]:
         return [c for c in self.cells if c.status == STATUS_OK]
-
-    def find(
-        self,
-        language: str,
-        mode: str,
-        aggregation: str,
-        threshold: float,
-        target_metric: str,
-        scope: str = SCOPE_ALL,
-    ) -> CorrelationCell | None:
-        for cell in self.cells:
-            if (
-                cell.language == language
-                and cell.mode == mode
-                and cell.aggregation == aggregation
-                and math.isclose(cell.threshold, threshold, abs_tol=1e-9)
-                and cell.target_metric == target_metric
-                and cell.scope == scope
-            ):
-                return cell
-        return None
 
 
 def _target_value(row: ScoreRow, target_metric: str) -> float:
@@ -227,7 +206,3 @@ def write_report(
 ) -> None:
     """Long-format CSV; missing correlations have an empty rho field."""
     write_csv(REPORT_COLUMNS, (vars(c).values() for c in report.cells), stream, seed)
-
-
-def read_report(stream: Iterable[str]) -> CorrelationReport:
-    return CorrelationReport(read_csv(stream, REPORT_COLUMNS, CorrelationCell, "report"))

@@ -8,6 +8,8 @@ import pytest
 
 from tokalign.corpus import CuratedDataset, WordEntry
 from tokalign.ibm1 import ParallelPair, TranslationTable
+from tokalign.metrics import read_csv
+from tokalign.stats import REPORT_COLUMNS, CorrelationCell
 
 
 @pytest.fixture
@@ -96,3 +98,16 @@ def random_parallel_pairs(rng: random.Random) -> list[ParallelPair]:
         )
         pairs.append(ParallelPair(source, target))
     return pairs
+
+
+def read_report_cells(lines) -> list[CorrelationCell]:
+    """The cells of a correlation report file, read with the result-file codec."""
+    return read_csv(lines, REPORT_COLUMNS, CorrelationCell, "report")
+
+
+def cells_by_key(cells) -> dict[tuple, CorrelationCell]:
+    """Cells keyed by (language, mode, aggregation, threshold, target_metric, scope)."""
+    return {
+        (c.language, c.mode, c.aggregation, c.threshold, c.target_metric, c.scope): c
+        for c in cells
+    }

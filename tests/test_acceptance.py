@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import random_corpus, random_parallel_pairs
+from conftest import cells_by_key, random_corpus, random_parallel_pairs, read_report_cells
 from oracles import (
     AGGREGATIONS,
     alignment_reference,
@@ -30,18 +30,17 @@ from tokalign.errors import DataError
 from tokalign.ibm1 import (
     ParallelPair,
     build_parallel_corpus,
-    em_epoch,
+    pairs_from_segments,
+    segment_entries,
     train_ibm1,
-    uniform_init,
 )
 from tokalign.metrics import (
     Aggregation,
-    ScoreConfig,
-    alignment_score,
+    alignment_scores,
     boundary_prf,
     read_score_rows,
 )
-from tokalign.stats import STATUS_CONSTANT, build_report, read_report, spearman
+from tokalign.stats import SCOPE_ALL, STATUS_CONSTANT, build_report, spearman
 from tokalign.synth import SynthConfig, build_language, write_language
 from tokalign.tokenizers import (
     OOV_CHAR_LOGPROB,
@@ -101,7 +100,7 @@ def test_criterion_1_em_matches_brute_force_oracle(capsys):
                     assert got == pytest.approx(want, abs=1e-10)
                 for s, row in want_probs.items():
                     for t, p in row.items():
-                        assert table.lookup(s, t) == pytest.approx(p, abs=1e-10)
+                        assert table.probs[s].get(t, 0.0) == pytest.approx(p, abs=1e-10)
         for trial in range(100):
             rng = random.Random(20_000 + trial)
             pairs = random_parallel_pairs(rng)
@@ -116,10 +115,8 @@ def test_criterion_2_rows_normalize_after_every_epoch(capsys):
         for trial in range(30):
             rng = random.Random(21_000 + trial)
             pairs = random_parallel_pairs(rng)
-            probs = uniform_init(pairs)
-            for _ in range(5):
-                probs, _ = em_epoch(pairs, probs)
-                for row in probs.values():
+            for epochs in range(1, 6):
+                for row in train_ibm1(pairs, epochs=epochs).probs.values():
                     assert sum(row.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -133,15 +130,16 @@ def test_criterion_3_score_matches_direct_evaluation(
         items = [
             (list(e.gold_segments), list(e.features)) for e in toy_dataset.entries
         ]
+        segments = segment_entries(toy_dataset, model)
+        pairs, _ = pairs_from_segments(toy_dataset, segments, FeatureMode.SPLIT)
+        thresholds = (0.01, 0.3, 0.5)
+        scores = alignment_scores(toy_table, pairs, list(Aggregation), thresholds)
         for name in AGGREGATIONS:
-            for threshold in (0.01, 0.3, 0.5):
-                config = ScoreConfig(
-                    aggregation=Aggregation(name), threshold=threshold
-                )
-                got = alignment_score(toy_table, toy_dataset, model, config)
+            for threshold in thresholds:
                 want = alignment_reference(
                     toy_table.probs, items, name, threshold
                 )
+                got = scores[Aggregation(name), threshold]
                 assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -327,11 +325,11 @@ def test_criterion_7_synthetic_language_end_to_end(capsys, tmp_path):
         assert rho >= 0.7
         by_kind = {r.kind: r for r in rows if r.vocab_size == 0}
         assert by_kind["gold"].alignment > by_kind["character"].alignment
-        report = read_report(
+        cells = cells_by_key(read_report_cells(
             (out / "correlations.csv").read_text(encoding="utf-8").splitlines(True)
-        )
-        cell = report.find("synth", "split", "mean", 0.01, "recall")
-        assert cell is not None and cell.status == "ok"
+        ))
+        cell = cells["synth", "split", "mean", 0.01, "recall", SCOPE_ALL]
+        assert cell.status == "ok"
         assert cell.rho == pytest.approx(rho, abs=1e-12)
         assert time.perf_counter() - started < 120.0
 
@@ -401,9 +399,11 @@ def test_criterion_8_degenerate_inputs_fail_loudly_or_count(
 
         # Nothing in the hand-built table exceeds 0.99, so that
         # threshold zeroes the score under every aggregation.
-        for aggregation in Aggregation:
-            config = ScoreConfig(aggregation=aggregation, threshold=0.99)
-            assert alignment_score(toy_table, toy_dataset, gold_toy, config) == 0.0
+        pairs, _ = pairs_from_segments(
+            toy_dataset, segment_entries(toy_dataset, gold_toy), FeatureMode.SPLIT
+        )
+        scores = alignment_scores(toy_table, pairs, list(Aggregation), [0.99])
+        assert scores == {(aggregation, 0.99): 0.0 for aggregation in Aggregation}
 
         # The same happens on a trained table when a single spread-out
         # epoch leaves no concentrated probabilities: zero, never NaN.

@@ -1,5 +1,6 @@
 """Atomic artefact writes: a failed or concurrent write never leaves a part file."""
 
+import json
 import os
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 from tokalign.errors import DataError
 from tokalign.files import atomic_write
-from tokalign.ibm1 import load_table, save_table, train_ibm1
+from tokalign.ibm1 import save_table, train_ibm1
 from tokalign.tokenizers import TokenizerKind, TrainConfig, load_model, save_model, train
 
 CORPUS = {"kamit": 5, "kamol": 3, "vodit": 4, "vodol": 2, "bura": 6}
@@ -42,7 +43,7 @@ def test_failed_save_leaves_the_earlier_file_whole(
         configs = (TrainConfig(TokenizerKind.BPE, n) for n in (12, 14))
         first, second = (train(CORPUS, config) for config in configs)
     else:
-        save, load = save_table, load_table
+        save, load = save_table, lambda path: json.loads(path.read_text(encoding="utf-8"))
         first, second = (train_ibm1(em_pairs, epochs=n) for n in (1, 2))
     path = tmp_path / f"{artefact}.json"
     save(first, path)
@@ -61,7 +62,7 @@ def test_failed_save_leaves_the_earlier_file_whole(
     load(path)
 
 
-@pytest.mark.parametrize("load", [load_model, load_table])
+@pytest.mark.parametrize("load", [load_model])
 def test_file_that_is_not_utf8_is_a_data_error(tmp_path, load):
     path = tmp_path / "artefact.json"
     path.write_bytes(b"\xff\n")

@@ -1,7 +1,8 @@
 """Only `tokalign.cli` puts off its imports, which keeps `curate` and a finished rerun small.
 
 Module sets are read in a fresh interpreter, since this test process has
-imported every module already.
+imported every module already.  The last test keeps every definition in
+the package reachable from the package or the benchmark scripts.
 """
 
 import ast
@@ -160,3 +161,61 @@ def test_pool_workers_inherit_the_pipeline_modules(tmp_path):
     )
     assert "hashlib" not in _modules_after(code)
     assert (tmp_path / "out" / "scores.csv").exists()
+
+
+SRC = Path(tokalign.__file__).parent
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+# `stats.spearman` is the rank correlation that acceptance criterion 6
+# pins to fixed points, and criterion 7 compares `build_report`'s rho
+# with it; the report itself correlates ranks through `_pearson`.
+NO_CALLER_NEEDED = {("stats", "spearman")}
+
+
+def _definitions(tree):
+    """Each function, class, method and module-level name a module defines, with its node."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                found += [(item.name, item) for item in node.body
+                          if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(name.id, node) for target in targets for name in ast.walk(target)
+                      if isinstance(name, ast.Name)]
+    return [(name, node) for name, node in found
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _references(tree):
+    """Each name a module loads, reads as an attribute or imports, with its node."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node
+
+
+def test_every_definition_has_a_caller_outside_tests():
+    # A definition that only tests reach is a second API beside the one
+    # the commands run; the tests should check the commands' path.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))}
+    references = {}
+    for tree in trees.values():
+        for name, at in _references(tree):
+            references.setdefault(name, []).append(at)
+    unused = []
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        for name, node in _definitions(tree):
+            inside = set(map(id, ast.walk(node)))
+            used = any(id(at) not in inside for at in references.get(name, ()))
+            if not used and (path.stem, name) not in NO_CALLER_NEEDED:
+                unused.append(f"{path.stem}.{name}")
+    assert not unused, "no caller outside tests: " + ", ".join(unused)

@@ -25,14 +25,11 @@ from tokalign.metrics import (
     BoundaryCounts,
     ScoreConfig,
     ScoreRow,
-    alignment_score,
     alignment_score_from_pairs,
     alignment_scores,
     boundary_positions,
     boundary_prf,
     read_score_rows,
-    subword_score,
-    word_score,
     write_score_rows,
 )
 from tokalign.ibm1 import (
@@ -40,6 +37,8 @@ from tokalign.ibm1 import (
     ParallelPair,
     TranslationTable,
     build_parallel_corpus,
+    pairs_from_segments,
+    segment_entries,
     train_ibm1,
 )
 from tokalign.synth import SynthConfig, build_language, write_language
@@ -69,6 +68,20 @@ def _config(aggregation, threshold=0.01):
     return ScoreConfig(aggregation=aggregation, threshold=threshold)
 
 
+def _score(table, subwords, features, aggregation, threshold=0.01):
+    """The score of a corpus of one word: the mean of its subwords' scores."""
+    pairs = [ParallelPair(tuple(subwords), tuple(features))]
+    return alignment_scores(table, pairs, [aggregation], [threshold])[aggregation, threshold]
+
+
+def _toy_scores(dataset, table, aggregations, thresholds):
+    """The toy dataset scored over its gold segmentation, as a sweep point scores it."""
+    model = build_gold_lookup(dataset)
+    segments = segment_entries(dataset, model)
+    pairs, _ = pairs_from_segments(dataset, segments, FeatureMode.SPLIT)
+    return alignment_scores(table, pairs, aggregations, thresholds)
+
+
 class TestSubwordScore:
     table = None
 
@@ -85,33 +98,23 @@ class TestSubwordScore:
             Aggregation.LOG: math.log(0.6) + math.log(0.4),
         }
         for aggregation, want in cases.items():
-            got = subword_score(self.table, "s", features, _config(aggregation))
+            got = _score(self.table, ["s"], features, aggregation)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_threshold_comparison_is_strict(self):
-        features = ["A", "B"]
-        got = subword_score(
-            self.table, "s", features, _config(Aggregation.SUM, 0.4)
-        )
+        got = _score(self.table, ["s"], ["A", "B"], Aggregation.SUM, 0.4)
         assert got == pytest.approx(0.6, abs=1e-12)
 
     def test_no_survivors_scores_zero_for_every_aggregation(self):
         # The log aggregation also returns 0.0 rather than a log of
         # nothing.
         for aggregation in Aggregation:
-            got = subword_score(
-                self.table, "s", ["A", "B"], _config(aggregation, 0.6)
-            )
-            assert got == 0.0
+            assert _score(self.table, ["s"], ["A", "B"], aggregation, 0.6) == 0.0
 
     def test_duplicate_features_count_twice(self):
-        got = subword_score(
-            self.table, "s", ["A", "A"], _config(Aggregation.SUM)
-        )
+        got = _score(self.table, ["s"], ["A", "A"], Aggregation.SUM)
         assert got == pytest.approx(1.2, abs=1e-12)
-        got = subword_score(
-            self.table, "s", ["A", "A"], _config(Aggregation.LOG)
-        )
+        got = _score(self.table, ["s"], ["A", "A"], Aggregation.LOG)
         assert got == pytest.approx(2 * math.log(0.6), abs=1e-12)
 
     def test_sum_and_mean_add_left_to_right(self):
@@ -122,51 +125,44 @@ class TestSubwordScore:
         assert in_turn != math.fsum(values)
         table = _table({"s": {f"F{i}": p for i, p in enumerate(values)}})
         features = [f"F{i}" for i in range(len(values))]
-        got = subword_score(table, "s", features, _config(Aggregation.SUM, 0.0))
+        got = _score(table, ["s"], features, Aggregation.SUM, 0.0)
         assert repr(got) == repr(in_turn)
-        got = subword_score(table, "s", features, _config(Aggregation.MEAN, 0.0))
+        got = _score(table, ["s"], features, Aggregation.MEAN, 0.0)
         assert repr(got) == repr(in_turn / len(values))
 
     def test_unknown_subword_scores_zero(self):
-        assert subword_score(self.table, "x", ["A"], _config(Aggregation.MAX)) == 0.0
+        assert _score(self.table, ["x"], ["A"], Aggregation.MAX) == 0.0
 
     def test_word_score_averages_over_subwords(self):
         table = _table({"s": {"A": 0.6}, "u": {"A": 0.2}})
-        got = word_score(table, ["s", "u"], ["A"], _config(Aggregation.MAX))
+        got = _score(table, ["s", "u"], ["A"], Aggregation.MAX)
         assert got == pytest.approx(0.4, abs=1e-12)
-        with pytest.raises(DataError):
-            word_score(table, [], ["A"], _config(Aggregation.MAX))
+        # The null token is dropped, which leaves this word empty.
+        with pytest.raises(DataError, match="word with no subwords"):
+            _score(table, [NULL_TOKEN], ["A"], Aggregation.MAX)
 
 
 class TestAlignmentScore:
     def test_toy_dataset_mean_score_is_hand_checked(self, toy_dataset, toy_table):
-        model = build_gold_lookup(toy_dataset)
-        got = alignment_score(
-            toy_table, toy_dataset, model, _config(Aggregation.MEAN)
-        )
+        got = _toy_scores(toy_dataset, toy_table, [Aggregation.MEAN], [0.01])
         # Word scores 0.45, 0.4375, 0.45, 0.45, 0.9.
-        assert got == pytest.approx(0.5375, abs=1e-12)
+        assert got[Aggregation.MEAN, 0.01] == pytest.approx(0.5375, abs=1e-12)
 
     def test_matches_reference_over_aggregations_and_thresholds(
         self, toy_dataset, toy_table
     ):
-        model = build_gold_lookup(toy_dataset)
         items = [
             (list(e.gold_segments), list(feature_tokens(e, FeatureMode.SPLIT)))
             for e in toy_dataset.entries
         ]
+        thresholds = (0.01, 0.3, 0.5)
+        got = _toy_scores(toy_dataset, toy_table, list(Aggregation), thresholds)
         for name in AGGREGATIONS:
-            for threshold in (0.01, 0.3, 0.5):
-                got = alignment_score(
-                    toy_table,
-                    toy_dataset,
-                    model,
-                    _config(Aggregation(name), threshold),
-                )
+            for threshold in thresholds:
                 want = alignment_reference(
                     toy_table.probs, items, name, threshold
                 )
-                assert got == pytest.approx(want, abs=1e-12)
+                assert got[Aggregation(name), threshold] == pytest.approx(want, abs=1e-12)
 
     def test_trained_table_round_trip(self, toy_dataset):
         # Scores computed from a trained table stay in [0, 1] for the

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from conftest import cells_by_key, read_report_cells
 from oracles import ranks_reference, spearman_reference
 from tokalign.errors import DataError
 from tokalign.metrics import ScoreRow
@@ -18,7 +19,6 @@ from tokalign.stats import (
     CorrelationCell,
     average_ranks,
     build_report,
-    read_report,
     spearman,
     write_report,
 )
@@ -134,28 +134,27 @@ class TestReport:
         # One group, scope "all" plus the three-point bpe scope.
         assert len(report.cells) == 6
 
-        cell = report.find("toy", "split", "mean", 0.01, "precision")
+        cells = cells_by_key(report.cells)
+        cell = cells["toy", "split", "mean", 0.01, "precision", SCOPE_ALL]
         assert cell.status == STATUS_OK
         assert cell.n_points == 5
         assert cell.rho == pytest.approx(0.6, abs=1e-12)
 
-        cell = report.find("toy", "split", "mean", 0.01, "recall")
+        cell = cells["toy", "split", "mean", 0.01, "recall", SCOPE_ALL]
         assert cell.rho == pytest.approx(0.0, abs=1e-12)
 
-        cell = report.find("toy", "split", "mean", 0.01, "f1")
+        cell = cells["toy", "split", "mean", 0.01, "f1", SCOPE_ALL]
         assert cell.status == STATUS_CONSTANT
         assert cell.rho is None
 
-        cell = report.find("toy", "split", "mean", 0.01, "precision", scope="bpe")
+        cell = cells["toy", "split", "mean", 0.01, "precision", "bpe"]
         assert cell.n_points == 3
         assert cell.rho == pytest.approx(-1.0, abs=1e-12)
-        cell = report.find("toy", "split", "mean", 0.01, "recall", scope="bpe")
+        cell = cells["toy", "split", "mean", 0.01, "recall", "bpe"]
         assert cell.rho == pytest.approx(-1.0, abs=1e-12)
 
         # Kinds with fewer than MIN_POINTS rows get no scope of their own.
-        assert report.find(
-            "toy", "split", "mean", 0.01, "recall", scope="character"
-        ) is None
+        assert ("toy", "split", "mean", 0.01, "recall", "character") not in cells
 
     def test_small_groups_are_marked_underpopulated(self):
         rows = [
@@ -196,8 +195,7 @@ class TestReportFiles:
         write_report(report, buf, seed=3)
         text = buf.getvalue()
         assert text.startswith("# seed: 3\n")
-        loaded = read_report(io.StringIO(text))
-        assert loaded.cells == report.cells
+        assert read_report_cells(io.StringIO(text)) == report.cells
 
     def test_missing_rho_round_trips_as_none(self):
         cell = CorrelationCell(
@@ -215,18 +213,18 @@ class TestReportFiles:
         report.cells.append(cell)
         buf = io.StringIO()
         write_report(report, buf)
-        loaded = read_report(io.StringIO(buf.getvalue()))
-        assert loaded.cells[-1].rho is None
-        assert loaded.cells[-1].status == STATUS_CONSTANT
+        loaded = read_report_cells(io.StringIO(buf.getvalue()))
+        assert loaded[-1].rho is None
+        assert loaded[-1].status == STATUS_CONSTANT
 
     def test_reader_rejects_wrong_header_and_bad_rows(self):
         with pytest.raises(DataError):
-            read_report(io.StringIO("x,y\n1,2\n"))
+            read_report_cells(io.StringIO("x,y\n1,2\n"))
         report = build_report(_grid_rows())
         buf = io.StringIO()
         write_report(report, buf)
         with pytest.raises(DataError):
-            read_report(io.StringIO(buf.getvalue() + "toy,split\n"))
+            read_report_cells(io.StringIO(buf.getvalue() + "toy,split\n"))
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_reader_rejects_a_non_finite_rho(self, cell):
@@ -235,4 +233,4 @@ class TestReportFiles:
         write_report(report, buf)
         line = f"toy,split,mean,0.01,f1,all,4,{cell},ok\n"
         with pytest.raises(DataError, match="not a finite number"):
-            read_report(io.StringIO(buf.getvalue() + line))
+            read_report_cells(io.StringIO(buf.getvalue() + line))
