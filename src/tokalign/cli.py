@@ -31,6 +31,7 @@ from .choices import (
     Aggregation,
     FeatureMode,
     TokenizerKind,
+    language_code,
 )
 from .errors import ConfigError, DataError, NumericalError
 from .files import Digests, read_lines
@@ -58,11 +59,15 @@ def _comma_list(parse=str):
 
 
 def cmd_curate(args: argparse.Namespace) -> int:
+    try:
+        language = language_code(args.language)
+    except ValueError as exc:
+        raise ConfigError(f"--language {exc}") from None
     from .corpus import curate_files
 
     out = Path(args.out)
     dataset, feat_stats, seg_stats, join_stats = curate_files(
-        Path(args.features), Path(args.segmentations), args.language, out
+        Path(args.features), Path(args.segmentations), language, out
     )
     print(f"curated {len(dataset)} entries to {out}")
     print(

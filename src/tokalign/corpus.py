@@ -10,15 +10,21 @@ A form may appear with several feature bundles; each match becomes its
 own entry, so the curated dataset keeps one row per analysis.
 
 :func:`curate_files` runs the join from the lexicon files to a curated
-file.
+file.  Its ``# language:`` header line reads back unchanged the codes
+that `tokalign.choices.language_code` admits, the only ones
+`tokalign curate` and a sweep config accept.
+
+Each input row is checked once: the parsers check the lexicons' rows
+and :func:`curate` trusts them, and :func:`read_curated` checks each
+curated row and raises on a malformed one with a DataError that names
+its line.
 """
 
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 # FeatureMode is a public name of this module too.
 from .choices import FeatureMode
@@ -60,36 +66,74 @@ def _lines(stream: Iterable[str]) -> Iterator[tuple[int, str, bool]]:
             yield lineno, line, comment
 
 
-@dataclass(frozen=True)
-class WordEntry:
-    """One curated word: surface form, gold segmentation, feature atoms."""
+def _entry_problem(
+    form: str, gold_segments: tuple[str, ...], features: tuple[str, ...]
+) -> str | None:
+    """What makes these fields no word entry, or None if they make one."""
+    if not form:
+        return "word entry with empty form"
+    if not gold_segments or "" in gold_segments:
+        return f"empty gold segment for form {form!r}"
+    if "".join(gold_segments) != form:
+        return (
+            f"gold segments {list(gold_segments)!r} do not "
+            f"concatenate to form {form!r}"
+        )
+    if not features or any(not f or FEATURE_SEP in f for f in features):
+        return f"invalid feature atoms for form {form!r}"
+    return None
 
+
+# The fields of `WordEntry`, which adds the checks: a `NamedTuple` class
+# may not define `__new__` itself.
+class _Entry(NamedTuple):
     form: str
     gold_segments: tuple[str, ...]
     features: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not self.form:
-            raise DataError("word entry with empty form")
-        if not self.gold_segments or any(not s for s in self.gold_segments):
-            raise DataError(f"empty gold segment for form {self.form!r}")
-        if "".join(self.gold_segments) != self.form:
-            raise DataError(
-                f"gold segments {list(self.gold_segments)!r} do not "
-                f"concatenate to form {self.form!r}"
-            )
-        if not self.features or any(
-            not f or FEATURE_SEP in f for f in self.features
-        ):
-            raise DataError(f"invalid feature atoms for form {self.form!r}")
+
+class WordEntry(_Entry):
+    """One curated word: surface form, gold segmentation, feature atoms.
+
+    Built by a call, an entry is checked and a bad one raises DataError.
+    :func:`curate` and :func:`read_curated` check each row once
+    themselves and build their entries with ``WordEntry._make``, which
+    checks nothing.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, form: str, gold_segments: tuple[str, ...], features: tuple[str, ...]
+    ) -> WordEntry:
+        problem = _entry_problem(form, gold_segments, features)
+        if problem is not None:
+            raise DataError(problem)
+        return super().__new__(cls, form, gold_segments, features)
 
 
-@dataclass
-class CuratedDataset:
+# Plain classes: the standard library's module that generates record
+# classes took most of this module's import time on its own, which
+# `tokalign curate` pays (`tests/test_imports.py` keeps it unloaded).
+class _Record:
+    """Compared and shown by its attributes, in the order ``__init__`` sets them."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class CuratedDataset(_Record):
     """Entries in input order, plus the language code."""
 
-    entries: list[WordEntry]
-    language: str = "und"
+    def __init__(self, entries: list[WordEntry], language: str = "und") -> None:
+        self.entries = entries
+        self.language = language
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -98,27 +142,35 @@ class CuratedDataset:
         return iter(self.entries)
 
 
-@dataclass
-class ParseStats:
+class ParseStats(_Record):
     """Counters for skipped or rejected input lines."""
 
-    read: int = 0
-    kept: int = 0
-    skipped_columns: int = 0
-    skipped_empty: int = 0
-    rejected_mismatch: int = 0
-    duplicate_forms: int = 0
+    def __init__(
+        self,
+        read: int = 0,
+        kept: int = 0,
+        skipped_columns: int = 0,
+        skipped_empty: int = 0,
+        rejected_mismatch: int = 0,
+        duplicate_forms: int = 0,
+    ) -> None:
+        self.read = read
+        self.kept = kept
+        self.skipped_columns = skipped_columns
+        self.skipped_empty = skipped_empty
+        self.rejected_mismatch = rejected_mismatch
+        self.duplicate_forms = duplicate_forms
 
     @property
     def skipped(self) -> int:
         return self.read - self.kept
 
 
-@dataclass
-class JoinStats:
-    feature_rows: int = 0
-    matched: int = 0
-    dropped: int = 0
+class JoinStats(_Record):
+    def __init__(self, feature_rows: int = 0, matched: int = 0, dropped: int = 0) -> None:
+        self.feature_rows = feature_rows
+        self.matched = matched
+        self.dropped = dropped
 
 
 def parse_feature_lexicon(
@@ -196,22 +248,29 @@ def curate(
 ) -> tuple[CuratedDataset, JoinStats]:
     """Join feature rows with gold segmentations on the surface form.
 
-    Feature rows whose form has no segmentation are dropped and counted.
-    The output preserves feature-lexicon order, one entry per feature
-    row, so forms with several analyses stay distinct entries.
+    Feature rows whose form has no segmentation, or whose bundle has no
+    atom, are dropped and counted.  The output preserves feature-lexicon
+    order, one entry per feature row, so forms with several analyses stay
+    distinct entries.  The inputs are taken to be what the two parsers
+    return, which have checked every form and segmentation, so the
+    entries are not checked again.
     """
     entries: list[WordEntry] = []
     stats = JoinStats(feature_rows=len(features))
+    # A lexicon repeats its bundles, so their entries share one tuple.
+    atoms_of: dict[str, tuple[str, ...]] = {}
     for form, bundle in features:
         segments = segmentations.get(form)
         if segments is None:
             stats.dropped += 1
             continue
-        atoms = tuple(a for a in bundle.split(FEATURE_SEP) if a)
+        atoms = atoms_of.get(bundle)
+        if atoms is None:
+            atoms = atoms_of[bundle] = tuple(a for a in bundle.split(FEATURE_SEP) if a)
         if not atoms:
             stats.dropped += 1
             continue
-        entries.append(WordEntry(form, tuple(segments), atoms))
+        entries.append(WordEntry._make((form, tuple(segments), atoms)))
     stats.matched = len(entries)
     if not entries:
         raise DataError("curation produced no entries: the join is empty")
@@ -237,10 +296,14 @@ def write_curated(dataset: CuratedDataset, stream: TextIO) -> None:
 def read_curated(stream: Iterable[str]) -> CuratedDataset:
     """Load a curated TSV written by :func:`write_curated`.
 
-    Curated files are produced by this package, so malformed rows raise
-    instead of being skipped.
+    Curated files are produced by this package, so a malformed row
+    raises a DataError that starts ``curated line N:`` instead of being
+    skipped: one without exactly three columns, or whose form is empty,
+    whose segments are not all non-empty and concatenate to the form, or
+    whose feature atoms include an empty one.
     """
     entries: list[WordEntry] = []
+    atoms_of: dict[str, tuple[str, ...]] = {}  # as in `curate`
     language = "und"
     for lineno, line, comment in _lines(stream):
         if comment:
@@ -252,8 +315,15 @@ def read_curated(stream: Iterable[str]) -> CuratedDataset:
             raise DataError(f"curated line {lineno}: expected 3 columns")
         form = normalize(cols[0].strip())
         segments = tuple(normalize(s) for s in cols[1].strip().split(SEGMENT_SEP))
-        atoms = tuple(a for a in normalize(cols[2].strip()).split(FEATURE_SEP) if a)
-        entries.append(WordEntry(form, segments, atoms))
+        atoms = atoms_of.get(cols[2])
+        if atoms is None:
+            atoms = atoms_of[cols[2]] = tuple(normalize(cols[2].strip()).split(FEATURE_SEP))
+        # `_entry_problem`'s checks, given that split gives at least one
+        # segment and no atom that holds the separator.
+        if not form or "" in segments or "".join(segments) != form or "" in atoms:
+            problem = _entry_problem(form, segments, atoms)
+            raise DataError(f"curated line {lineno}: {problem}")
+        entries.append(WordEntry._make((form, segments, atoms)))
     if not entries:
         raise DataError("curated file contains no entries")
     return CuratedDataset(entries, language=language)

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .choices import BASELINE_KINDS, CURATED_KINDS, DEFAULT_EPOCHS, DEFAULT_THRESHOLDS
-from .choices import Aggregation, FeatureMode, TokenizerKind
+from .choices import Aggregation, FeatureMode, TokenizerKind, language_code
 from .errors import ConfigError
 from .files import Digests, atomic_write, sha256_hex
 
@@ -168,6 +168,11 @@ class SweepConfig:
                 raise ConfigError(f"language name {name!r} is not one plain path component")
             if name in _ROOT_FILES:
                 raise ConfigError(f"language name {name!r} names a file of the output root")
+            # A curated dataset's header holds the name as its language.
+            try:
+                language_code(name)
+            except ValueError as exc:
+                raise ConfigError(f"language name {exc}") from None
         self.languages = languages
         for name, (default, _, _) in FIELDS.items():
             setattr(self, name, parse_field(name, fields.get(name, default)))

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import operator
+import unicodedata
 from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -691,3 +692,82 @@ def table_json_reference(table: TranslationTable) -> str:
         ],
     }
     return json.dumps(doc, ensure_ascii=False, indent=1) + "\n"
+
+
+def _lexicon_rows(lines: Sequence[str]) -> list[str]:
+    """The rows of a lexicon: its lines but blank ones and the `#` comments at the top.
+
+    The comments run down to the first row or the first `# language:`
+    line, which is the last of them.
+    """
+    rows, header = [], True
+    for raw in lines:
+        line = raw.rstrip("\r\n")
+        if not line.strip():
+            continue
+        if header and line.lstrip().startswith("#"):
+            key, colon, _ = line.lstrip()[1:].partition(":")
+            header = not (colon and key.strip() == "language")
+            continue
+        header = False
+        rows.append(line)
+    return rows
+
+
+def curate_reference(
+    feature_lines: Sequence[str], segmentation_lines: Sequence[str], language: str
+) -> tuple[str | None, dict[str, int], dict[str, int], dict[str, int]]:
+    """The curated file's text, or None for an empty join, and each parser's and the join's counters.
+
+    One row at a time: a row is read, then kept or counted under the
+    first rule it breaks.  A feature row needs three columns and a
+    non-empty form and bundle; a segmentation row needs two columns, a
+    non-empty form and segment field, non-empty segments that spell the
+    form, and a form not seen before.  Each field is stripped and then
+    NFC-normalized, each segment on its own.  A feature row joins if its
+    form has a segmentation and its bundle a non-empty atom.
+    """
+    nfc = functools.partial(unicodedata.normalize, "NFC")
+    counters = ("read", "kept", "skipped_columns", "skipped_empty",
+                "rejected_mismatch", "duplicate_forms")
+    feature_counts = dict.fromkeys(counters, 0)
+    features = []
+    for row in _lexicon_rows(feature_lines):
+        feature_counts["read"] += 1
+        cols = row.split("\t")
+        if len(cols) < 3:
+            feature_counts["skipped_columns"] += 1
+        elif not nfc(cols[1].strip()) or not nfc(cols[2].strip()):
+            feature_counts["skipped_empty"] += 1
+        else:
+            feature_counts["kept"] += 1
+            features.append((nfc(cols[1].strip()), nfc(cols[2].strip())))
+    segmentation_counts = dict.fromkeys(counters, 0)
+    segmentations = {}
+    for row in _lexicon_rows(segmentation_lines):
+        segmentation_counts["read"] += 1
+        cols = row.split("\t")
+        if len(cols) < 2:
+            segmentation_counts["skipped_columns"] += 1
+            continue
+        form, field = nfc(cols[0].strip()), cols[1].strip()
+        segments = [nfc(segment) for segment in field.split("|")]
+        if not form or not field:
+            segmentation_counts["skipped_empty"] += 1
+        elif not all(segments) or "".join(segments) != form:
+            segmentation_counts["rejected_mismatch"] += 1
+        elif form in segmentations:
+            segmentation_counts["duplicate_forms"] += 1
+        else:
+            segmentation_counts["kept"] += 1
+            segmentations[form] = segments
+    lines = [f"# language: {language}\n"]
+    for form, bundle in features:
+        atoms = [atom for atom in bundle.split(";") if atom]
+        if form in segmentations and atoms:
+            lines.append(f"{form}\t{'|'.join(segmentations[form])}\t{';'.join(atoms)}\n")
+    matched = len(lines) - 1
+    join_counts = {"feature_rows": len(features), "matched": matched,
+                   "dropped": len(features) - matched}
+    text = "".join(lines) if matched else None
+    return text, feature_counts, segmentation_counts, join_counts

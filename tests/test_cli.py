@@ -64,6 +64,10 @@ def _curated_file(tmp_path):
     return path, dataset
 
 
+def _no_read(path):
+    raise AssertionError(f"{path} was read")
+
+
 class TestCurate:
     def test_reports_join_statistics(self, tmp_path, capsys):
         features = _write(tmp_path / "features.tsv", FEATURES)
@@ -143,6 +147,27 @@ class TestCurate:
         )
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("language", ["", " de", "de ", "x\ny", "x\ry", "x\u2028y"])
+    def test_language_that_the_header_cannot_hold_exits_1_before_reading(
+        self, tmp_path, capsys, monkeypatch, language
+    ):
+        # Written into `# language:`, a line break would split the header
+        # and outer whitespace would read back stripped.
+        monkeypatch.setattr("tokalign.corpus.read_lines", _no_read)
+        out = tmp_path / "curated.tsv"
+        code = cli.main(
+            [
+                "curate",
+                "--features", str(tmp_path / "features.tsv"),
+                "--segmentations", str(tmp_path / "segments.tsv"),
+                "--out", str(out),
+                "--language", language,
+            ]
+        )
+        assert code == 1
+        assert f"--language {language!r} is not a language code" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failed_write_leaves_existing_file_whole(
         self, tmp_path, monkeypatch, capsys
@@ -1264,6 +1289,22 @@ class TestSweep:
         reason = ("names a file of the output root" if name in _ROOT_FILES
                   else "is not one plain path component")
         assert f"language name {name!r} {reason}" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("name", [" toy", "toy ", "a\nb", "a\rb"])
+    def test_language_name_a_curated_header_cannot_hold_exits_1(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        # The name is the language of the dataset curated from its
+        # lexicons, which no lexicon is read to find out.
+        monkeypatch.setattr("tokalign.corpus.read_lines", _no_read)
+        config_path = _sweep_setup(tmp_path)
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
+        doc["languages"] = {name: doc["languages"]["toy"]}
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(["sweep", "--config", str(config_path)]) == 1
+        assert f"language name {name!r} is not a language code" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize(

@@ -8,6 +8,8 @@ import pytest
 from tokalign.corpus import (
     CuratedDataset,
     FeatureMode,
+    JoinStats,
+    ParseStats,
     WordEntry,
     curate,
     feature_tokens,
@@ -172,6 +174,41 @@ def test_read_curated_rejects_malformed_rows():
         read_curated(io.StringIO("ab\ta|c\tN\n"))
     with pytest.raises(DataError):
         read_curated(io.StringIO("# language: xx\n"))
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("ab\ta|b|c", "expected 3 columns"),
+        ("\tx\tN", "word entry with empty form"),
+        ("ab\ta||b\tN", "empty gold segment for form 'ab'"),
+        ("ab\ta|c\tN", "gold segments ['a', 'c'] do not concatenate to form 'ab'"),
+        ("ab\ta|b\tN;;SG;", "invalid feature atoms for form 'ab'"),
+        ("ab\ta|b\t", "invalid feature atoms for form 'ab'"),
+    ],
+)
+def test_read_curated_names_the_line_of_a_malformed_row(row, problem):
+    text = f"# language: xx\nab\ta|b\tN\n\n{row}\n"
+    with pytest.raises(DataError) as caught:
+        read_curated(io.StringIO(text))
+    assert str(caught.value) == f"curated line 4: {problem}"
+
+
+def test_records_compare_and_show_their_fields():
+    entry = WordEntry("ab", ("a", "b"), ("N",))
+    assert repr(entry) == "WordEntry(form='ab', gold_segments=('a', 'b'), features=('N',))"
+    assert WordEntry._make(entry) == entry
+    dataset = CuratedDataset([entry], language="xx")
+    assert dataset == CuratedDataset([entry], "xx") != CuratedDataset([entry])
+    assert repr(dataset) == f"CuratedDataset(entries=[{entry!r}], language='xx')"
+    assert repr(ParseStats(3, 1)) == (
+        "ParseStats(read=3, kept=1, skipped_columns=0, skipped_empty=0, "
+        "rejected_mismatch=0, duplicate_forms=0)"
+    )
+    assert ParseStats(3, 1).skipped == 2
+    assert JoinStats(2, 1, 1) == JoinStats(feature_rows=2, matched=1, dropped=1)
+    assert JoinStats() != ParseStats()
+    assert repr(JoinStats()) == "JoinStats(feature_rows=0, matched=0, dropped=0)"
 
 
 def test_dataset_iteration_and_length(czech_dataset):

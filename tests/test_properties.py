@@ -15,9 +15,13 @@ WordPiece's integer pair key orders and ties pairs exactly as the
 cross-multiplied ratio it replaced.  The model and table writers render
 byte for byte what `json.dumps(doc, ensure_ascii=False, indent=1)`
 renders, for any strings and floats; a saved model loads back equal, and
-a saved table holds what the writer renders.
+a saved table holds what the writer renders.  Curation writes byte for
+byte, and counts exactly, what a row-by-row reading of the two lexicons
+gives, and the curated file reads back as the dataset.
 """
 
+import io
+import unicodedata
 from unittest import mock
 
 import pytest
@@ -29,6 +33,7 @@ from oracles import (
     alignment_reference,
     alignment_scores_reference,
     corpus_loglik_reference,
+    curate_reference,
     em_epoch_reference,
     em_reference,
     model_json_reference,
@@ -45,6 +50,8 @@ from tokalign.corpus import (
     curate,
     parse_feature_lexicon,
     parse_segmentation_lexicon,
+    read_curated,
+    write_curated,
 )
 from tokalign.errors import DataError, TokalignError, UncoverableWord
 from tokalign.ibm1 import (
@@ -507,3 +514,74 @@ def test_saved_models_and_tables_of_every_kind_render_and_load_back_equal(tmp_pa
         assert table_to_json(table) == table_json_reference(table), model.kind
         save_table(table, tmp_path / "table.json")
         assert (tmp_path / "table.json").read_text(encoding="utf-8") == table_to_json(table)
+
+
+# A decomposed `á` and a lone combining accent, so that some fields are
+# not NFC and some segments only spell their form once normalized.
+_FORM_PIECES = st.sampled_from(["a", "b", "\u00e1", "a\u0301", "\u0301", "#", " "])
+_ATOMS = st.sampled_from(["N", "SG", "PL", ""])
+
+
+@st.composite
+def lexicon_cases(draw):
+    """Feature and segmentation lexicon lines with every kind of row the parsers skip."""
+    feature_rows, segmentation_rows = [], []
+    for pieces in draw(st.lists(st.lists(_FORM_PIECES, max_size=4), max_size=8)):
+        form = "".join(pieces)
+        segments, segment = [], ""
+        for piece in pieces:
+            segment += piece
+            if draw(st.booleans()):
+                segments.append(segment)
+                segment = ""
+        segments.append(segment)  # empty if the last piece ended a segment
+        field = draw(st.sampled_from(["|".join(segments), "|".join(segments) + "b", ""]))
+        spelled = draw(st.sampled_from([form, unicodedata.normalize("NFD", form), f" {form} "]))
+        segmentation_rows += draw(st.sampled_from([
+            [f"{spelled}\t{field}"], [spelled], [f"{spelled}\t{field}\textra"],
+            [f"{spelled}\t{field}", f"{spelled}\t{form}"],  # a duplicate form
+        ]))
+        bundle = ";".join(draw(st.lists(_ATOMS, max_size=3)))
+        feature_rows += draw(st.sampled_from([
+            [f"l\t{form}\t{bundle}"], [f"l\t{form}"], [f"l\t{form}\t{bundle}\tx"],
+            [f"l\t{form}\t{bundle}", f"m\t{form}\tN"],  # a second analysis
+        ]))
+
+    def lines(rows):
+        comments = draw(st.lists(st.sampled_from(["# note", " # x: y", "# language: zz"]),
+                                 max_size=2))
+        blanks = st.sampled_from(["", " ", "\t"])
+        body = [line for row in rows for line in [row, *draw(st.lists(blanks, max_size=1))]]
+        end = draw(st.sampled_from(["\n", "\r\n"]))
+        return [line + end for line in comments + body]
+
+    return lines(feature_rows), lines(segmentation_rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lexicon_cases())
+def test_curation_writes_and_counts_what_the_row_by_row_reference_does(case):
+    feature_lines, segmentation_lines = case
+    text, feature_counts, segmentation_counts, join_counts = curate_reference(
+        feature_lines, segmentation_lines, "xx"
+    )
+    features, feature_stats = parse_feature_lexicon(feature_lines)
+    segmentations, segmentation_stats = parse_segmentation_lexicon(segmentation_lines)
+    assert vars(feature_stats) == feature_counts
+    assert vars(segmentation_stats) == segmentation_counts
+    for stats, counts in ((feature_stats, feature_counts),
+                          (segmentation_stats, segmentation_counts)):
+        assert stats.skipped == counts["read"] - counts["kept"]
+    if text is None:
+        with pytest.raises(DataError, match="the join is empty"):
+            curate(segmentations, features, language="xx")
+        return
+    dataset, join_stats = curate(segmentations, features, language="xx")
+    assert vars(join_stats) == join_counts
+    buffer = io.StringIO()
+    write_curated(dataset, buffer)
+    assert buffer.getvalue() == text
+    loaded = read_curated(io.StringIO(text))
+    assert loaded == dataset
+    # Entries built unchecked still pass the checks of a direct build.
+    assert [WordEntry(e.form, e.gold_segments, e.features) for e in loaded] == loaded.entries
