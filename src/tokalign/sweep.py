@@ -196,23 +196,18 @@ def _failure(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-class _ModelJob(NamedTuple):
-    """One language's model at one (kind, size), and its points.
+class _Job(NamedTuple):
+    """One language's kind at `sizes`, for `_build`, or at one size, for `_evaluate`.
 
-    A merge kind's models to make share one training: the job for its
-    largest such size also writes the models of `cuts`, the kind's other
-    such sizes, cut from its own, and each of them has a job of its own
-    that runs after it (`_cut_jobs`).  `keys` are the sweep's
-    (`layout._keys`).
+    `keys` are the sweep's (`layout._keys`).
     """
 
     language: str
     kind: TokenizerKind
-    size: int
+    sizes: tuple[int, ...]
     corpus: Path
     curated: Path
     keys: dict[Path, str]
-    cuts: tuple[int, ...] = ()
 
 
 def _train_label(language: str, kind: TokenizerKind, size: int) -> str:
@@ -223,76 +218,71 @@ def _point_label(language: str, point_path: Path) -> str:
     return f"{language}/{point_path.stem}"
 
 
-def _model_job(job: _ModelJob, config: SweepConfig) -> dict[str, str]:
-    """Build or load the job's model, write its cuts, then evaluate its points.
+def _build(job: _Job, config: SweepConfig) -> dict[str, str]:
+    """Write the job's models, in the order of its sizes, largest first.
 
-    Each of these is made only if its file is not fresh (see `_fresh`).
-    A cut equals the model trained at its size.  A cut below the
-    alphabet is skipped; the size's own job trains it and fails alike.
-    The model is segmented once, for all of its points.  Everything goes
-    to disk, so the job can run in a worker process.  Returns the failure
-    text of the model or each point it could not write, by label.
+    The first model made is cut for each later size, which equals the
+    model trained at that size; until one is made, each size trains on
+    its own.  Everything goes to disk, so the job can run in a worker
+    process.  Returns the failure text of each size it could not write,
+    by label.
     """
-    out = config.output_dir
     errors: dict[str, str] = {}
-
-    def curated() -> CuratedDataset:
-        # Read on first use, so that a bad file fails only what needs it,
-        # and once in this process for all of the sweep's jobs.
-        return _read_once(load_curated, job.curated)
-
-    def corpus() -> dict[str, int]:
-        return _read_once(load_corpus, job.corpus)
-
-    def fresh(path: Path) -> bool:
-        return _fresh(path, job.keys[path])
-
-    model_path = _model_path(out, job.language, job.kind, job.size)
-    model: TokenizerModel | None = None
-    if not fresh(model_path):
+    made: TokenizerModel | None = None
+    for size in job.sizes:
+        path = _model_path(config.output_dir, job.language, job.kind, size)
         try:
-            model = build_model(job.kind, job.size, config.seed, corpus, curated)
-            key = job.keys[model_path]
-            _write_keyed(model_path, key, tokenizers.save_model, model, model_path)
+            if made is None:
+                # Read on first use, so that a bad file fails only what
+                # needs it, and once per process for all the sweep's jobs.
+                model = build_model(
+                    job.kind, size, config.seed,
+                    lambda: _read_once(load_corpus, job.corpus),
+                    lambda: _read_once(load_curated, job.curated),
+                )
+            else:
+                train_config = tokenizers.TrainConfig(job.kind, size, seed=config.seed)
+                model = tokenizers.KINDS[job.kind].cut(made, train_config)
+            _write_keyed(path, job.keys[path], tokenizers.save_model, model, path)
         except Exception as exc:
-            return {_train_label(job.language, job.kind, job.size): _failure(exc)}
-        for size in job.cuts:
-            cut_path = _model_path(out, job.language, job.kind, size)
-            if fresh(cut_path):
-                continue
-            train_config = tokenizers.TrainConfig(job.kind, size, seed=config.seed)
-            try:
-                cut = tokenizers.KINDS[job.kind].cut(model, train_config)
-            except ConfigError:
-                continue
-            _write_keyed(cut_path, job.keys[cut_path], tokenizers.save_model, cut, cut_path)
+            errors[_train_label(job.language, job.kind, size)] = _failure(exc)
+        else:
+            made = made or model
+    return errors
+
+
+def _evaluate(job: _Job, config: SweepConfig) -> dict[str, str]:
+    """Write the points of the job's one size that are not fresh (see `_fresh`).
+
+    If the size's model is not fresh, this does nothing: the failure is
+    its training's.  The model is loaded and segmented once, for all of
+    its points.  Returns the failure text of each point it could not
+    write, by label.
+    """
+    (size,) = job.sizes
+    out = config.output_dir
+    model_path = _model_path(out, job.language, job.kind, size)
+    if not _fresh(model_path, job.keys[model_path]):
+        return {}
+    errors: dict[str, str] = {}
+    model: TokenizerModel | None = None
     segmented: Segmented | None = None
     for mode in config.modes:
-        point_path = _point_path(out, job.language, job.kind, job.size, mode)
-        if fresh(point_path):
+        point_path = _point_path(out, job.language, job.kind, size, mode)
+        if _fresh(point_path, job.keys[point_path]):
             continue
         try:
             if model is None:
                 model = tokenizers.load_model(model_path)
+            dataset = _read_once(load_curated, job.curated)
             if segmented is None:
-                segmented = segment_dataset(curated(), model)
+                segmented = segment_dataset(dataset, model)
             # Not kept, so the table is freed before the next point's EM.
             _write_keyed(
-                point_path,
-                job.keys[point_path],
-                evaluate_point,
-                point_path,
-                None,
-                config.seed,
-                curated(),
-                model,
-                segmented,
-                mode,
-                config.aggregations,
-                config.thresholds,
-                config.epochs,
-                config.include_null,
-                job.language,
+                point_path, job.keys[point_path], evaluate_point,
+                point_path, None, config.seed, dataset, model, segmented, mode,
+                config.aggregations, config.thresholds, config.epochs,
+                config.include_null, job.language,
             )
         except Exception as exc:
             errors[_point_label(job.language, point_path)] = _failure(exc)
@@ -311,52 +301,50 @@ def _submit(executor: ProcessPoolExecutor, fn, *args) -> Future:
         return future
 
 
-def _cut_jobs(job: _ModelJob) -> list[_ModelJob]:
-    """The jobs of the sizes `job` cuts, each to find its model on disk."""
-    return [job._replace(size=size, cuts=()) for size in job.cuts]
+# A job, as (`_build` or `_evaluate`, job), then the evaluate jobs of the
+# models it writes, which start only once it has returned.
+_Chain = list[tuple[Callable, _Job]]
 
 
 def _run_jobs(
-    model_jobs: list[_ModelJob], config: SweepConfig, jobs: int
-) -> list[tuple[_ModelJob, dict[str, str] | BaseException]]:
-    """Run every job, then the jobs of the sizes each job cuts (`_cut_jobs`).
+    chains: list[_Chain], config: SweepConfig, jobs: int
+) -> list[tuple[Callable, _Job, dict[str, str] | BaseException]]:
+    """Run each chain's first job, then the rest of the chain.
 
-    Returns each job with its errors by label, or what it raised: the
-    listed jobs in list order, then the cut sizes' jobs.  With one worker
-    or one job in all, they run in this process in that order and no
-    worker starts.  Otherwise the listed jobs go in list order to a pool
-    of `jobs` worker processes, which starts them in that order, and
-    this process waits for each job with cuts, in list order, before it
-    submits its cut sizes' jobs.  So a cut size's job finds its model on
-    disk, and a merge kind trains once at any `jobs`.  A worker that dies
-    fails its job, and those the broken pool still held or is given
-    later, with `BrokenProcessPool`.
+    Returns each job with its function and its errors by label, or what
+    it raised.  With one worker, or when no two jobs can run at once,
+    the jobs run in this process, chain after chain, and no worker
+    starts.  Otherwise each chain's first job goes, in chain order, to a
+    pool of `jobs` worker processes, which starts them in that order,
+    and this process hands the pool the rest of a chain the moment its
+    first job returns (`as_completed`).  So an evaluate job finds its
+    model on disk, and a merge kind's sizes are evaluated side by side.
+    A worker that dies fails its job, and those the broken pool still
+    held or is given later, with `BrokenProcessPool`.
     """
-    cut_jobs = [cut for job in model_jobs for cut in _cut_jobs(job)]
-    workers = min(jobs, len(model_jobs) + len(cut_jobs))
-    if workers <= 1:
-        done: list[tuple[_ModelJob, dict[str, str] | BaseException]] = []
-        for job in model_jobs + cut_jobs:
+    total = sum(map(len, chains))
+    # One chain of at most two jobs never runs two at once.
+    if jobs <= 1 or (len(chains) <= 1 and total <= 2):
+        done: list[tuple[Callable, _Job, dict[str, str] | BaseException]] = []
+        for fn, job in (step for chain in chains for step in chain):
             try:
-                done.append((job, _model_job(job, config)))
+                done.append((fn, job, fn(job, config)))
             except Exception as exc:
-                done.append((job, exc))
+                done.append((fn, job, exc))
         return done
     # Imported here, so that a sweep with nothing to run in parallel
     # never loads `multiprocessing`.
-    from concurrent.futures import ProcessPoolExecutor, wait
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    pool = ProcessPoolExecutor(workers)
+    pool = ProcessPoolExecutor(min(jobs, total))
     try:
-        futures = [_submit(pool, _model_job, job, config) for job in model_jobs]
-        for job, future in zip(model_jobs, futures[:]):
-            if job.cuts:
-                wait((future,))
-                futures.extend(_submit(pool, _model_job, cut, config) for cut in _cut_jobs(job))
-        return [
-            (job, f.exception() or f.result())
-            for f, job in zip(futures, model_jobs + cut_jobs)
-        ]
+        first = {_submit(pool, *chain[0], config): chain for chain in chains}
+        futures = []
+        for future in as_completed(first):
+            (fn, job), *rest = first[future]
+            futures.append((fn, job, future))
+            futures += [(fn, job, _submit(pool, fn, job, config)) for fn, job in rest]
+        return [(fn, job, f.exception() or f.result()) for fn, job, f in futures]
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -377,13 +365,17 @@ def _sweep(
 ) -> tuple[list[ScoreRow], list[tuple[str, str]], dict[Path, str]]:
     """Make the models and grid points that are not fresh.
 
-    Every language's jobs run on one executor (see `_run_jobs`).  What
-    failed is read off the disk afterwards: a size without a fresh model
-    failed to train, and a point not fresh failed to evaluate, whether
-    its job returned an error, raised or lost its worker.  Returns the
-    score rows of every point file, in grid order, the failures by label
-    (per language, training before evaluation, each in grid order) and
-    the sweep's keys.
+    Each merge kind gets one build job per language for all of its sizes
+    without a fresh model, and every other such model one of its own;
+    the merge kinds' go first.  Each size with a point not fresh gets an
+    evaluate job, which follows the build of its model, if any.  Every
+    language's jobs run on one executor (see `_run_jobs`).  What failed
+    is read off the disk afterwards: a size without a fresh model failed
+    to train, and a point not fresh failed to evaluate, whether its job
+    returned an error, raised or lost its worker.  Returns the score rows
+    of every point file, in grid order, the failures by label (per
+    language, training before evaluation, each in grid order) and the
+    sweep's keys.
     """
     out = config.output_dir
     grid = config.grid
@@ -396,37 +388,43 @@ def _sweep(
     def points(lang: str, kind: TokenizerKind, size: int) -> list[Path]:
         return [_point_path(out, lang, kind, size, mode) for mode in config.modes]
 
-    # A merge kind's first job trains its largest size to make and cuts
-    # the others, whose own jobs `_run_jobs` adds after it.
-    first: list[_ModelJob] = []
-    other: list[_ModelJob] = []
+    merge_chains: list[_Chain] = []
+    chains: list[_Chain] = []
     for spec, curated_path in zip(config.languages, curated_paths):
         inputs = (spec.corpus, curated_path, keys)
-        untrained: dict[TokenizerKind, list[int]] = {}
+        untrained: dict[TokenizerKind, tuple[list[int], _Chain]] = {}
         for kind, size in grid:
-            model_path = _model_path(out, spec.name, kind, size)
-            if tokenizers.KINDS[kind].cut is not None and not fresh(model_path):
-                untrained.setdefault(kind, []).append(size)
-            elif not all(fresh(p) for p in (model_path, *points(spec.name, kind, size))):
-                other.append(_ModelJob(spec.name, kind, size, *inputs))
-        for kind, sizes in untrained.items():
-            largest, *cuts = sorted(sizes, reverse=True)
-            first.append(_ModelJob(spec.name, kind, largest, *inputs, cuts=tuple(cuts)))
+            job = _Job(spec.name, kind, (size,), *inputs)
+            evaluate = [] if all(map(fresh, points(spec.name, kind, size))) else [(_evaluate, job)]
+            if fresh(_model_path(out, spec.name, kind, size)):
+                chains += [evaluate] if evaluate else []
+            elif tokenizers.KINDS[kind].cut is None:
+                chains.append([(_build, job), *evaluate])
+            else:
+                sizes, evaluates = untrained.setdefault(kind, ([], []))
+                sizes.append(size)
+                evaluates += evaluate
+        for kind, (sizes, evaluates) in untrained.items():
+            job = _Job(spec.name, kind, tuple(sorted(sizes, reverse=True)), *inputs)
+            merge_chains.append([(_build, job), *evaluates])
 
     # The reads of one sweep's jobs are not kept for the next, nor for any
     # other command that this process runs.
     _READS.clear()
     try:
-        done = _run_jobs(first + other, config, jobs)
+        done = _run_jobs(merge_chains + chains, config, jobs)
     finally:
         _READS.clear()
     errors: dict[str, str] = {}
-    for job, outcome in done:
+    for fn, job, outcome in done:
         if isinstance(outcome, BaseException):
-            # Blame all the job owned; the disk tells what it did write.
-            point_paths = points(job.language, job.kind, job.size)
-            labels = [_train_label(job.language, job.kind, job.size)]
-            labels += [_point_label(job.language, path) for path in point_paths]
+            # A build owns its sizes' models and an evaluation its points;
+            # the disk tells what the job did write.
+            language, kind, sizes = job[:3]
+            labels = (
+                [_train_label(language, kind, size) for size in sizes] if fn is _build
+                else [_point_label(language, path) for path in points(language, kind, *sizes)]
+            )
             outcome = dict.fromkeys(labels, _failure(outcome))
         errors.update(outcome)
 

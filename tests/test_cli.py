@@ -687,16 +687,30 @@ def _kinds_sweep_setup(tmp_path):
 
 
 def _record_submissions(monkeypatch):
-    """Record (kind, size, cuts) of each job the sweep submits to its pool."""
-    submitted = []
+    """Record (function, kind, sizes) of each job the sweep submits to its pool.
+
+    Also returns the evaluate jobs submitted before the build job of
+    their model had returned.
+    """
+    submitted, early = [], []
+    builds = []
     submit = sweep._submit
 
     def record(executor, fn, job, config):
-        submitted.append((job.kind.value, job.size, job.cuts))
-        return submit(executor, fn, job, config)
+        submitted.append((fn.__name__, job.kind.value, job.sizes))
+        if fn is sweep._evaluate and not all(
+            future.done() for build, future in builds
+            if (build.kind, build.language) == (job.kind, job.language)
+            and job.sizes[0] in build.sizes
+        ):
+            early.append(submitted[-1])
+        future = submit(executor, fn, job, config)
+        if fn is sweep._build:
+            builds.append((job, future))
+        return future
 
     monkeypatch.setattr(sweep, "_submit", record)
-    return submitted
+    return submitted, early
 
 
 def _record_trainings(monkeypatch):
@@ -844,11 +858,16 @@ class TestSweep:
 
     def test_merge_kind_points_are_jobs_of_their_own(self, tmp_path, monkeypatch):
         config_path = _sweep_setup(tmp_path, kinds=["bpe"], include_baselines=False)
-        submitted = _record_submissions(monkeypatch)
+        submitted, early = _record_submissions(monkeypatch)
         assert cli.main(["sweep", "--config", str(config_path), "--jobs", "2"]) == 0
-        # The largest size trains and cuts the smaller one, whose own job,
-        # on any worker, goes last.
-        assert submitted == [("bpe", 80, (60,)), ("bpe", 60, ())]
+        # One build trains the largest size and cuts the smaller one; once
+        # it has returned, each size's evaluation goes in, in grid order.
+        assert submitted == [
+            ("_build", "bpe", (80, 60)),
+            ("_evaluate", "bpe", (60,)),
+            ("_evaluate", "bpe", (80,)),
+        ]
+        assert early == []
         assert len(list((tmp_path / "out" / "toy" / "points").glob("*.csv"))) == 2
 
     def test_jobs_go_merge_trainings_first_and_their_cut_sizes_last(
@@ -856,21 +875,64 @@ class TestSweep:
     ):
         config_path = _kinds_sweep_setup(tmp_path)
         below = json.loads(config_path.read_text(encoding="utf-8"))["vocab_sizes"][1]
-        submitted = _record_submissions(monkeypatch)
+        submitted, early = _record_submissions(monkeypatch)
         assert cli.main(["sweep", "--config", str(config_path), "--jobs", "2"]) == 0
-        assert submitted == [
-            ("bpe", 80, (60, below)),
-            ("wordpiece", 80, (60, below)),
-            ("unigram", 60, ()),
-            ("unigram", below, ()),
-            ("unigram", 80, ()),
-            ("character", 0, ()),
-            ("gold", 0, ()),
-            ("bpe", 60, ()),
-            ("bpe", below, ()),
-            ("wordpiece", 60, ()),
-            ("wordpiece", below, ()),
+        # Builds first: the merge kinds', largest size first, then the rest
+        # in grid order.
+        assert submitted[:7] == [
+            ("_build", "bpe", (80, 60, below)),
+            ("_build", "wordpiece", (80, 60, below)),
+            ("_build", "unigram", (60,)),
+            ("_build", "unigram", (below,)),
+            ("_build", "unigram", (80,)),
+            ("_build", "character", (0,)),
+            ("_build", "gold", (0,)),
         ]
+        # Then every size's evaluation, each once its build has returned, in
+        # the order the builds return.
+        sizes = [(kind, size) for kind in ("bpe", "wordpiece", "unigram") for size in (60, below, 80)]
+        sizes += [("character", 0), ("gold", 0)]
+        assert sorted(submitted[7:]) == sorted(("_evaluate", kind, (size,)) for kind, size in sizes)
+        assert early == []
+
+    def test_sizes_below_the_alphabet_are_cut_not_trained(self, tmp_path, monkeypatch):
+        config_path = _kinds_sweep_setup(tmp_path)
+        below = json.loads(config_path.read_text(encoding="utf-8"))["vocab_sizes"][1]
+        trained = _record_trainings(monkeypatch)
+        assert cli.main(["sweep", "--config", str(config_path), "--jobs", "1"]) == 0
+        # A merge kind's cut below the alphabet fails as its training would.
+        assert trained == [
+            ("bpe", 80), ("wordpiece", 80), ("unigram", 60), ("unigram", below), ("unigram", 80),
+        ]
+        failures = (tmp_path / "out" / "failures.csv").read_text(encoding="utf-8")
+        assert failures == "point,error\n" + "".join(
+            f"toy/{kind}-{below}/train,ConfigError: vocab_size {below} "
+            f"is below the initial symbol count {below + 1}\n"
+            for kind in ("bpe", "wordpiece", "unigram")
+        )
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the waiting evaluation reaches workers only through fork",
+    )
+    def test_cut_sizes_are_evaluated_beside_the_largest(self, tmp_path, monkeypatch):
+        config_path = _sweep_setup(tmp_path, kinds=["bpe"], include_baselines=False)
+        smaller = tmp_path / "out" / "toy" / "points" / "bpe-60-split.csv"
+        evaluate = sweep.run_evaluation
+
+        def waiting(dataset, model, *args):
+            # The largest size's evaluation holds its worker until the cut
+            # size's point is written, which only the other worker can do.
+            deadline = time.monotonic() + 30
+            while model.vocab_size == 80 and not smaller.exists():
+                if time.monotonic() > deadline:
+                    raise TimeoutError("bpe-60 was not evaluated beside bpe-80")
+                time.sleep(0.01)
+            return evaluate(dataset, model, *args)
+
+        monkeypatch.setattr(sweep, "run_evaluation", waiting)
+        assert cli.main(["sweep", "--config", str(config_path), "--jobs", "2"]) == 0
+        assert not (tmp_path / "out" / "failures.csv").exists()
 
     def test_serial_sweep_trains_each_merge_kind_once(self, tmp_path, monkeypatch):
         config_path = _sweep_setup(tmp_path, vocab_sizes=(60, 80, 70))
@@ -919,11 +981,12 @@ class TestSweep:
         spec = config.languages[0]
         curated = out / "curated.tsv"
         keys = layout._keys(config, [curated], Digests())
-        job = sweep._ModelJob("toy", TokenizerKind.BPE, 60, spec.corpus, curated, keys)
+        job = sweep._Job("toy", TokenizerKind.BPE, (60,), spec.corpus, curated, keys)
         trained = _record_trainings(monkeypatch)
-        assert sweep._model_job(job, config) == {}
+        assert sweep._build(job, config) == {}
         assert trained == [("bpe", 60)]
         assert model.read_bytes() == cut
+        assert sweep._evaluate(job, config) == {}
         assert (out / "points" / "bpe-60-split.csv").exists()
 
     def test_finished_sweep_starts_no_pool(self, tmp_path, monkeypatch):
@@ -986,8 +1049,8 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(config_path), "--jobs", "1"]) == 0
         out = tmp_path / "out"
         failures = (out / "failures.csv").read_text(encoding="utf-8")
-        # The largest size fails to train, so the smaller one's own job
-        # trains it and fails alike.
+        # The largest size fails to train, so the build trains the smaller
+        # one on its own, which fails alike.
         assert failures == (
             "point,error\n"
             "toy/bpe-60/train,RuntimeError: no bpe today\n"
@@ -1012,14 +1075,32 @@ class TestSweep:
         assert cli.main(["sweep", "--config", str(config_path), "--jobs", "1"]) == 0
         out = tmp_path / "out"
         failures = (out / "failures.csv").read_text(encoding="utf-8")
-        # The job raised after writing its own model, before its points;
-        # the cut sizes' own jobs trained them.
+        # A failed cut fails its own size alone; the largest size's model
+        # and points are written.
         assert failures == (
             "point,error\n"
-            "toy/bpe-80-split,RuntimeError: no cuts today\n"
-            "toy/wordpiece-80-split,RuntimeError: no cuts today\n"
+            "toy/bpe-60/train,RuntimeError: no cuts today\n"
+            "toy/wordpiece-60/train,RuntimeError: no cuts today\n"
         )
-        assert len(list((out / "toy" / "models").glob("*.json"))) == 6
+        assert len(list((out / "toy" / "models").glob("*.json"))) == 4
+
+        monkeypatch.undo()
+        evaluate = sweep._evaluate
+
+        def escaping(job, config):
+            if job.kind is TokenizerKind.BPE:
+                raise RuntimeError("no evaluation today")
+            return evaluate(job, config)
+
+        # An exception that escapes an evaluate job fails its points.
+        monkeypatch.setattr(sweep, "_evaluate", escaping)
+        argv = ["sweep", "--config", str(config_path), "--output-dir", str(tmp_path / "out2")]
+        assert cli.main(argv + ["--jobs", "1"]) == 0
+        assert (tmp_path / "out2" / "failures.csv").read_text(encoding="utf-8") == (
+            "point,error\n"
+            "toy/bpe-60-split,RuntimeError: no evaluation today\n"
+            "toy/bpe-80-split,RuntimeError: no evaluation today\n"
+        )
 
     def test_crashed_evaluation_job_is_recorded_not_fatal(self, tmp_path, monkeypatch):
         evaluate = sweep.run_evaluation
