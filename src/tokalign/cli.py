@@ -158,7 +158,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from . import metrics, sweep
 
-    lines = read_lines(Path(args.scores))
+    lines = list(read_lines(Path(args.scores)))
     # The report carries its scores' seed; --seed only fills in a missing one.
     seed = metrics.read_seed(lines)
     if seed is None:

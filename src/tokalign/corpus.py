@@ -173,19 +173,8 @@ class JoinStats(_Record):
         self.dropped = dropped
 
 
-def parse_feature_lexicon(
-    stream: Iterable[str],
-) -> tuple[list[tuple[str, str]], ParseStats]:
-    """Read (form, bundle) pairs from lemma/form/features rows.
-
-    Blank lines and the ``#`` comments at the top (see ``_lines``) are
-    ignored.  Lines with fewer than three columns, or with an empty form
-    or bundle, are skipped and counted.  Extra columns beyond the third
-    are ignored.  Order and duplicates are preserved: one output pair per
-    usable input row.
-    """
-    pairs: list[tuple[str, str]] = []
-    stats = ParseStats()
+def _feature_rows(stream: Iterable[str], stats: ParseStats) -> Iterator[tuple[str, str]]:
+    """Yield `parse_feature_lexicon`'s pairs as the rows are read, counting into `stats`."""
     for _, line, comment in _lines(stream):
         if comment:
             continue
@@ -199,9 +188,23 @@ def parse_feature_lexicon(
         if not form or not bundle:
             stats.skipped_empty += 1
             continue
-        pairs.append((form, bundle))
         stats.kept += 1
-    return pairs, stats
+        yield form, bundle
+
+
+def parse_feature_lexicon(
+    stream: Iterable[str],
+) -> tuple[list[tuple[str, str]], ParseStats]:
+    """Read (form, bundle) pairs from lemma/form/features rows.
+
+    Blank lines and the ``#`` comments at the top (see ``_lines``) are
+    ignored.  Lines with fewer than three columns, or with an empty form
+    or bundle, are skipped and counted.  Extra columns beyond the third
+    are ignored.  Order and duplicates are preserved: one output pair per
+    usable input row.
+    """
+    stats = ParseStats()
+    return list(_feature_rows(stream, stats)), stats
 
 
 def parse_segmentation_lexicon(
@@ -243,7 +246,7 @@ def parse_segmentation_lexicon(
 
 def curate(
     segmentations: dict[str, list[str]],
-    features: list[tuple[str, str]],
+    features: Iterable[tuple[str, str]],
     language: str = "und",
 ) -> tuple[CuratedDataset, JoinStats]:
     """Join feature rows with gold segmentations on the surface form.
@@ -252,14 +255,16 @@ def curate(
     atom, are dropped and counted.  The output preserves feature-lexicon
     order, one entry per feature row, so forms with several analyses stay
     distinct entries.  The inputs are taken to be what the two parsers
-    return, which have checked every form and segmentation, so the
-    entries are not checked again.
+    give, which have checked every form and segmentation, so the
+    entries are not checked again; the feature rows are iterated once,
+    so they may be parsed as the join goes.
     """
     entries: list[WordEntry] = []
-    stats = JoinStats(feature_rows=len(features))
+    stats = JoinStats()
     # A lexicon repeats its bundles, so their entries share one tuple.
     atoms_of: dict[str, tuple[str, ...]] = {}
     for form, bundle in features:
+        stats.feature_rows += 1
         segments = segmentations.get(form)
         if segments is None:
             stats.dropped += 1
@@ -332,9 +337,15 @@ def read_curated(stream: Iterable[str]) -> CuratedDataset:
 def curate_files(
     features: Path, segmentations: Path, language: str, out: Path
 ) -> tuple[CuratedDataset, ParseStats, ParseStats, JoinStats]:
-    """Join the lexicons, write the dataset to `out`, and return it and the counts."""
-    feature_rows, feat_stats = parse_feature_lexicon(read_lines(features))
+    """Join the lexicons, write the dataset to `out`, and return it and the counts.
+
+    The segmentation lexicon is parsed into its map first.  The feature
+    lexicon is then joined a row at a time as it is read, so neither
+    lexicon's lines, nor the feature rows, are held in memory.
+    """
     segmentation_map, seg_stats = parse_segmentation_lexicon(read_lines(segmentations))
+    feat_stats = ParseStats()
+    feature_rows = _feature_rows(read_lines(features), feat_stats)
     dataset, join_stats = curate(segmentation_map, feature_rows, language=language)
     write_rendered(out, write_curated, dataset)
     return dataset, feat_stats, seg_stats, join_stats

@@ -1,42 +1,41 @@
-"""Whole-file reads, atomic writes and sha256 digests, shared by every stage."""
+"""Streamed line reads, streamed atomic writes and sha256 digests, shared by every stage."""
 
 from __future__ import annotations
 
-import io
 import os
 from functools import cache
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import ConfigError, DataError
-
-
-def atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # One temporary file per process, so two processes can write one path.
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def write_rendered(path: Path, render: Callable[..., None], *args, **kwargs) -> None:
     """Write to `path` what ``render(*args, stream, **kwargs)`` writes.
 
-    The text is rendered in memory first, so a failure part way leaves
-    any existing file whole instead of truncated.
+    The text streams into a temporary file named for this process, so that
+    two processes can write one path; it replaces `path` once `render`
+    returns, and a failure removes it, leaving any earlier file whole.
     """
-    buffer = io.StringIO()
-    render(*args, buffer, **kwargs)
-    atomic_write(path, buffer.getvalue())
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as stream:
+            render(*args, stream, **kwargs)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-def read_lines(path: Path) -> list[str]:
+def atomic_write(path: Path, text: str) -> None:
+    write_rendered(path, lambda stream: stream.write(text))
+
+
+def read_lines(path: Path) -> Iterator[str]:
+    """The lines as they are read: ConfigError if unreadable, DataError at a non-UTF-8 byte."""
     try:
         with path.open("r", encoding="utf-8") as handle:
-            return handle.readlines()
+            yield from handle
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

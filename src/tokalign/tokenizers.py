@@ -179,6 +179,7 @@ def _train_merges(
     corpus: Mapping[str, int],
     vocab_size: int,
     score: Callable[[int, int, int], Any],
+    scores_symbols: bool,
 ) -> tuple[list[str], list[tuple[str, str]]]:
     """Shared merge loop; returns the alphabet and the learned merges.
 
@@ -191,12 +192,12 @@ def _train_merges(
 
     The loop is incremental, after Sennrich et al. (2016): it keeps the
     pair and symbol counts, an index from each pair to the words that
-    hold it and from each symbol to the pairs that hold it, and a lazy
-    heap of keys.  A merge of (a, b) rewrites only the words indexed
-    under (a, b).  It then re-scores the pairs whose count changed and
-    every pair that holds a, b or ab, whose symbol counts changed.  A
-    heap entry is stale once its pair's key has changed and is skipped
-    when popped.
+    hold it, and a lazy heap of keys.  A merge of (a, b) rewrites only
+    the words indexed under (a, b) and re-scores the pairs whose count
+    changed.  If the key reads the symbol counts (`scores_symbols`), it
+    also re-scores every pair that holds a, b or ab, found through an
+    index from each symbol to the pairs that hold it.  A heap entry is
+    stale once its pair's key has changed and is skipped when popped.
 
     Nothing here depends on vocab_size except when the loop stops, so
     the merges for a smaller budget are a prefix of those for a larger
@@ -217,7 +218,7 @@ def _train_merges(
         for pair in zip(symbols, symbols[1:]):
             pair_counts[pair] += freq
             words_with[pair].add(index)
-    for pair in pair_counts:
+    for pair in pair_counts if scores_symbols else ():
         pairs_with[pair[0]].add(pair)
         pairs_with[pair[1]].add(pair)
 
@@ -250,7 +251,7 @@ def _train_merges(
         joined = left + right
         merges.append(best)
         vocab.add(joined)
-        changed: set[tuple[str, str]] = set()
+        delta: defaultdict[tuple[str, str], int] = defaultdict(int)
         for index in words_with.pop(best):
             symbols = words[index]
             merged = _merge_sequence(symbols, best, joined)
@@ -260,20 +261,22 @@ def _train_merges(
             symbol_counts[right] -= times * freq
             symbol_counts[joined] += times * freq
             for pair in zip(symbols, symbols[1:]):
-                pair_counts[pair] -= freq
-                changed.add(pair)
+                delta[pair] -= freq
             for pair in zip(merged, merged[1:]):
-                pair_counts[pair] += freq
-                changed.add(pair)
+                delta[pair] += freq
                 if joined in pair:
                     words_with[pair].add(index)
-                    pairs_with[pair[0]].add(pair)
-                    pairs_with[pair[1]].add(pair)
+                    if scores_symbols:
+                        pairs_with[pair[0]].add(pair)
+                        pairs_with[pair[1]].add(pair)
             words[index] = merged
+        # A pair of a rewritten word may end with the count it had.
+        changed = {pair for pair, change in delta.items() if change}
         for pair in changed:
+            pair_counts[pair] += delta[pair]
             if not pair_counts[pair]:
                 del pair_counts[pair]
-        for sym in (left, right, joined):
+        for sym in (left, right, joined) if scores_symbols else ():
             live = {pair for pair in pairs_with[sym] if pair in pair_counts}
             pairs_with[sym] = live
             changed |= live
@@ -289,7 +292,7 @@ def train_bpe(corpus: Mapping[str, int], config: TrainConfig) -> TokenizerModel:
     occurs at least twice (weighted by word frequency).  Count ties
     break on the lexicographically smallest (left, right) pair.
     """
-    alphabet, merges = _train_merges(corpus, config.vocab_size, _frequency_key)
+    alphabet, merges = _train_merges(corpus, config.vocab_size, _frequency_key, scores_symbols=False)
     return _merge_model(TokenizerKind.BPE, alphabet, merges, config)
 
 
@@ -306,7 +309,7 @@ def train_wordpiece(corpus: Mapping[str, int], config: TrainConfig) -> Tokenizer
     """
     total = sum(len(word) * freq for word, freq in corpus.items())
     score = _likelihood_key(total)
-    alphabet, merges = _train_merges(corpus, config.vocab_size, score)
+    alphabet, merges = _train_merges(corpus, config.vocab_size, score, scores_symbols=True)
     return _merge_model(TokenizerKind.WORDPIECE, alphabet, merges, config, WORDPIECE_MARKER)
 
 

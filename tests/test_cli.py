@@ -197,6 +197,26 @@ class TestCurate:
             "curated.tsv", "features.tsv", "segments.tsv"
         ]
 
+    def test_segmentation_lexicon_is_read_first(self, tmp_path, capsys):
+        # The feature rows are joined as they are read, against the map
+        # that the whole segmentation lexicon makes.
+        features = tmp_path / "features.tsv"
+        segments = tmp_path / "segments.tsv"
+        for lexicon in (features, segments):
+            lexicon.write_bytes(b"\xff\n")
+        out = tmp_path / "curated.tsv"
+        code = cli.main(
+            [
+                "curate",
+                "--features", str(features),
+                "--segmentations", str(segments),
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert f"{segments} is not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainAndSegment:
     def test_train_write_and_retrain_identically(self, tmp_path, capsys):

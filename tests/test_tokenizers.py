@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from oracles import (
     wordpiece_best_pair,
 )
 from conftest import random_corpus
+from tokalign import tokenizers
 from tokalign.errors import ConfigError, DataError, UncoverableWord
 from tokalign.synth import SynthConfig, build_language
 from tokalign.tokenizers import (
@@ -37,6 +39,16 @@ from tokalign.tokenizers import (
     train_wordpiece,
     word_frequencies,
 )
+
+
+def _pair_and_symbol_counts(seqs):
+    pairs, symbols = Counter(), Counter()
+    for symbols_of_word, freq in seqs:
+        for symbol in symbols_of_word:
+            symbols[symbol] += freq
+        for pair in zip(symbols_of_word, symbols_of_word[1:]):
+            pairs[pair] += freq
+    return pairs, symbols
 
 
 def _config(kind, vocab_size):
@@ -129,6 +141,34 @@ class TestBpe:
                 vocab.add(pair[0] + pair[1])
                 seqs = [(replay_merge(s, pair), f) for s, f in seqs]
             assert model.merges == expected
+
+    def test_merge_keys_only_the_pairs_whose_count_it_changed(self, monkeypatch):
+        # BPE's key reads the pair's count alone, so the symbol counts a
+        # merge changes call for no new key.  Each training must key each
+        # pair once, then after each merge each pair whose count changed
+        # and is not zero, with the counts that an independent replay has.
+        calls = []
+        key = tokenizers._frequency_key
+        monkeypatch.setattr(
+            tokenizers, "_frequency_key", lambda *args: calls.append(args) or key(*args)
+        )
+        for corpus, budget in _oracle_cases(1000):
+            calls.clear()
+            model = train_bpe(corpus, _config(TokenizerKind.BPE, budget))
+            seqs = [(list(w), f) for w, f in sorted(corpus.items())]
+            earlier: Counter = Counter()
+            expected = []
+            for pair in [None, *model.merges]:
+                if pair is not None:
+                    seqs = [(replay_merge(s, pair), f) for s, f in seqs]
+                pairs, symbols = _pair_and_symbol_counts(seqs)
+                expected += [
+                    (count, symbols[left], symbols[right])
+                    for (left, right), count in pairs.items()
+                    if count != earlier[left, right]
+                ]
+                earlier = pairs
+            assert Counter(calls) == Counter(expected)
 
     def test_rank_loop_segmentation_equals_ordered_replay(self):
         # The lowest-rank-first loop must agree with applying all merges
