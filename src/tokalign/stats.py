@@ -101,14 +101,6 @@ class CorrelationReport:
         return [c for c in self.cells if c.status == STATUS_OK]
 
 
-def _target_value(row: ScoreRow, target_metric: str) -> float:
-    if target_metric == "precision":
-        return row.precision
-    if target_metric == "recall":
-        return row.recall
-    return row.f1
-
-
 def _cells_for_group(
     key: tuple[str, str, str, float],
     rows: list[ScoreRow],
@@ -150,7 +142,7 @@ def _cells_for_group(
         # ranks of any other series have a positive variance.
         score_ranks = None if min(scores) == max(scores) else average_ranks(scores)
         for target_metric in TARGET_METRICS:
-            targets = tuple(_target_value(row, target_metric) for row in subset)
+            targets = tuple(getattr(row, target_metric) for row in subset)
             rho = None
             if score_ranks is not None and min(targets) != max(targets):
                 ranks = target_ranks.get(targets)

@@ -3,7 +3,9 @@
 `tokalign.cli` parses arguments and the sweep config and prints; this
 module does the work.  It owns each stage routine that a subcommand and
 the sweep both run (build a model, evaluate and write a point, write
-the report) and the sweep's jobs and process pool.  Curation is
+the report) and the sweep's jobs and process pool.  A build job writes
+models; an evaluate job writes one model size's points, and is made
+only once that model is on disk (`_evaluations`).  Curation is
 `tokalign.corpus.curate_files`, so that `tokalign curate` does not load
 this module.  Every stage reads and writes plain files, so a sweep is
 resumable by one rule, which `tokalign.layout` keeps with the config
@@ -210,27 +212,23 @@ class _Job(NamedTuple):
     keys: dict[Path, str]
 
 
-def _train_label(language: str, kind: TokenizerKind, size: int) -> str:
-    return f"{language}/{kind.value}-{size}/train"
+def _label(language: str, path: Path) -> str:
+    """The name in `failures.csv` of a model or point file that was not written."""
+    return f"{language}/{path.stem}" + ("/train" if path.suffix == ".json" else "")
 
 
-def _point_label(language: str, point_path: Path) -> str:
-    return f"{language}/{point_path.stem}"
-
-
-def _build(job: _Job, config: SweepConfig) -> dict[str, str]:
+def _build(job: _Job, config: SweepConfig) -> dict[Path, str]:
     """Write the job's models, in the order of its sizes, largest first.
 
     The first model made is cut for each later size, which equals the
     model trained at that size; until one is made, each size trains on
     its own.  Everything goes to disk, so the job can run in a worker
-    process.  Returns the failure text of each size it could not write,
-    by label.
+    process.  Returns the failure text of each model it could not write,
+    by path.
     """
-    errors: dict[str, str] = {}
+    errors: dict[Path, str] = {}
     made: TokenizerModel | None = None
-    for size in job.sizes:
-        path = _model_path(config.output_dir, job.language, job.kind, size)
+    for size, path in zip(job.sizes, _files(_build, job, config)):
         try:
             if made is None:
                 # Read on first use, so that a bad file fails only what
@@ -245,30 +243,24 @@ def _build(job: _Job, config: SweepConfig) -> dict[str, str]:
                 model = tokenizers.KINDS[job.kind].cut(made, train_config)
             _write_keyed(path, job.keys[path], tokenizers.save_model, model, path)
         except Exception as exc:
-            errors[_train_label(job.language, job.kind, size)] = _failure(exc)
+            errors[path] = _failure(exc)
         else:
             made = made or model
     return errors
 
 
-def _evaluate(job: _Job, config: SweepConfig) -> dict[str, str]:
+def _evaluate(job: _Job, config: SweepConfig) -> dict[Path, str]:
     """Write the points of the job's one size that are not fresh (see `_fresh`).
 
-    If the size's model is not fresh, this does nothing: the failure is
-    its training's.  The model is loaded and segmented once, for all of
-    its points.  Returns the failure text of each point it could not
-    write, by label.
+    The job is made only for a fresh model (see `_evaluations`), which
+    is loaded and segmented once, for all of its points.  Returns the
+    failure text of each point it could not write, by path.
     """
-    (size,) = job.sizes
-    out = config.output_dir
-    model_path = _model_path(out, job.language, job.kind, size)
-    if not _fresh(model_path, job.keys[model_path]):
-        return {}
-    errors: dict[str, str] = {}
+    (model_path,) = _files(_build, job, config)
+    errors: dict[Path, str] = {}
     model: TokenizerModel | None = None
     segmented: Segmented | None = None
-    for mode in config.modes:
-        point_path = _point_path(out, job.language, job.kind, size, mode)
+    for mode, point_path in zip(config.modes, _files(_evaluate, job, config)):
         if _fresh(point_path, job.keys[point_path]):
             continue
         try:
@@ -285,8 +277,27 @@ def _evaluate(job: _Job, config: SweepConfig) -> dict[str, str]:
                 config.include_null, job.language,
             )
         except Exception as exc:
-            errors[_point_label(job.language, point_path)] = _failure(exc)
+            errors[point_path] = _failure(exc)
     return errors
+
+
+def _files(run: Callable, job: _Job, config: SweepConfig) -> list[Path]:
+    """The files a job is to write: a build's models, or an evaluation's points."""
+    out, language, kind = config.output_dir, job.language, job.kind
+    if run is _build:
+        return [_model_path(out, language, kind, size) for size in job.sizes]
+    modes = config.modes
+    return [_point_path(out, language, kind, size, mode) for size in job.sizes for mode in modes]
+
+
+def _evaluations(job: _Job, config: SweepConfig) -> list[_Job]:
+    """The one rule for evaluate jobs: one per size with a fresh model and a point not fresh."""
+
+    def fresh(run: Callable, one: _Job) -> bool:
+        return all(_fresh(path, job.keys[path]) for path in _files(run, one, config))
+
+    sizes = [job._replace(sizes=(size,)) for size in job.sizes]
+    return [one for one in sizes if fresh(_build, one) and not fresh(_evaluate, one)]
 
 
 def _submit(executor: ProcessPoolExecutor, fn, *args) -> Future:
@@ -301,50 +312,62 @@ def _submit(executor: ProcessPoolExecutor, fn, *args) -> Future:
         return future
 
 
-# A job, as (`_build` or `_evaluate`, job), then the evaluate jobs of the
-# models it writes, which start only once it has returned.
-_Chain = list[tuple[Callable, _Job]]
-
-
 def _run_jobs(
-    chains: list[_Chain], config: SweepConfig, jobs: int
-) -> list[tuple[Callable, _Job, dict[str, str] | BaseException]]:
-    """Run each chain's first job, then the rest of the chain.
+    builds: list[_Job], evaluations: list[_Job], config: SweepConfig, jobs: int
+) -> dict[Path, str]:
+    """Run the build jobs, then the evaluate jobs, and each build's evaluations.
 
-    Returns each job with its function and its errors by label, or what
-    it raised.  With one worker, or when no two jobs can run at once,
-    the jobs run in this process, chain after chain, and no worker
-    starts.  Otherwise each chain's first job goes, in chain order, to a
-    pool of `jobs` worker processes, which starts them in that order,
-    and this process hands the pool the rest of a chain the moment its
-    first job returns (`as_completed`).  So an evaluate job finds its
-    model on disk, and a merge kind's sizes are evaluated side by side.
-    A worker that dies fails its job, and those the broken pool still
-    held or is given later, with `BrokenProcessPool`.
+    A build's evaluate jobs (`_evaluations`) are made the moment it
+    returns, so each finds its model on disk.  Returns the failure text
+    of each file a job could not write, by path; a job that raised or
+    lost its worker fails every file it was to write (`_files`).  With
+    one worker, or for a plan of one job of one size, the jobs run in
+    this process, a build's evaluations right after it, and no worker
+    starts.  Otherwise the plan goes, in order, to a pool of `jobs`
+    workers, but no more than the jobs the plan can run, as each worker
+    starts up front; a build's evaluations follow as it returns
+    (`as_completed`), so a merge kind's sizes are evaluated side by
+    side.  A worker that dies fails its job, and every job the broken
+    pool still held or is given later, with `BrokenProcessPool`.
     """
-    total = sum(map(len, chains))
-    # One chain of at most two jobs never runs two at once.
-    if jobs <= 1 or (len(chains) <= 1 and total <= 2):
-        done: list[tuple[Callable, _Job, dict[str, str] | BaseException]] = []
-        for fn, job in (step for chain in chains for step in chain):
+    errors: dict[Path, str] = {}
+
+    def record(run: Callable, job: _Job, outcome: dict[Path, str] | BaseException) -> list[_Job]:
+        if isinstance(outcome, BaseException):
+            outcome = dict.fromkeys(_files(run, job, config), _failure(outcome))
+        errors.update(outcome)
+        return _evaluations(job, config) if run is _build else []
+
+    plan = [(_build, job) for job in builds] + [(_evaluate, job) for job in evaluations]
+    most = len(plan) + sum(len(job.sizes) for job in builds)
+    # One job of one size never runs two at once.
+    if jobs <= 1 or (len(plan) <= 1 and most <= 2):
+
+        def run_here(run: Callable, job: _Job) -> None:
             try:
-                done.append((fn, job, fn(job, config)))
+                outcome = run(job, config)
             except Exception as exc:
-                done.append((fn, job, exc))
-        return done
+                outcome = exc
+            for evaluation in record(run, job, outcome):
+                run_here(_evaluate, evaluation)
+
+        for run, job in plan:
+            run_here(run, job)
+        return errors
     # Imported here, so that a sweep with nothing to run in parallel
     # never loads `multiprocessing`.
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    pool = ProcessPoolExecutor(min(jobs, total))
+    pool = ProcessPoolExecutor(min(jobs, most))
     try:
-        first = {_submit(pool, *chain[0], config): chain for chain in chains}
-        futures = []
+        first = {_submit(pool, run, job, config): (run, job) for run, job in plan}
+        later = []
         for future in as_completed(first):
-            (fn, job), *rest = first[future]
-            futures.append((fn, job, future))
-            futures += [(fn, job, _submit(pool, fn, job, config)) for fn, job in rest]
-        return [(fn, job, f.exception() or f.result()) for fn, job, f in futures]
+            for evaluation in record(*first[future], future.exception() or future.result()):
+                later.append((evaluation, _submit(pool, _evaluate, evaluation, config)))
+        for evaluation, future in later:
+            record(_evaluate, evaluation, future.exception() or future.result())
+        return errors
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -367,15 +390,15 @@ def _sweep(
 
     Each merge kind gets one build job per language for all of its sizes
     without a fresh model, and every other such model one of its own;
-    the merge kinds' go first.  Each size with a point not fresh gets an
-    evaluate job, which follows the build of its model, if any.  Every
+    the builds go first, the merge kinds' ahead of the rest, in grid
+    order.  The models already on disk follow with their evaluate jobs
+    (`_evaluations`); a build's own come once it returns.  Every
     language's jobs run on one executor (see `_run_jobs`).  What failed
     is read off the disk afterwards: a size without a fresh model failed
-    to train, and a point not fresh failed to evaluate, whether its job
-    returned an error, raised or lost its worker.  Returns the score rows
-    of every point file, in grid order, the failures by label (per
-    language, training before evaluation, each in grid order) and the
-    sweep's keys.
+    to train, and a point not fresh failed to evaluate.  Returns the
+    score rows of every point file, in grid order, the failures by label
+    (per language, training before evaluation, each in grid order) and
+    the sweep's keys.
     """
     out = config.output_dir
     grid = config.grid
@@ -385,67 +408,49 @@ def _sweep(
     def fresh(path: Path) -> bool:
         return _fresh(path, keys[path])
 
-    def points(lang: str, kind: TokenizerKind, size: int) -> list[Path]:
-        return [_point_path(out, lang, kind, size, mode) for mode in config.modes]
-
-    merge_chains: list[_Chain] = []
-    chains: list[_Chain] = []
+    merge_builds: list[_Job] = []
+    builds: list[_Job] = []
+    evaluations: list[_Job] = []
     for spec, curated_path in zip(config.languages, curated_paths):
         inputs = (spec.corpus, curated_path, keys)
-        untrained: dict[TokenizerKind, tuple[list[int], _Chain]] = {}
+        untrained: dict[TokenizerKind, list[int]] = {}
         for kind, size in grid:
             job = _Job(spec.name, kind, (size,), *inputs)
-            evaluate = [] if all(map(fresh, points(spec.name, kind, size))) else [(_evaluate, job)]
             if fresh(_model_path(out, spec.name, kind, size)):
-                chains += [evaluate] if evaluate else []
+                evaluations += _evaluations(job, config)
             elif tokenizers.KINDS[kind].cut is None:
-                chains.append([(_build, job), *evaluate])
+                builds.append(job)
             else:
-                sizes, evaluates = untrained.setdefault(kind, ([], []))
-                sizes.append(size)
-                evaluates += evaluate
-        for kind, (sizes, evaluates) in untrained.items():
-            job = _Job(spec.name, kind, tuple(sorted(sizes, reverse=True)), *inputs)
-            merge_chains.append([(_build, job), *evaluates])
+                untrained.setdefault(kind, []).append(size)
+        for kind, sizes in untrained.items():
+            merge_builds.append(_Job(spec.name, kind, tuple(sorted(sizes, reverse=True)), *inputs))
 
     # The reads of one sweep's jobs are not kept for the next, nor for any
     # other command that this process runs.
     _READS.clear()
     try:
-        done = _run_jobs(merge_chains + chains, config, jobs)
+        errors = _run_jobs(merge_builds + builds, evaluations, config, jobs)
     finally:
         _READS.clear()
-    errors: dict[str, str] = {}
-    for fn, job, outcome in done:
-        if isinstance(outcome, BaseException):
-            # A build owns its sizes' models and an evaluation its points;
-            # the disk tells what the job did write.
-            language, kind, sizes = job[:3]
-            labels = (
-                [_train_label(language, kind, size) for size in sizes] if fn is _build
-                else [_point_label(language, path) for path in points(language, kind, *sizes)]
-            )
-            outcome = dict.fromkeys(labels, _failure(outcome))
-        errors.update(outcome)
 
     rows: list[ScoreRow] = []
     failures: list[tuple[str, str]] = []
     for spec in config.languages:
         eval_failures = []
         for kind, size in grid:
-            if not fresh(_model_path(out, spec.name, kind, size)):
-                label = _train_label(spec.name, kind, size)
-                failures.append((label, errors[label]))
+            model_path = _model_path(out, spec.name, kind, size)
+            if not fresh(model_path):
+                failures.append((_label(spec.name, model_path), errors[model_path]))
                 continue
-            for point_path in points(spec.name, kind, size):
+            for mode in config.modes:
+                point_path = _point_path(out, spec.name, kind, size, mode)
                 if fresh(point_path):
                     try:
                         rows.extend(metrics.read_score_rows(read_lines(point_path)))
                     except DataError as exc:
                         raise DataError(f"point file {point_path}: {exc}") from exc
                 else:
-                    label = _point_label(spec.name, point_path)
-                    eval_failures.append((label, errors[label]))
+                    eval_failures.append((_label(spec.name, point_path), errors[point_path]))
         failures.extend(eval_failures)
     return rows, failures, keys
 

@@ -191,13 +191,14 @@ def _train_merges(
     joined tokens) reaches vocab_size or no pair may merge.
 
     The loop is incremental, after Sennrich et al. (2016): it keeps the
-    pair and symbol counts, an index from each pair to the words that
-    hold it, and a lazy heap of keys.  A merge of (a, b) rewrites only
-    the words indexed under (a, b) and re-scores the pairs whose count
-    changed.  If the key reads the symbol counts (`scores_symbols`), it
-    also re-scores every pair that holds a, b or ab, found through an
-    index from each symbol to the pairs that hold it.  A heap entry is
-    stale once its pair's key has changed and is skipped when popped.
+    pair counts, an index from each pair to the words that hold it, and
+    a lazy heap of keys.  A merge of (a, b) rewrites only the words
+    indexed under (a, b) and re-scores the pairs whose count changed.
+    Symbol counts are kept only for a key that reads them
+    (`scores_symbols`; any other is given 0s), and such a merge also
+    re-scores every pair that holds a, b or ab, found through an index
+    from each symbol to the pairs that hold it.  A heap entry is stale
+    once its pair's key has changed and is skipped when popped.
 
     Nothing here depends on vocab_size except when the loop stops, so
     the merges for a smaller budget are a prefix of those for a larger
@@ -209,11 +210,11 @@ def _train_merges(
     alphabet = sorted({sym for symbols in words for sym in symbols})
     _check_alphabet_budget(len(alphabet), vocab_size)
     pair_counts: Counter = Counter()
-    symbol_counts: Counter = Counter()
+    symbol_counts: defaultdict[str, int] = defaultdict(int)
     words_with: dict[tuple[str, str], set[int]] = defaultdict(set)
     pairs_with: dict[str, set[tuple[str, str]]] = defaultdict(set)
     for index, (symbols, freq) in enumerate(zip(words, freqs)):
-        for sym in symbols:
+        for sym in symbols if scores_symbols else ():
             symbol_counts[sym] += freq
         for pair in zip(symbols, symbols[1:]):
             pair_counts[pair] += freq
@@ -256,10 +257,11 @@ def _train_merges(
             symbols = words[index]
             merged = _merge_sequence(symbols, best, joined)
             freq = freqs[index]
-            times = len(symbols) - len(merged)
-            symbol_counts[left] -= times * freq
-            symbol_counts[right] -= times * freq
-            symbol_counts[joined] += times * freq
+            if scores_symbols:
+                times = (len(symbols) - len(merged)) * freq
+                symbol_counts[left] -= times
+                symbol_counts[right] -= times
+                symbol_counts[joined] += times
             for pair in zip(symbols, symbols[1:]):
                 delta[pair] -= freq
             for pair in zip(merged, merged[1:]):
@@ -425,9 +427,8 @@ def _unigram_em_round(
     words: list[tuple[str, int]],
     lattices: list[tuple[tuple[int, int, int], ...]],
     logprob: list[float],
-    iterations: int = 2,
 ) -> tuple[list[float], list[tuple[list[int], float]]]:
-    """Hard EM: Viterbi-count tokens, renormalize, repeat.
+    """Two iterations of hard EM: Viterbi-count tokens, renormalize.
 
     Works on token ids: ``logprob`` and the returned table are indexed
     like the ids in ``lattices``.  Also returns each word's best path and
@@ -440,7 +441,7 @@ def _unigram_em_round(
     floor = math.log(PROB_FLOOR)
     paths: list[tuple[list[int], float]] = []
     prev_nll: float | None = None
-    for _ in range(iterations):
+    for _ in range(2):
         counts = [0] * len(logprob)
         nll = 0.0
         paths = []

@@ -841,7 +841,7 @@ class TestSweep:
 
     def test_jobs_do_not_change_outputs(self, tmp_path):
         config_path = _kinds_sweep_setup(tmp_path)
-        for jobs in ("1", "2"):
+        for jobs in ("1", "2", "3"):
             out = str(tmp_path / f"out{jobs}")
             argv = ["sweep", "--config", str(config_path), "--output-dir", out]
             assert cli.main(argv + ["--jobs", jobs]) == 0
@@ -849,6 +849,7 @@ class TestSweep:
         assert "failures.csv" in serial
         assert "toy/models/unigram-80.json" in serial
         assert _tree(tmp_path / "out2") == serial
+        assert _tree(tmp_path / "out3") == serial
 
     def test_resume_with_jobs_reproduces_outputs(self, tmp_path):
         config_path = _kinds_sweep_setup(tmp_path)
@@ -881,11 +882,11 @@ class TestSweep:
         submitted, early = _record_submissions(monkeypatch)
         assert cli.main(["sweep", "--config", str(config_path), "--jobs", "2"]) == 0
         # One build trains the largest size and cuts the smaller one; once
-        # it has returned, each size's evaluation goes in, in grid order.
+        # it has returned, each size's evaluation goes in, in its size order.
         assert submitted == [
             ("_build", "bpe", (80, 60)),
-            ("_evaluate", "bpe", (60,)),
             ("_evaluate", "bpe", (80,)),
+            ("_evaluate", "bpe", (60,)),
         ]
         assert early == []
         assert len(list((tmp_path / "out" / "toy" / "points").glob("*.csv"))) == 2
@@ -908,12 +909,63 @@ class TestSweep:
             ("_build", "character", (0,)),
             ("_build", "gold", (0,)),
         ]
-        # Then every size's evaluation, each once its build has returned, in
-        # the order the builds return.
-        sizes = [(kind, size) for kind in ("bpe", "wordpiece", "unigram") for size in (60, below, 80)]
+        # Then the evaluation of every size whose model was made, each once
+        # its build has returned, in the order the builds return; no size
+        # below the alphabet has a model.
+        sizes = [(kind, size) for kind in ("bpe", "wordpiece", "unigram") for size in (60, 80)]
         sizes += [("character", 0), ("gold", 0)]
+        assert len(submitted) == 7 + 8
         assert sorted(submitted[7:]) == sorted(("_evaluate", kind, (size,)) for kind, size in sizes)
         assert early == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the failing cut reaches workers only through fork",
+    )
+    def test_failed_cut_size_gets_no_evaluation_and_the_written_sizes_do(
+        self, tmp_path, monkeypatch
+    ):
+        config_path = _sweep_setup(
+            tmp_path, vocab_sizes=(60, 70, 80), kinds=["bpe"], include_baselines=False
+        )
+        cut = tokenizers.KINDS[TokenizerKind.BPE].cut
+
+        def failing(model, config):
+            if config.vocab_size == 70:
+                raise RuntimeError("no cut at 70")
+            return cut(model, config)
+
+        row = tokenizers.KINDS[TokenizerKind.BPE]._replace(cut=failing)
+        monkeypatch.setitem(tokenizers.KINDS, TokenizerKind.BPE, row)
+        submitted, early = _record_submissions(monkeypatch)
+        assert cli.main(["sweep", "--config", str(config_path), "--jobs", "2"]) == 0
+        assert submitted == [
+            ("_build", "bpe", (80, 70, 60)),
+            ("_evaluate", "bpe", (80,)),
+            ("_evaluate", "bpe", (60,)),
+        ]
+        assert early == []
+        out = tmp_path / "out"
+        assert (out / "failures.csv").read_text(encoding="utf-8") == (
+            "point,error\ntoy/bpe-70/train,RuntimeError: no cut at 70\n"
+        )
+        assert sorted(path.name for path in (out / "toy" / "points").glob("*.csv")) == [
+            "bpe-60-split.csv", "bpe-80-split.csv",
+        ]
+
+    def test_pool_has_no_more_workers_than_the_plan_can_run(self, tmp_path, monkeypatch):
+        config_path = _sweep_setup(tmp_path, kinds=["bpe"], include_baselines=False)
+        workers = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        assert cli.main(["sweep", "--config", str(config_path), "--jobs", "8"]) == 0
+        # One build of two sizes, then at most one evaluation per size.
+        assert workers == [3]
 
     def test_sizes_below_the_alphabet_are_cut_not_trained(self, tmp_path, monkeypatch):
         config_path = _kinds_sweep_setup(tmp_path)
