@@ -313,9 +313,9 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="sweep config JSON")
     p.add_argument("--output-dir", default=None, help="override the config output_dir")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, at least 1; a job builds or loads "
-                        "one model size and evaluates it (1 runs every job in "
-                        "this process)")
+                   help="worker processes, at least 1; a build job writes "
+                        "models, and an evaluate job writes one model size's "
+                        "points (1 runs every job in this process)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="build a correlation report from score rows")

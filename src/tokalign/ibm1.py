@@ -176,35 +176,35 @@ class _LinkCorpus:
 
 
 def _expectation(
-    corpus: _LinkCorpus, probs: list[float], with_loglik: bool
-) -> tuple[list[float], float]:
-    """Expected counts per link, plus the corpus log likelihood under ``probs``.
+    corpus: _LinkCorpus, probs: list[float], counts: list[float] | None
+) -> float:
+    """The corpus log likelihood under ``probs``; adds expected counts to ``counts``, if given.
 
     Each target token's count is distributed over the source tokens of
-    its pair in proportion to the current probabilities.  The
-    normalizing denominators are exactly the masses :func:`_loglik` sums,
-    in the same order, so with ``with_loglik`` the log likelihood
-    of the incoming table comes out of the same pass, bit for bit.  Only
-    the counts of links with positive probability are meaningful; the
-    maximization step reads no other.
+    its pair in proportion to the current probabilities; the
+    normalizing denominators are the masses whose means the log
+    likelihood sums, so with ``counts`` both come out of one pass.
+    Only the counts of links with positive probability are meaningful;
+    the maximization step reads no other.
     """
-    counts = [0.0] * len(probs)
     loglik = 0.0
     for inv_len, columns in corpus.pairs:
         for column in columns:
             denom = 0.0
             for i in column:
                 denom += probs[i]
-            if denom <= 0.0:
+            mean = inv_len * denom
+            # No mass, or a mean that underflows to zero.
+            if mean <= 0.0:
                 raise NumericalError(
-                    f"no source token explains target {corpus.links[column[0]][1]!r}; "
-                    "the table has degenerated"
+                    f"target {corpus.links[column[0]][1]!r} has a mean probability of "
+                    "zero under the table; the table has degenerated"
                 )
-            if with_loglik:
-                loglik += math.log(inv_len * denom)
-            for i in column:
-                counts[i] += probs[i] / denom
-    return counts, loglik
+            loglik += math.log(mean)
+            if counts is not None:
+                for i in column:
+                    counts[i] += probs[i] / denom
+    return loglik
 
 
 def _maximization(
@@ -237,29 +237,6 @@ def _maximization(
     return new_probs, new_rows
 
 
-def _loglik(corpus: _LinkCorpus, probs: list[float]) -> float:
-    """Sum over target tokens of the log of their mean source probability."""
-    total = 0.0
-    for inv_len, columns in corpus.pairs:
-        for column in columns:
-            mass = 0.0
-            for i in column:
-                mass += probs[i]
-            if mass <= 0.0:
-                raise NumericalError(
-                    f"target {corpus.links[column[0]][1]!r} has zero probability "
-                    "under the table"
-                )
-            mean = inv_len * mass
-            if mean == 0.0:
-                raise NumericalError(
-                    f"target {corpus.links[column[0]][1]!r} has a mean probability "
-                    "that underflows to zero"
-                )
-            total += math.log(mean)
-    return total
-
-
 def train_ibm1(
     pairs: Sequence[ParallelPair], epochs: int = DEFAULT_EPOCHS
 ) -> TranslationTable:
@@ -269,10 +246,11 @@ def train_ibm1(
     pair becomes one tuple of link ids per target token, one id per
     source position.  The probabilities and the expected counts are flat
     lists indexed by link id, and the table comes back as dict rows.
-    Each epoch's log likelihood, under the table that epoch made, is
-    folded into the next epoch's expectation pass, and only the last one
-    takes a pass of its own: ``epochs + 1`` passes over the pairs
-    instead of ``2 * epochs``.
+    One pass (`_expectation`) gives both the expected counts and the log
+    likelihood of the table it reads, so each epoch's log likelihood,
+    under the table that epoch made, comes from the next epoch's pass,
+    and only the last one takes a pass of its own, with no counts:
+    ``epochs + 1`` passes over the pairs instead of ``2 * epochs``.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be at least 1, got {epochs}")
@@ -283,11 +261,12 @@ def train_ibm1(
     rows = corpus.rows
     trajectory: list[float] = []
     for epoch in range(epochs):
-        counts, loglik = _expectation(corpus, probs, with_loglik=epoch > 0)
+        counts = [0.0] * len(probs)
+        loglik = _expectation(corpus, probs, counts)
         if epoch > 0:
             trajectory.append(loglik)
         probs, rows = _maximization(rows, counts)
-    trajectory.append(_loglik(corpus, probs))
+    trajectory.append(_expectation(corpus, probs, None))
     return TranslationTable(
         probs=corpus.table(probs, rows),
         source_vocab=sorted(corpus.rows),

@@ -5,10 +5,11 @@ module does the work.  It owns each stage routine that a subcommand and
 the sweep both run (build a model, evaluate and write a point, write
 the report) and the sweep's jobs and process pool.  A build job writes
 models; an evaluate job writes one model size's points, and is made
-only once that model is on disk (`_evaluations`).  Curation is
-`tokalign.corpus.curate_files`, so that `tokalign curate` does not load
-this module.  Every stage reads and writes plain files, so a sweep is
-resumable by one rule, which `tokalign.layout` keeps with the config
+only once that model is on disk (`_evaluations`).  One loop runs a
+sweep's jobs, in a pool or, at one job, in this process (`_run_jobs`).
+Curation is `tokalign.corpus.curate_files`, so that `tokalign curate`
+does not load this module.  Every stage reads and writes plain files,
+so a sweep is resumable by one rule, which `tokalign.layout` keeps with the config
 and the output tree: a curated dataset, model, grid point or combined
 CSV is reused only while its `<file>.key` holds the key of the inputs
 that make it (see `layout._keys`).  `scores.csv` and `correlations.csv`
@@ -290,86 +291,90 @@ def _files(run: Callable, job: _Job, config: SweepConfig) -> list[Path]:
     return [_point_path(out, language, kind, size, mode) for size in job.sizes for mode in modes]
 
 
+def _stale(job: _Job, config: SweepConfig) -> list[_Job]:
+    """The job at each of its sizes that has a point not fresh."""
+    sizes = [job._replace(sizes=(size,)) for size in job.sizes]
+    return [one for one in sizes
+            if not all(_fresh(path, job.keys[path]) for path in _files(_evaluate, one, config))]
+
+
 def _evaluations(job: _Job, config: SweepConfig) -> list[_Job]:
     """The one rule for evaluate jobs: one per size with a fresh model and a point not fresh."""
-
-    def fresh(run: Callable, one: _Job) -> bool:
-        return all(_fresh(path, job.keys[path]) for path in _files(run, one, config))
-
-    sizes = [job._replace(sizes=(size,)) for size in job.sizes]
-    return [one for one in sizes if fresh(_build, one) and not fresh(_evaluate, one)]
+    return [one for one in _stale(job, config)
+            if all(_fresh(path, job.keys[path]) for path in _files(_build, one, config))]
 
 
-def _submit(executor: ProcessPoolExecutor, fn, *args) -> Future:
-    """Submit one job; in a pool broken by a dead worker, the job fails."""
-    from concurrent.futures import BrokenExecutor, Future
+def _submit(executor: ProcessPoolExecutor | None, fn, *args) -> Future:
+    """A future of what ``fn(*args)`` returns or raises, run in the pool or, with none, here.
 
+    In a pool broken by a dead worker, the job fails.
+    """
+    from concurrent.futures import Future
+
+    future: Future = Future()
     try:
-        return executor.submit(fn, *args)
-    except BrokenExecutor as exc:
-        future: Future = Future()
+        if executor is not None:
+            return executor.submit(fn, *args)
+        future.set_result(fn(*args))
+    except Exception as exc:
         future.set_exception(exc)
-        return future
+    return future
 
 
 def _run_jobs(
-    builds: list[_Job], evaluations: list[_Job], config: SweepConfig, jobs: int
+    builds: list[_Job], built: list[_Job], config: SweepConfig, jobs: int
 ) -> dict[Path, str]:
-    """Run the build jobs, then the evaluate jobs, and each build's evaluations.
+    """Run the builds and every model's evaluate jobs, in one loop at any `jobs`.
 
-    A build's evaluate jobs (`_evaluations`) are made the moment it
-    returns, so each finds its model on disk.  Returns the failure text
-    of each file a job could not write, by path; a job that raised or
-    lost its worker fails every file it was to write (`_files`).  With
-    one worker, or for a plan of one job of one size, the jobs run in
-    this process, a build's evaluations right after it, and no worker
-    starts.  Otherwise the plan goes, in order, to a pool of `jobs`
-    workers, but no more than the jobs the plan can run, as each worker
-    starts up front; a build's evaluations follow as it returns
-    (`as_completed`), so a merge kind's sizes are evaluated side by
-    side.  A worker that dies fails its job, and every job the broken
+    `built` are the models already on disk, one size each.  The loop
+    takes each job as it completes, in submission order among those
+    completed; as it takes a build or a model on disk, it submits that
+    model's evaluate jobs (`_evaluations`), so each finds its model on
+    disk.  Returns the failure text of each file a job could not write,
+    by path; a job that raised or lost its worker fails every file it
+    was to write (`_files`).  The pool's workers, which all start up
+    front, are no more than the builds plus the sizes with a point not
+    fresh (`_stale`).  At one job, or if no two jobs can ever run at
+    once, `_submit` runs each here: every build, then each one's
+    evaluations.  In the pool a merge kind's sizes are evaluated side by
+    side; a worker that dies fails its job, and every job the broken
     pool still held or is given later, with `BrokenProcessPool`.
     """
+    from concurrent.futures import FIRST_COMPLETED, Future, wait
+
+    # The jobs that can start at once, and all the plan may run.  A
+    # build's evaluations only follow it, so a lone build with at most
+    # one size to evaluate never runs two jobs at once.
+    ready = len(builds) + sum(len(_stale(job, config)) for job in built)
+    most = ready + sum(len(_stale(job, config)) for job in builds)
+    pool = None
+    if jobs > 1 and (ready > 1 or most > 2):
+        # Imported here, so that a sweep with nothing to run in parallel
+        # never loads `multiprocessing`.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(min(jobs, most))
+    on_disk: Future = Future()
+    on_disk.set_result({})
     errors: dict[Path, str] = {}
-
-    def record(run: Callable, job: _Job, outcome: dict[Path, str] | BaseException) -> list[_Job]:
-        if isinstance(outcome, BaseException):
-            outcome = dict.fromkeys(_files(run, job, config), _failure(outcome))
-        errors.update(outcome)
-        return _evaluations(job, config) if run is _build else []
-
-    plan = [(_build, job) for job in builds] + [(_evaluate, job) for job in evaluations]
-    most = len(plan) + sum(len(job.sizes) for job in builds)
-    # One job of one size never runs two at once.
-    if jobs <= 1 or (len(plan) <= 1 and most <= 2):
-
-        def run_here(run: Callable, job: _Job) -> None:
-            try:
-                outcome = run(job, config)
-            except Exception as exc:
-                outcome = exc
-            for evaluation in record(run, job, outcome):
-                run_here(_evaluate, evaluation)
-
-        for run, job in plan:
-            run_here(run, job)
-        return errors
-    # Imported here, so that a sweep with nothing to run in parallel
-    # never loads `multiprocessing`.
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    pool = ProcessPoolExecutor(min(jobs, most))
     try:
-        first = {_submit(pool, run, job, config): (run, job) for run, job in plan}
-        later = []
-        for future in as_completed(first):
-            for evaluation in record(*first[future], future.exception() or future.result()):
-                later.append((evaluation, _submit(pool, _evaluate, evaluation, config)))
-        for evaluation, future in later:
-            record(_evaluate, evaluation, future.exception() or future.result())
+        running = [(_submit(pool, _build, job, config), _build, job) for job in builds]
+        running += [(on_disk, _build, job) for job in built]
+        while running:
+            done = wait([future for future, _, _ in running], return_when=FIRST_COMPLETED).done
+            for future, run, job in [entry for entry in running if entry[0] in done]:
+                outcome = future.exception() or future.result()
+                if isinstance(outcome, BaseException):
+                    outcome = dict.fromkeys(_files(run, job, config), _failure(outcome))
+                errors.update(outcome)
+                if run is _build:
+                    running += [(_submit(pool, _evaluate, one, config), _evaluate, one)
+                                for one in _evaluations(job, config)]
+            running = [entry for entry in running if entry[0] not in done]
         return errors
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _curated_path(out: Path, spec: LanguageSpec, digests: Digests) -> Path:
@@ -391,9 +396,9 @@ def _sweep(
     Each merge kind gets one build job per language for all of its sizes
     without a fresh model, and every other such model one of its own;
     the builds go first, the merge kinds' ahead of the rest, in grid
-    order.  The models already on disk follow with their evaluate jobs
-    (`_evaluations`); a build's own come once it returns.  Every
-    language's jobs run on one executor (see `_run_jobs`).  What failed
+    order.  The models already on disk follow, one size each, and
+    `_run_jobs` runs every language's builds and plans every model's
+    evaluate jobs, in one loop at any `jobs`.  What failed
     is read off the disk afterwards: a size without a fresh model failed
     to train, and a point not fresh failed to evaluate.  Returns the
     score rows of every point file, in grid order, the failures by label
@@ -410,14 +415,14 @@ def _sweep(
 
     merge_builds: list[_Job] = []
     builds: list[_Job] = []
-    evaluations: list[_Job] = []
+    built: list[_Job] = []
     for spec, curated_path in zip(config.languages, curated_paths):
         inputs = (spec.corpus, curated_path, keys)
         untrained: dict[TokenizerKind, list[int]] = {}
         for kind, size in grid:
             job = _Job(spec.name, kind, (size,), *inputs)
             if fresh(_model_path(out, spec.name, kind, size)):
-                evaluations += _evaluations(job, config)
+                built.append(job)
             elif tokenizers.KINDS[kind].cut is None:
                 builds.append(job)
             else:
@@ -429,7 +434,7 @@ def _sweep(
     # other command that this process runs.
     _READS.clear()
     try:
-        errors = _run_jobs(merge_builds + builds, evaluations, config, jobs)
+        errors = _run_jobs(merge_builds + builds, built, config, jobs)
     finally:
         _READS.clear()
 

@@ -707,7 +707,7 @@ def _kinds_sweep_setup(tmp_path):
 
 
 def _record_submissions(monkeypatch):
-    """Record (function, kind, sizes) of each job the sweep submits to its pool.
+    """Record (function, kind, sizes) of each job the sweep submits, to its pool or none.
 
     Also returns the evaluate jobs submitted before the build job of
     their model had returned.
@@ -952,6 +952,48 @@ class TestSweep:
         assert sorted(path.name for path in (out / "toy" / "points").glob("*.csv")) == [
             "bpe-60-split.csv", "bpe-80-split.csv",
         ]
+
+    def test_one_job_submits_the_jobs_of_two(self, tmp_path, monkeypatch):
+        config_path = _kinds_sweep_setup(tmp_path)
+        below = json.loads(config_path.read_text(encoding="utf-8"))["vocab_sizes"][1]
+        runs = {}
+        for jobs in ("1", "2"):
+            submitted, early = _record_submissions(monkeypatch)
+            argv = ["sweep", "--config", str(config_path), "--output-dir", str(tmp_path / jobs)]
+            assert cli.main(argv + ["--jobs", jobs]) == 0
+            assert early == []
+            runs[jobs] = list(submitted)
+        assert sorted(runs["1"]) == sorted(runs["2"])
+        # In this process every build runs first, then each build's
+        # evaluations, in build order.
+        assert runs["1"][:7] == runs["2"][:7]
+        assert runs["1"][7:] == [("_evaluate", kind, (size,)) for kind, size in [
+            ("bpe", 80), ("bpe", 60), ("wordpiece", 80), ("wordpiece", 60),
+            ("unigram", 60), ("unigram", 80), ("character", 0), ("gold", 0),
+        ]]
+        assert below not in {sizes[0] for run, _, sizes in runs["1"] if run == "_evaluate"}
+
+    def test_rebuilding_models_whose_points_are_fresh_starts_no_pool(self, tmp_path, monkeypatch):
+        config_path = _sweep_setup(tmp_path)
+        assert cli.main(["sweep", "--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        finished = _tree(out)
+
+        def written(path):
+            return path.stat().st_ino, path.stat().st_mtime_ns
+
+        points = {path: written(path) for path in (out / "toy" / "points").iterdir()}
+        for path in (out / "toy" / "models").glob("bpe-*"):
+            path.unlink()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a build job whose points are fresh started a pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        # One build job makes both bpe sizes, and no size gets an evaluation.
+        assert cli.main(["sweep", "--config", str(config_path), "--jobs", "2"]) == 0
+        assert _tree(out) == finished
+        assert {path: written(path) for path in points} == points
 
     def test_pool_has_no_more_workers_than_the_plan_can_run(self, tmp_path, monkeypatch):
         config_path = _sweep_setup(tmp_path, kinds=["bpe"], include_baselines=False)

@@ -23,7 +23,6 @@ from tokalign.ibm1 import (
     TranslationTable,
     _expectation,
     _LinkCorpus,
-    _loglik,
     _maximization,
     build_parallel_corpus,
     save_table,
@@ -253,20 +252,20 @@ class TestValidation:
             train_ibm1([], epochs=1)
 
     def test_degenerate_table_raises_numerical_error(self):
-        # Training from the uniform start never reaches these checks;
-        # they guard the steps against a table with no mass where a pair
-        # needs it.
+        # Training from the uniform start never reaches this check; it
+        # guards the E-step, with counts or without, against a table
+        # with no mass where a pair needs it.
         corpus = _LinkCorpus([ParallelPair(("s",), ("t",))])
-        with pytest.raises(NumericalError, match="the table has degenerated"):
-            _expectation(corpus, [0.0], with_loglik=False)
-        with pytest.raises(NumericalError, match="zero probability"):
-            _loglik(corpus, [0.0])
+        for counts in ([0.0], None):
+            with pytest.raises(NumericalError, match="'t' has a mean probability of zero"):
+                _expectation(corpus, [0.0], counts)
 
     def test_underflowing_mean_probability_raises_numerical_error(self):
         # 5e-324 / 2 rounds to 0.0, and log(0.0) is a domain error.
         corpus = _LinkCorpus([ParallelPair(("a", "b"), ("X",))])
-        with pytest.raises(NumericalError, match="underflows"):
-            _loglik(corpus, [5e-324, 0.0])
+        for counts in ([0.0, 0.0], None):
+            with pytest.raises(NumericalError, match="'X' has a mean probability of zero"):
+                _expectation(corpus, [5e-324, 0.0], counts)
 
     def test_maximization_names_the_first_failing_row(self):
         rows = {"a": [0], "b": [1]}
