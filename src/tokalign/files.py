@@ -1,11 +1,14 @@
-"""Streamed line reads, streamed atomic writes and sha256 digests, shared by every stage."""
+"""Streamed line reads, streamed atomic writes, sha256 digests and JSON value checks.
+
+Every stage shares them; `json_typed` is the one type rule of the sweep config and model files.
+"""
 
 from __future__ import annotations
 
 import os
 from functools import cache
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from .errors import ConfigError, DataError
 
@@ -40,6 +43,28 @@ def read_lines(path: Path) -> Iterator[str]:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def json_typed(value: Any, kind: type) -> Any:
+    """`value`, read from JSON, if it has type `kind`; else a TypeError.
+
+    A bool is not an int and a string is not a number; an int is read as
+    a float where a float is wanted.
+    """
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise TypeError(f"{value!r} is not of type {kind.__name__}")
+    return value
+
+
+def json_arrays(value: Any) -> list[list]:
+    """`value`, read from JSON, if it is an array of arrays; else a TypeError.
+
+    Unpacking an item then checks its length, where a string or an object
+    would unpack as its characters or its keys.
+    """
+    return [json_typed(item, list) for item in json_typed(value, list)]
 
 
 @cache

@@ -13,14 +13,17 @@ becomes one tuple of link ids per feature token, one id per subword
 position; and each subword keeps its link ids in first-seen order.  The
 probabilities and the expected counts are flat lists indexed by link
 id.  The tables that come back are dict rows, one per subword.
+
+A table file (`evaluate --table-out`) is what the `json` module renders
+from the table's document; no sweep writes one.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from json.encoder import encode_basestring
 from operator import add
 from pathlib import Path
 from typing import Sequence
@@ -30,7 +33,6 @@ from .corpus import CuratedDataset, FeatureMode, feature_tokens
 from .errors import ConfigError, DataError, NumericalError, UncoverableWord
 from .files import atomic_write
 from .tokenizers import TokenizerModel, canonical_subwords, segment
-from .tokenizers import json_array, json_floats
 
 NULL_TOKEN = "<null>"
 PROB_FLOOR = 1e-12
@@ -276,41 +278,21 @@ def train_ibm1(
     )
 
 
-# The text `table_to_json` fills in: `json_array` renders each array,
-# and `_ENTRY` each item of `entries`.
-_TABLE = (
-    '{\n "schema": %s,\n "epochs_trained": %s,\n "loglik_trajectory": %s,\n'
-    ' "source_vocab": %s,\n "target_vocab": %s,\n "entries": %s\n}\n'
-)
-_ENTRY = "[\n   %s,\n   %s,\n   %s\n  ]"
-
-
 def table_to_json(table: TranslationTable) -> str:
     """Canonical JSON rendering with sorted sparse entries.
 
-    The bytes are ``json.dumps(doc, ensure_ascii=False, indent=1) + "\\n"``
-    of the document in `_TABLE`, rendered by hand: the `json` module's
-    indented output runs in Python, not in its C encoder.
+    The `json` module renders it, with ``ensure_ascii=False, indent=1``:
+    one ``[source, target, probability]`` entry per link, sorted.
     """
-    enc = encode_basestring
-    sources: list[str] = []
-    targets: list[str] = []
-    probs: list[float] = []
-    for s in sorted(table.probs):
-        row = table.probs[s]
-        row_targets = sorted(row)
-        sources += [enc(s)] * len(row_targets)
-        targets += row_targets
-        probs += map(row.__getitem__, row_targets)
-    entries = map(_ENTRY.__mod__, zip(sources, map(enc, targets), json_floats(probs)))
-    return _TABLE % (
-        enc(TABLE_SCHEMA),
-        int.__repr__(table.epochs_trained),
-        json_array(json_floats(table.loglik_trajectory), 1),
-        json_array(map(enc, table.source_vocab), 1),
-        json_array(map(enc, table.target_vocab), 1),
-        json_array(entries, 1),
-    )
+    doc = {
+        "schema": TABLE_SCHEMA,
+        "epochs_trained": table.epochs_trained,
+        "loglik_trajectory": table.loglik_trajectory,
+        "source_vocab": table.source_vocab,
+        "target_vocab": table.target_vocab,
+        "entries": [[s, t, row[t]] for s, row in sorted(table.probs.items()) for t in sorted(row)],
+    }
+    return json.dumps(doc, ensure_ascii=False, indent=1) + "\n"
 
 
 def save_table(table: TranslationTable, path: str | Path) -> None:

@@ -21,13 +21,14 @@ This module imports only the standard library, `choices`, `errors` and
 from __future__ import annotations
 
 import os
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .choices import BASELINE_KINDS, CURATED_KINDS, DEFAULT_EPOCHS, DEFAULT_THRESHOLDS
 from .choices import Aggregation, FeatureMode, TokenizerKind, language_code
 from .errors import ConfigError
-from .files import Digests, atomic_write, sha256_hex
+from .files import Digests, atomic_write, json_typed, sha256_hex
 
 # The combined files of a sweep, in its output directory.
 SCORES, CORRELATIONS, FAILURES = "scores.csv", "correlations.csv", "failures.csv"
@@ -46,26 +47,16 @@ def check_threshold(threshold: float) -> None:
         raise ConfigError(f"threshold must be in [0, 1), got {threshold}")
 
 
-def _integer(value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{value!r} is not an integer")
-    return value
-
-
+# Each parser below returns the value checked and converted, or raises
+# TypeError (`json_typed`, the rule model files share) or ValueError.
 def _positive(value: object) -> int:
-    if _integer(value) < 1:
+    if json_typed(value, int) < 1:
         raise ValueError(f"{value} is below 1")
     return value
 
 
-def _number(value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{value!r} is not a number")
-    return float(value)
-
-
 def _threshold(value: object) -> float:
-    threshold = _number(value)
+    threshold = json_typed(value, float)
     try:
         check_threshold(threshold)
     except ConfigError as exc:
@@ -73,16 +64,10 @@ def _threshold(value: object) -> float:
     return threshold
 
 
-def _boolean(value: object) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{value!r} is not true or false")
-    return value
-
-
 def _path(value: object) -> Path:
     # An empty path would resolve to the config's own directory.
-    if not isinstance(value, str) or not value or "\0" in value:
-        raise ValueError(f"{value!r} is not a non-empty path string without NUL")
+    if not json_typed(value, str) or "\0" in value:
+        raise ValueError(f"{value!r} is not a non-empty path without NUL")
     return Path(value)
 
 
@@ -98,9 +83,7 @@ def _trained_kind(value: object) -> TokenizerKind:
 def _list_of(parse: Callable) -> Callable:
     # A repeated value would give two grid points or score rows one label.
     def parse_list(value: object) -> list:
-        if not isinstance(value, list):
-            raise ValueError(f"{value!r} is not a list")
-        items = [parse(item) for item in value]
+        items = [parse(item) for item in json_typed(value, list)]
         if not items:
             raise ValueError("the list is empty")
         if len(set(items)) != len(items):
@@ -111,8 +94,7 @@ def _list_of(parse: Callable) -> Callable:
 
 
 # One row per sweep config field but `languages`: its JSON default, its
-# parser, which returns the value checked and converted or raises
-# ValueError, and whether a point's key covers it.  The fields a key does
+# parser, and whether a point's key covers it.  The fields a key does
 # not cover choose which points there are, or (`output_dir`) where they go.
 FIELDS = {
     "kinds": (["bpe", "wordpiece", "unigram"], _list_of(_trained_kind), False),
@@ -121,9 +103,9 @@ FIELDS = {
     "aggregations": ([a.value for a in Aggregation], _list_of(Aggregation), True),
     "thresholds": (list(DEFAULT_THRESHOLDS), _list_of(_threshold), True),
     "epochs": (DEFAULT_EPOCHS, _positive, True),
-    "seed": (0, _integer, True),
-    "include_baselines": (True, _boolean, False),
-    "include_null": (False, _boolean, True),
+    "seed": (0, partial(json_typed, kind=int), True),
+    "include_baselines": (True, partial(json_typed, kind=bool), False),
+    "include_null": (False, partial(json_typed, kind=bool), True),
     "output_dir": ("out", _path, False),
 }
 
@@ -132,7 +114,7 @@ def parse_field(name: str, value: object, label: str | None = None) -> object:
     """`value` checked and converted by field `name`'s row; a ConfigError names `label`."""
     try:
         return FIELDS[name][1](value)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{label or f'sweep config field {name}'}: {exc}") from None
 
 

@@ -333,22 +333,23 @@ def _run_jobs(
     disk.  Returns the failure text of each file a job could not write,
     by path; a job that raised or lost its worker fails every file it
     was to write (`_files`).  The pool's workers, which all start up
-    front, are no more than the builds plus the sizes with a point not
-    fresh (`_stale`).  At one job, or if no two jobs can ever run at
-    once, `_submit` runs each here: every build, then each one's
-    evaluations.  In the pool a merge kind's sizes are evaluated side by
-    side; a worker that dies fails its job, and every job the broken
-    pool still held or is given later, with `BrokenProcessPool`.
+    front, are no more than the jobs that can run at once: one per size
+    with a point not fresh (`_stale`), but at least one per build, whose
+    evaluations start only once it returns.  At one job, or if no two
+    jobs can ever run at once, `_submit` runs each here: every build,
+    then each one's evaluations.  In the pool a merge kind's sizes are
+    evaluated side by side; a worker that dies fails its job, and every
+    job the broken pool still held or is given later, with
+    `BrokenProcessPool`.
     """
     from concurrent.futures import FIRST_COMPLETED, Future, wait
 
-    # The jobs that can start at once, and all the plan may run.  A
-    # build's evaluations only follow it, so a lone build with at most
-    # one size to evaluate never runs two jobs at once.
-    ready = len(builds) + sum(len(_stale(job, config)) for job in built)
-    most = ready + sum(len(_stale(job, config)) for job in builds)
+    # The most jobs that can run at once: a build's evaluations only
+    # start once it returns, so it counts as one worker or as its sizes.
+    most = sum(max(1, len(_stale(job, config))) for job in builds)
+    most += sum(len(_stale(job, config)) for job in built)
     pool = None
-    if jobs > 1 and (ready > 1 or most > 2):
+    if jobs > 1 and most > 1:
         # Imported here, so that a sweep with nothing to run in parallel
         # never loads `multiprocessing`.
         from concurrent.futures import ProcessPoolExecutor

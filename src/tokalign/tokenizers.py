@@ -43,6 +43,11 @@ rounds never slice again.
 All training is deterministic: corpora are handled in sorted order and
 score ties break lexicographically, so retraining on the same input
 yields byte-identical model files.
+
+A model file is rendered from a template, ``_MODEL``, to the bytes
+that ``json.dumps(doc, ensure_ascii=False, indent=1)`` writes, since
+every sweep writes models.  ``load_model`` checks each value it reads
+with ``tokalign.files.json_typed``, the rule the sweep config shares.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple
 from .choices import TRAINED_KINDS, TokenizerKind
 from .corpus import CuratedDataset, normalize
 from .errors import ConfigError, DataError, NumericalError, UncoverableWord
-from .files import atomic_write
+from .files import atomic_write, json_arrays, json_typed
 
 UNK = "[UNK]"
 WORDPIECE_MARKER = "##"
@@ -729,7 +734,7 @@ def canonical_subwords(model: TokenizerModel, tokens: list[str]) -> list[str]:
     return tokens[:1] + [t.removeprefix(model.continuation_marker) for t in tokens[1:]]
 
 
-# The text `model_to_json` fills in: `json_array` renders each array,
+# The text `model_to_json` fills in: `_json_array` renders each array,
 # and `_PAIR` each item of `merges`, `token_logprob` and `gold_map`.
 _MODEL = (
     '{\n "schema": %s,\n "kind": %s,\n "vocab_size": %s,\n "seed": %s,\n'
@@ -740,7 +745,7 @@ _PAIR = "[\n   %s,\n   %s\n  ]"
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def json_array(items: Iterable[str], depth: int) -> str:
+def _json_array(items: Iterable[str], depth: int) -> str:
     """A JSON array of rendered `items`, nested `depth` levels deep.
 
     Laid out as ``json.dumps(..., indent=1)`` lays it out: one item a
@@ -751,7 +756,7 @@ def json_array(items: Iterable[str], depth: int) -> str:
     return f"[{inner}{body}\n{' ' * depth}]" if body else "[]"
 
 
-def json_floats(values: list[float]) -> list[str]:
+def _json_floats(values: list[float]) -> list[str]:
     """Each float as `json` writes it: its repr, or NaN, Infinity or -Infinity."""
     texts = list(map(float.__repr__, values))
     if not all(map(math.isfinite, values)):
@@ -759,49 +764,30 @@ def json_floats(values: list[float]) -> list[str]:
     return texts
 
 
-def json_typed(value: Any, kind: type) -> Any:
-    """`value`, read from JSON, if it has type `kind`; else a TypeError.
-
-    A bool is not an int and a string is not a number; an int is read as
-    a float where a float is wanted.
-    """
-    if kind is float and type(value) is int:
-        return float(value)
-    if type(value) is not kind:
-        raise TypeError(f"{value!r} is not of type {kind.__name__}")
-    return value
-
-
-def json_arrays(value: Any) -> list[list]:
-    """`value`, read from JSON, if it is an array of arrays; else a TypeError.
-
-    Unpacking an item then checks its length, where a string or an object
-    would unpack as its characters or its keys.
-    """
-    return [json_typed(item, list) for item in json_typed(value, list)]
-
-
 def model_to_json(model: TokenizerModel) -> str:
     """Canonical JSON rendering; equal models serialize byte-identically.
 
     The bytes are ``json.dumps(doc, ensure_ascii=False, indent=1) + "\\n"``
-    of the document in `_MODEL`, rendered by hand: the `json` module's
-    indented output runs in Python, not in its C encoder.
+    of the document in `_MODEL`, rendered by hand because every sweep
+    writes models: the `json` module's indented output runs in Python,
+    not in its C encoder, and took about three times as long on the
+    benchmark's models.
     """
     enc = encode_basestring
     tokens = sorted(model.token_logprob)
-    logprobs = json_floats([model.token_logprob[token] for token in tokens])
-    segments = [json_array(map(enc, model.gold_map[form]), 3) for form in sorted(model.gold_map)]
+    logprobs = _json_floats([model.token_logprob[token] for token in tokens])
+    forms = sorted(model.gold_map)
+    segments = [_json_array(map(enc, model.gold_map[form]), 3) for form in forms]
     return _MODEL % (
         enc(MODEL_SCHEMA),
         enc(model.kind.value),
         int.__repr__(model.vocab_size),
         int.__repr__(model.seed),
         enc(model.continuation_marker),
-        json_array(map(enc, sorted(model.vocab)), 1),
-        json_array([_PAIR % (enc(left), enc(right)) for left, right in model.merges], 1),
-        json_array(map(_PAIR.__mod__, zip(map(enc, tokens), logprobs)), 1),
-        json_array(map(_PAIR.__mod__, zip(map(enc, sorted(model.gold_map)), segments)), 1),
+        _json_array(map(enc, sorted(model.vocab)), 1),
+        _json_array([_PAIR % (enc(left), enc(right)) for left, right in model.merges], 1),
+        _json_array(map(_PAIR.__mod__, zip(map(enc, tokens), logprobs)), 1),
+        _json_array(map(_PAIR.__mod__, zip(map(enc, forms), segments)), 1),
     )
 
 

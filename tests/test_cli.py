@@ -696,6 +696,41 @@ def _tree(root):
     }
 
 
+def _record_pools(monkeypatch):
+    """The worker count of each process pool a sweep starts, in order."""
+    workers = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return workers
+
+
+def _rebuild_models_with_fresh_points(tmp_path, kinds):
+    """Finish a sweep, delete the models of `kinds`, and rerun it at `--jobs 2`.
+
+    The rerun must write the tree back byte for byte and rewrite no point.
+    """
+    config_path = _sweep_setup(tmp_path)
+    assert cli.main(["sweep", "--config", str(config_path)]) == 0
+    out = tmp_path / "out"
+    finished = _tree(out)
+
+    def written(path):
+        return path.stat().st_ino, path.stat().st_mtime_ns
+
+    points = {path: written(path) for path in (out / "toy" / "points").iterdir()}
+    for kind in kinds:
+        for path in (out / "toy" / "models").glob(f"{kind}-*"):
+            path.unlink()
+    assert cli.main(["sweep", "--config", str(config_path), "--jobs", "2"]) == 0
+    assert _tree(out) == finished
+    assert {path: written(path) for path in points} == points
+
+
 def _kinds_sweep_setup(tmp_path):
     """All three trained kinds, with one vocab size below the alphabet."""
     config_path = _sweep_setup(tmp_path)
@@ -974,40 +1009,27 @@ class TestSweep:
         assert below not in {sizes[0] for run, _, sizes in runs["1"] if run == "_evaluate"}
 
     def test_rebuilding_models_whose_points_are_fresh_starts_no_pool(self, tmp_path, monkeypatch):
-        config_path = _sweep_setup(tmp_path)
-        assert cli.main(["sweep", "--config", str(config_path)]) == 0
-        out = tmp_path / "out"
-        finished = _tree(out)
-
-        def written(path):
-            return path.stat().st_ino, path.stat().st_mtime_ns
-
-        points = {path: written(path) for path in (out / "toy" / "points").iterdir()}
-        for path in (out / "toy" / "models").glob("bpe-*"):
-            path.unlink()
-
         def no_pool(*args, **kwargs):
             raise AssertionError("a build job whose points are fresh started a pool")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         # One build job makes both bpe sizes, and no size gets an evaluation.
-        assert cli.main(["sweep", "--config", str(config_path), "--jobs", "2"]) == 0
-        assert _tree(out) == finished
-        assert {path: written(path) for path in points} == points
+        _rebuild_models_with_fresh_points(tmp_path, ["bpe"])
+
+    def test_rebuilding_two_kinds_whose_points_are_fresh_starts_two_workers(
+        self, tmp_path, monkeypatch
+    ):
+        workers = _record_pools(monkeypatch)
+        # Two build jobs, each with no size to evaluate, can run at once.
+        _rebuild_models_with_fresh_points(tmp_path, ["bpe", "wordpiece"])
+        assert workers == [2]
 
     def test_pool_has_no_more_workers_than_the_plan_can_run(self, tmp_path, monkeypatch):
         config_path = _sweep_setup(tmp_path, kinds=["bpe"], include_baselines=False)
-        workers = []
-
-        class Recording(ProcessPoolExecutor):
-            def __init__(self, max_workers=None, *args, **kwargs):
-                workers.append(max_workers)
-                super().__init__(max_workers, *args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        workers = _record_pools(monkeypatch)
         assert cli.main(["sweep", "--config", str(config_path), "--jobs", "8"]) == 0
-        # One build of two sizes, then at most one evaluation per size.
-        assert workers == [3]
+        # One build of two sizes, then one evaluation per size.
+        assert workers == [2]
 
     def test_sizes_below_the_alphabet_are_cut_not_trained(self, tmp_path, monkeypatch):
         config_path = _kinds_sweep_setup(tmp_path)
@@ -1411,23 +1433,32 @@ class TestSweep:
         assert failures.count("/train") == 2
 
     @pytest.mark.parametrize(
-        "field, value",
+        "field, value, reason",
         [
-            ("thresholds", [0.01, 0.3, 0.01]),
-            ("aggregations", ["mean", "max", "mean"]),
-            ("vocab_sizes", [60, 80, 60]),
-            ("thresholds", [0.01, 1.5]),
-            ("thresholds", [-0.1, 0.3]),
-            ("epochs", "x"),
-            ("epochs", 0),
-            ("vocab_sizes", [60, 0]),
-            ("modes", []),
-            ("output_dir", "out\0"),
-            ("thresholds", 0.3),
+            ("thresholds", [0.01, 0.3, 0.01], "[0.01, 0.3, 0.01] repeats a value"),
+            ("aggregations", ["mean", "max", "mean"], "['mean', 'max', 'mean'] repeats a value"),
+            ("vocab_sizes", [60, 80, 60], "[60, 80, 60] repeats a value"),
+            ("thresholds", [0.01, 1.5], "threshold must be in [0, 1), got 1.5"),
+            ("thresholds", [-0.1, 0.3], "threshold must be in [0, 1), got -0.1"),
+            ("epochs", "x", "'x' is not of type int"),
+            ("epochs", 0, "0 is below 1"),
+            ("vocab_sizes", [60, 0], "0 is below 1"),
+            ("modes", [], "the list is empty"),
+            ("output_dir", "out\0", "'out\\x00' is not a non-empty path without NUL"),
+            ("thresholds", 0.3, "0.3 is not of type list"),
             # A baseline in kinds would train once per size, under as
             # many labels of one model.
-            ("kinds", ["character"]),
-            ("kinds", ["gold", "bpe"]),
+            ("kinds", ["character"], "'character' is a baseline"),
+            ("kinds", ["gold", "bpe"], "'gold' is a baseline"),
+            # JSON types follow the rule of model files (`files.json_typed`):
+            # a bool is no number, and a float no integer.
+            ("seed", True, "True is not of type int"),
+            ("epochs", 2.0, "2.0 is not of type int"),
+            ("include_null", "yes", "'yes' is not of type bool"),
+            ("include_baselines", 1, "1 is not of type bool"),
+            ("output_dir", 7, "7 is not of type str"),
+            ("kinds", "bpe", "'bpe' is not of type list"),
+            ("thresholds", [True], "True is not of type float"),
         ],
         ids=[
             "duplicate-threshold",
@@ -1443,14 +1474,21 @@ class TestSweep:
             "thresholds-not-list",
             "baseline-kind",
             "baseline-among-kinds",
+            "seed-bool",
+            "epochs-float",
+            "include-null-string",
+            "include-baselines-integer",
+            "output-dir-number",
+            "kinds-string",
+            "threshold-bool",
         ],
     )
     def test_invalid_config_exits_1_before_training(
-        self, tmp_path, capsys, field, value
+        self, tmp_path, capsys, field, value, reason
     ):
         config_path = _sweep_setup(tmp_path, **{field: value})
         assert cli.main(["sweep", "--config", str(config_path)]) == 1
-        assert f"config error: sweep config field {field}: " in capsys.readouterr().err
+        assert f"config error: sweep config field {field}: {reason}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("where", ["top", "language"])
